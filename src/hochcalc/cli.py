@@ -18,7 +18,7 @@ from .algebra import GradedAlgebra, validate_algebra
 from .cochain import Cochain, q_support
 from .cohomology import HHContext, hh_space
 from .errors import HochcalcError, InputError
-from .exactla import field_from_json, field_to_json
+from .exactla import field_from_json, field_to_json, rref
 from .identities import run_identity_suite
 from .laurent import section8_report
 from .obstruction import (
@@ -28,7 +28,6 @@ from .obstruction import (
     theta_page2,
     theta_page3_check,
 )
-from .parallel import parallel_map
 from .spectral import (
     collapse_check,
     d1_matrix,
@@ -36,7 +35,6 @@ from .spectral import (
     page_report,
     render_grid,
 )
-from .exactla import rref
 
 
 # -- input documents -----------------------------------------------------------
@@ -113,10 +111,7 @@ def parse_input(text: str) -> InputDocument:
                     raise InputError(f"unknown basis name {cname!r}", f"{path}.{cname}")
                 out[cname] = parse_scalar(field, raw, f"{path}.{cname}")
             products[(a, b)] = out
-    try:
-        algebra = GradedAlgebra(field, basis, unit, products)
-    except InputError:
-        raise
+    algebra = GradedAlgebra(field, basis, unit, products)
     structure = None
     if "structure" in doc and doc["structure"] is not None:
         sb = doc["structure"]
@@ -125,8 +120,11 @@ def parse_input(text: str) -> InputDocument:
         k = sb.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or k < 2:
             raise InputError("k must be an integer >= 2", "structure.k")
+        raw_maps = sb.get("maps") or {}
+        if not isinstance(raw_maps, dict):
+            raise InputError("maps must be an object", "structure.maps")
         maps = {}
-        for mname, entries in (sb.get("maps") or {}).items():
+        for mname, entries in raw_maps.items():
             path = f"structure.maps.{mname}"
             if not (mname.startswith("m") and mname[1:].isdigit()):
                 raise InputError("map keys look like 'm3', 'm4', ...", path)
@@ -147,6 +145,8 @@ def parse_input(text: str) -> InputDocument:
                     if aname not in names:
                         raise InputError(f"unknown basis name {aname!r}", f"{epath}.args")
                 tup = tuple(algebra.index[aname] for aname in args)
+                if not isinstance(entry["out"], dict):
+                    raise InputError("expected an object of coefficients", f"{epath}.out")
                 vec = {}
                 for cname, raw in entry["out"].items():
                     if cname not in names:
@@ -172,17 +172,17 @@ def parse_input(text: str) -> InputDocument:
 def emit_document(docobj: InputDocument) -> dict:
     a = docobj.algebra
     field = docobj.field
+    products: dict = {}
+    for (i, j), vec in sorted(a.products.items()):
+        products.setdefault(a.names[i], {})[a.names[j]] = {
+            a.names[k]: scalar_json(field, c) for k, c in vec.items()
+        }
     out = {
         "field": field_to_json(field),
         "algebra": {
             "basis": [{"name": n, "degree": d} for n, d in zip(a.names, a.degrees)],
             "unit": a.names[a.unit],
-            "products": {
-                a.names[i]: {
-                    a.names[j]: {a.names[k]: scalar_json(field, c) for k, c in vec.items()}
-                }
-                for (i, j), vec in sorted(a.products.items())
-            },
+            "products": products,
         },
     }
     if docobj.structure:
@@ -268,8 +268,8 @@ def cmd_hh(docobj, args, report):
         for p in range(args.p_max + 1):
             pairs.extend((p, q) for q in q_support(a, p))
 
-    def work(pq):
-        p, q = pq
+    spaces = {}
+    for p, q in pairs:
         space = hh_space(a, p, q, normalized=not args.full)
         item = {
             "dim": space.dim,
@@ -279,11 +279,9 @@ def cmd_hh(docobj, args, report):
         }
         if args.bases:
             item["representatives"] = [cochain_json(f) for f in space.hh_reps]
-        return item
-
-    results = parallel_map(work, pairs, args.threads)
+        spaces[f"{p},{q}"] = item
     report["results"]["pipeline"] = "full" if args.full else "normalized"
-    report["results"]["spaces"] = {f"{p},{q}": results[(p, q)] for (p, q) in pairs}
+    report["results"]["spaces"] = spaces
     return 0
 
 
@@ -461,7 +459,7 @@ def build_parser():
     parser.add_argument("--in", dest="infile", help="input JSON document")
     parser.add_argument("--out", dest="outfile", help="write the JSON report here")
     parser.add_argument("--threads", type=int, default=1,
-                        help="bound on worker threads; output is scheduling-independent")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report (breaks byte determinism)")

@@ -8,6 +8,8 @@ cocycle-module cells of spectral pages; both produce deterministic bases.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import GradedAlgebra
 from .cochain import (
     Cochain,
@@ -20,15 +22,7 @@ from .cochain import (
     sq,
 )
 from .errors import ConfigurationError, DomainError
-from .exactla import (
-    SparseMatrix,
-    coordinates_in_basis,
-    kernel_basis,
-    rref,
-    solve,
-    vec_add,
-    vec_scale,
-)
+from .exactla import SparseMatrix, kernel_basis, rref, vec_combine
 
 
 class HHSpace:
@@ -60,16 +54,14 @@ class HHSpace:
         else:
             self.basis_in = cochain_basis(algebra, p - 1, q, normalized=normalized)
             self.d_in = self._differential_matrix(self.basis_in, self.index, p - 1)
-        image_rows = [self.d_in.column(j) for j in range(self.d_in.cols)]
-        rank_b, _, reduced = rref(SparseMatrix.from_rows(field, image_rows, len(self.basis)))
-        red_rows = reduced._row_list()
-        self.coboundaries = [red_rows[i] for i in range(rank_b)]
+        image = {(j, i): c for (i, j), c in self.d_in.entries.items()}
+        rank_b, _, reduced = rref(SparseMatrix(field, self.d_in.cols, len(self.basis), image))
+        self.coboundaries = reduced._row_list()[:rank_b]
         self.hh_vectors = self._pivot_complement()
         self.dim = len(self.hh_vectors)
         self.hh_reps = [
             cochain_from_coords(algebra, p, q, self.basis, v) for v in self.hh_vectors
         ]
-        self._class_matrix = None
 
     def _differential_matrix(self, basis_src, index_dst, p_src):
         a = self.algebra
@@ -83,15 +75,19 @@ class HHSpace:
         return SparseMatrix.from_columns(field, cols, len(index_dst))
 
     def _pivot_complement(self):
-        """Cocycle basis vectors not needed to span the coboundaries."""
+        """Cocycle basis vectors not needed to span the coboundaries.
+
+        Each cocycle basis vector is 1 at its own free column of ``d_out``
+        (its largest index) and 0 at the other free columns, so the
+        coordinates of a cocycle in that basis are its entries there.
+        """
         field = self.algebra.field
-        if not self.cocycles:
-            return []
-        n = len(self.basis)
+        slot = {max(v): j for j, v in enumerate(self.cocycles)}
         cob_in_k = []
         for b in self.coboundaries:
-            coords = coordinates_in_basis(field, self.cocycles, b, n)
-            if coords is None:
+            coords = {slot[i]: c for i, c in b.items() if i in slot}
+            back = vec_combine(field, ((c, self.cocycles[j]) for j, c in coords.items()))
+            if back != b:
                 raise ConfigurationError("coboundary outside the cocycle space")
             cob_in_k.append(coords)
         _, pivots, _ = rref(
@@ -99,6 +95,17 @@ class HHSpace:
         )
         pivot_set = set(pivots)
         return [v for j, v in enumerate(self.cocycles) if j not in pivot_set]
+
+    @cached_property
+    def _class_echelon(self):
+        """Factorization of [coboundaries | cohomology basis vectors]."""
+        return rref(SparseMatrix.from_columns(
+            self.algebra.field, self.coboundaries + self.hh_vectors, len(self.basis)
+        ))
+
+    @cached_property
+    def _d_in_echelon(self):
+        return rref(self.d_in)
 
     # -- classes -------------------------------------------------------------
 
@@ -114,13 +121,8 @@ class HHSpace:
     def class_of(self, z: Cochain) -> "CohomClass":
         """Coordinates of a cocycle in the cohomology basis."""
         self._require_cocycle(z)
-        field = self.algebra.field
         coords = coords_of_cochain(z, self.basis, self.index)
-        if self._class_matrix is None:
-            self._class_matrix = SparseMatrix.from_columns(
-                field, self.coboundaries + self.hh_vectors, len(self.basis)
-            )
-        x = solve(self._class_matrix, coords)
+        x = self._class_echelon.solve(coords)
         if x is None:
             raise DomainError("cocycle outside the computed cocycle space")
         k = len(self.coboundaries)
@@ -131,10 +133,7 @@ class HHSpace:
         return CohomClass(self, Cochain.zero(self.algebra, self.p, 1 - self.p - self.q), {})
 
     def class_from_coords(self, coords: dict) -> "CohomClass":
-        field = self.algebra.field
-        rep = {}
-        for j, c in coords.items():
-            rep = vec_add(field, rep, vec_scale(field, c, self.hh_vectors[j]))
+        rep = vec_combine(self.algebra.field, ((c, self.hh_vectors[j]) for j, c in coords.items()))
         z = cochain_from_coords(self.algebra, self.p, self.q, self.basis, rep)
         return CohomClass(self, z, dict(coords))
 
@@ -148,7 +147,7 @@ class HHSpace:
         if self.p == 0:
             return None
         coords = coords_of_cochain(z, self.basis, self.index)
-        x = solve(self.d_in, coords)
+        x = self._d_in_echelon.solve(coords)
         if x is None:
             return None
         return cochain_from_coords(self.algebra, self.p - 1, self.q, self.basis_in, x)
@@ -196,6 +195,7 @@ class HHContext:
         self.normalized = normalized
         self._spaces: dict = {}
         self._full_spaces: dict = {}
+        self._normalizers: dict = {}
 
     def space(self, p: int, q: int) -> HHSpace:
         key = (p, q)
@@ -210,6 +210,21 @@ class HHContext:
         if key not in self._full_spaces:
             self._full_spaces[key] = HHSpace(self.algebra, p, q, normalized=False)
         return self._full_spaces[key]
+
+    def normalizer(self, p: int, q: int):
+        """Factorization of [full coboundaries | normalized cocycles], both
+        in the full cochain basis of bidegree (p, q)."""
+        key = (p, q)
+        if key not in self._normalizers:
+            full, norm = self.full_space(p, q), self.space(p, q)
+            k = full.d_in.cols
+            entries = dict(full.d_in.entries)
+            for j, vec in enumerate(norm.cocycles):
+                for i, c in vec.items():
+                    entries[(full.index[norm.basis[i]], k + j)] = c
+            m = SparseMatrix(self.algebra.field, len(full.basis), k + len(norm.cocycles), entries)
+            self._normalizers[key] = rref(m)
+        return self._normalizers[key]
 
     def class_of(self, z: Cochain) -> CohomClass:
         p, q = z.bidegree
@@ -311,24 +326,10 @@ def normalized_class_of_full(ctx_norm: HHContext, z: Cochain) -> CohomClass:
     full = ctx_norm.full_space(p, q)
     coords = coords_of_cochain(z, full.basis, full.index)
     norm = ctx_norm.space(p, q)
-    embed = []
-    for vec in norm.cocycles:
-        emb = {}
-        for j, c in vec.items():
-            emb[full.index[norm.basis[j]]] = c
-        embed.append(emb)
-    cols = [full.d_in.column(j) for j in range(full.d_in.cols)] + embed
-    m = SparseMatrix.from_columns(field, cols, len(full.basis))
-    x = solve(m, coords)
+    x = ctx_norm.normalizer(p, q).solve(coords)
     if x is None:
         raise ConfigurationError("full cocycle not homologous to a normalized one")
     k = full.d_in.cols
-    zc: dict = {}
-    for j, c in x.items():
-        if j >= k:
-            zc[j - k] = c
-    rep_coords = {}
-    for j, c in zc.items():
-        rep_coords = vec_add(field, rep_coords, vec_scale(field, c, norm.cocycles[j]))
+    rep_coords = vec_combine(field, ((c, norm.cocycles[j - k]) for j, c in x.items() if j >= k))
     zprime = cochain_from_coords(a, p, q, norm.basis, rep_coords)
     return norm.class_of(zprime)

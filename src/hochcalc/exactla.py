@@ -10,21 +10,38 @@ which makes every derived basis deterministic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConfigurationError, InputError
 
 
+# Miller-Rabin with the first 13 prime bases is exact below PRIME_BOUND, the
+# least strong pseudoprime to all of them (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test, exact for ``n < PRIME_BOUND``."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -133,6 +150,8 @@ class PrimeField(Field):
     """The field F_p for a prime p; scalars are ints in ``[0, p)``."""
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise InputError(f"{p} is too large: primality is decided only below {PRIME_BOUND}")
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
@@ -236,6 +255,19 @@ def vec_sub(field: Field, u: dict, v: dict) -> dict:
     return vec_add(field, u, vec_scale(field, field.neg(field.one()), v))
 
 
+def vec_combine(field: Field, terms) -> dict:
+    """Sum of ``c * v`` over the pairs ``(c, v)`` in ``terms``."""
+    out: dict = {}
+    for c, v in terms:
+        for i, x in v.items():
+            s = field.add(out.get(i, field.zero()), field.mul(c, x))
+            if field.is_zero(s):
+                out.pop(i, None)
+            else:
+                out[i] = s
+    return out
+
+
 def vec_is_zero(v: dict) -> bool:
     return not v
 
@@ -295,9 +327,6 @@ class SparseMatrix:
                     entries[(i, j)] = c
         return cls(field, rows, cols, entries)
 
-    def row(self, i: int) -> dict:
-        return {j: c for (r, j), c in self.entries.items() if r == i}
-
     def column(self, j: int) -> dict:
         return {i: c for (i, c2), c in self.entries.items() if c2 == j}
 
@@ -322,14 +351,6 @@ class SparseMatrix:
                 out[i] = s
         return out
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.field,
-            self.cols,
-            self.rows,
-            {(j, i): c for (i, j), c in self.entries.items()},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
@@ -342,16 +363,70 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-def rref(m: SparseMatrix):
-    """Reduced row-echelon form.
+class Echelon(namedtuple("Echelon", "rank pivots reduced")):
+    """Reduced row-echelon form of a matrix, with the row operations that
+    produced it.
 
-    Returns ``(rank, pivots, reduced)`` where ``pivots`` lists pivot columns
-    in increasing order.  Pivoting is by column order, then row order, so the
+    Unpacks as ``(rank, pivots, reduced)``.  The recorded operations let
+    :meth:`solve` answer any number of right-hand sides, and :meth:`kernel`
+    reads the null space off ``reduced``, without eliminating again.
+    """
+
+    def __new__(cls, pivots, reduced: SparseMatrix, ops):
+        self = super().__new__(cls, len(pivots), pivots, reduced)
+        self.field = reduced.field
+        # one (swapped-in row, scale or None, [(row, multiplier)]) per pivot
+        self._ops = ops
+        return self
+
+    def kernel(self):
+        """Basis of the right null space, one vector per free column, in free
+        column order.  Each vector has a 1 at its free column and 0 at the
+        other free columns."""
+        field = self.field
+        red = self.reduced
+        pivot_set = set(self.pivots)
+        basis = {j: {j: field.one()} for j in range(red.cols) if j not in pivot_set}
+        for r, row in enumerate(red._row_list()[: self.rank]):
+            for j, c in row.items():
+                if j in basis:
+                    basis[j][self.pivots[r]] = field.neg(c)
+        return list(basis.values())
+
+    def solve(self, b: dict):
+        """Particular solution of ``m x = b`` with free variables set to zero,
+        or ``None`` if the system is inconsistent."""
+        field = self.field
+        rows = self.reduced.rows
+        y = [field.zero()] * rows
+        for i, c in b.items():
+            if not (0 <= i < rows):
+                raise ConfigurationError(f"rhs index {i} out of range for {rows} rows")
+            y[i] = c
+        for r, (sel, inv, elim) in enumerate(self._ops):
+            y[r], y[sel] = y[sel], y[r]
+            v = y[r]
+            if field.is_zero(v):
+                continue
+            if inv is not None:
+                v = y[r] = field.mul(inv, v)
+            for i, c in elim:
+                y[i] = field.sub(y[i], field.mul(c, v))
+        if not all(field.is_zero(c) for c in y[self.rank:]):
+            return None
+        return {col: c for col, c in zip(self.pivots, y) if not field.is_zero(c)}
+
+
+def rref(m: SparseMatrix) -> Echelon:
+    """Reduced row-echelon form, as an :class:`Echelon` that unpacks as
+    ``(rank, pivots, reduced)`` where ``pivots`` lists pivot columns in
+    increasing order.  Pivoting is by column order, then row order, so the
     output is unique and deterministic.
     """
     field = m.field
     rows = m._row_list()
     pivots = []
+    ops = []
     pivot_row = 0
     for col in range(m.cols):
         sel = None
@@ -363,16 +438,19 @@ def rref(m: SparseMatrix):
             continue
         rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
         head = rows[pivot_row][col]
+        inv = None
         if head != field.one():
             inv = field.inv(head)
             rows[pivot_row] = {j: field.mul(inv, c) for j, c in rows[pivot_row].items()}
         prow = rows[pivot_row]
+        elim = []
         for i in range(m.rows):
             if i == pivot_row:
                 continue
             c = rows[i].get(col)
             if c is None:
                 continue
+            elim.append((i, c))
             ri = rows[i]
             for j, pc in prow.items():
                 s = field.sub(ri.get(j, field.zero()), field.mul(c, pc))
@@ -381,71 +459,29 @@ def rref(m: SparseMatrix):
                 else:
                     ri[j] = s
         pivots.append(col)
+        ops.append((sel, inv, elim))
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    reduced = SparseMatrix.from_rows(field, rows, m.cols)
-    return len(pivots), pivots, reduced
+    return Echelon(pivots, SparseMatrix.from_rows(field, rows, m.cols), ops)
 
 
 def kernel_basis(m: SparseMatrix):
-    """Basis of the right null space, one vector per free column, in free
-    column order.  Each vector has a 1 at its free column."""
-    field = m.field
-    rank, pivots, red = rref(m)
-    pivot_set = set(pivots)
-    pivot_of_row = {r: c for r, c in enumerate(pivots)}
-    rows = red._row_list()
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        vec = {j: field.one()}
-        for r in range(rank):
-            c = rows[r].get(j)
-            if c is not None:
-                vec[pivot_of_row[r]] = field.neg(c)
-        basis.append(vec)
-    return basis
+    """Basis of the right null space; see :meth:`Echelon.kernel`."""
+    return rref(m).kernel()
 
 
 def solve(m: SparseMatrix, b: dict):
-    """Particular solution of ``m x = b`` with free variables set to zero,
-    or ``None`` if the system is inconsistent."""
-    field = m.field
-    for i in b:
-        if not (0 <= i < m.rows):
-            raise ConfigurationError(f"rhs index {i} out of range for {m.rows} rows")
-    aug_entries = dict(m.entries)
-    for i, c in b.items():
-        if not field.is_zero(c):
-            aug_entries[(i, m.cols)] = c
-    aug = SparseMatrix(field, m.rows, m.cols + 1, aug_entries)
-    rank, pivots, red = rref(aug)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x: dict = {}
-    rows = red._row_list()
-    for r, c in enumerate(pivots):
-        v = rows[r].get(m.cols)
-        if v is not None:
-            x[c] = v
-    return x
-
-
-def complement_basis(field: Field, subspace, ambient_dim: int):
-    """Standard basis vectors at the non-pivot columns of the reduced
-    subspace; together with the subspace they span the ambient space."""
-    m = SparseMatrix.from_rows(field, list(subspace), ambient_dim)
-    _, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    return [{j: field.one()} for j in range(ambient_dim) if j not in pivot_set]
+    """Particular solution of ``m x = b``; see :meth:`Echelon.solve`."""
+    return rref(m).solve(b)
 
 
 def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     """One solution of ``sum_j x_j col_j (+ sum_k y_k extra_k) = rhs`` by
     sparsity-guided elimination; deterministic (pivot row of least fill,
-    ties by index).  Returns ``(x, y)`` as sparse dicts, or ``None``.
+    ties by index).  Returns ``(x, y)`` as sparse dicts, or ``None`` if the
+    system is inconsistent; raises ``ConfigurationError`` if the solution
+    fails its exact check.
 
     Unlike :func:`solve`, free variables are zeroed relative to the
     elimination order, which favours sparse witnesses on large systems.
@@ -543,18 +579,7 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
                 check[n] = s
     want = {row_id[r]: c for r, c in rhs.items() if not field.is_zero(c)}
     if check != want:
-        return None
+        raise ConfigurationError("solve_columns: solution failed its exact check")
     main = {j: c for j, c in x.items() if j < n_main}
     extra = {j - n_main: c for j, c in x.items() if j >= n_main}
     return main, extra
-
-
-def coordinates_in_basis(field: Field, basis, v: dict, dim: int):
-    """Coordinates of ``v`` in the span of ``basis`` (vectors of length
-    ``dim``), or ``None`` if ``v`` is outside the span."""
-    m = SparseMatrix.from_columns(field, list(basis), dim)
-    return solve(m, v)
-
-
-def rank_of(field: Field, vectors, dim: int) -> int:
-    return rref(SparseMatrix.from_rows(field, list(vectors), dim))[0]

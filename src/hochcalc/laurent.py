@@ -16,6 +16,7 @@ equality of components equality of the underlying multilinear maps.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import gcd
 
 from .algebra import GradedAlgebra, require_valid
 from .cochain import brace, bracket, cup, hoch_d, sq
@@ -184,8 +185,6 @@ class Poly:
 
 
 def _lcm(a, b):
-    from math import gcd
-
     return a * b // gcd(a, b)
 
 
@@ -631,7 +630,7 @@ def _weight_vectors(alg: TwistedLaurent):
     for v in kb(mat):
         denom = 1
         for c in v.values():
-            denom = denom * c.denominator // __import__("math").gcd(denom, c.denominator)
+            denom = _lcm(denom, c.denominator)
         vecs.append(tuple(int(v.get(i, Q.zero()) * denom) for i in range(n)))
     alg._weights = vecs
     return vecs

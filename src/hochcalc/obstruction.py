@@ -15,7 +15,7 @@ from .ainf import AInfStructure, perturb, require_valid_structure, stasheff_resi
 from .cochain import Cochain, bracket, brace, hoch_d
 from .cohomology import CohomClass, HHContext, induced_bracket
 from .errors import DomainError, UnsupportedDepthError
-from .exactla import SparseMatrix, kernel_basis, rref, solve
+from .exactla import kernel_basis, rref
 
 ENUMERATION_BOUND = 10**6
 
@@ -114,19 +114,14 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
         m3_class = ctx.space(3, -1).class_of(s.map(3))
         mat = induced_bracket(ctx, m3_class, s.k - 1, 3 - s.k)
         target = {j: field.neg(c) for j, c in theta.coords.items()}
-        x = solve(mat, target)
+        ech = rref(mat)
+        x = ech.solve(target)
         if x is None:
-            rank = rref(mat)[0]
-            aug = SparseMatrix(
-                field,
-                mat.rows,
-                mat.cols + 1,
-                dict(mat.entries) | {(i, mat.cols): c for i, c in target.items()},
-            )
+            # target outside the image, so appending it raises the rank by one
             certificate = {
                 "kind": "rank",
-                "rank_image": rank,
-                "rank_with_target": rref(aug)[0],
+                "rank_image": ech.rank,
+                "rank_with_target": ech.rank + 1,
             }
             return Page3Status("nonzero", certificate=certificate)
         b_prev = space_prev.class_from_coords(x).representative

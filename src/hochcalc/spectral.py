@@ -17,7 +17,7 @@ from .algebra import GradedAlgebra
 from .cochain import Cochain, bracket, brace, cochain_basis, cochain_from_coords, cup, hoch_d
 from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
 from .errors import DomainError, NotProvidedError, UndefinedCellError
-from .exactla import SparseMatrix, coordinates_in_basis, kernel_basis, rank_of
+from .exactla import SparseMatrix, kernel_basis, rref
 
 
 class PageCell:
@@ -218,12 +218,11 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
         out_m = d2_map(ctx, phi, s, t)
         ker = kernel_basis(out_m)
         image = _incoming_image(ctx, phi, s, t)
-        field = ctx.algebra.field
-        mid_dim = ctx.space(s + 2, -t).dim
         for v in image:
-            if coordinates_in_basis(field, ker, v, mid_dim) is None and v:
+            if out_m.apply(v):
                 raise DomainError(f"d2 composite does not vanish into ({s},{t})")
-        dim = len(ker) - rank_of(field, image, mid_dim)
+        mid_dim = ctx.space(s + 2, -t).dim
+        dim = len(ker) - rref(SparseMatrix.from_rows(ctx.algebra.field, image, mid_dim)).rank
         return PageCell(3, s, t, "vector", dim=dim)
     if s == 1 and t > 1:
         m = d2_map(ctx, phi, 1, t)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -68,14 +69,29 @@ def test_parse_rejects_non_normalized_maps():
         parse_input(json.dumps(base))
 
 
+# two products in the row of "a"
+TWO_PRODUCTS_IN_A_ROW = json.dumps({
+    "field": {"type": "F", "p": 3},
+    "algebra": {
+        "basis": [{"name": "1", "degree": 0}, {"name": "a", "degree": 0},
+                  {"name": "b", "degree": 0}],
+        "unit": "1",
+        "products": {"a": {"a": {"a": 1}, "b": {"b": 1}}, "b": {"a": {"b": 1}}},
+    },
+})
+
+
 def test_roundtrip_fixture_documents():
+    texts = [TWO_PRODUCTS_IN_A_ROW]
     for fx in sorted(FIXTURES.glob("*.json")):
         if fx.name == "section8_generators.json":
             continue  # reference tables, not an input document
-        text = fx.read_text()
+        texts.append(fx.read_text())
+    for text in texts:
         doc = parse_input(text)
         emitted = emit_document(doc)
         again = parse_input(json.dumps(emitted))
+        assert again.algebra.products == doc.algebra.products
         assert emit_document(again) == emitted
 
 
@@ -100,6 +116,41 @@ def test_input_error_exit_code(tmp_path):
     code, report = run_cli(["--in", str(f), "validate"], tmp_path)
     assert code == 1
     assert report["error"]["kind"] == "input"
+    assert report["error"]["path"] == "field.p"
+
+
+def _tower_doc(maps):
+    return {
+        "field": {"type": "F", "p": 2},
+        "algebra": {"basis": [{"name": "1", "degree": 0}, {"name": "u", "degree": 1}],
+                     "unit": "1", "products": {"u": {"u": {}}}},
+        "structure": {"k": 4, "maps": maps},
+    }
+
+
+@pytest.mark.parametrize("doc, path", [
+    (_tower_doc({"m3": [{"args": ["u", "u", "u"], "out": 1}]}), "structure.maps.m3[0].out"),
+    (_tower_doc([{"args": ["u", "u", "u"], "out": {"u": 1}}]), "structure.maps"),
+], ids=["out-not-object", "maps-is-list"])
+def test_malformed_structure_is_an_input_error(tmp_path, doc, path):
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps(doc))
+    code, report = run_cli(["--in", str(f), "validate"], tmp_path)
+    assert code == 1
+    assert report["error"]["kind"] == "input"
+    assert report["error"]["path"] == path
+
+
+def test_large_composite_modulus_rejected_fast(tmp_path):
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps({
+        "field": {"type": "F", "p": (10**9 + 7) * (10**9 + 9)},
+        "algebra": {"basis": [{"name": "1", "degree": 0}], "unit": "1"},
+    }))
+    start = time.perf_counter()
+    code, report = run_cli(["--in", str(f), "validate"], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
     assert report["error"]["path"] == "field.p"
 
 

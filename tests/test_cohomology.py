@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from hochcalc.algebra import dual_numbers
+from hochcalc.algebra import dual_numbers, truncated_skew_laurent
 from hochcalc.cochain import (
     Cochain,
     beta_cochain,
     bracket,
+    cochain_from_coords,
+    coords_of_cochain,
     cup,
     euler_delta,
     hoch_d,
@@ -22,8 +24,9 @@ from hochcalc.cohomology import (
     normalized_class_of_full,
 )
 from hochcalc.errors import DomainError
-from hochcalc.exactla import PrimeField, Rationals, rref
+from hochcalc.exactla import PrimeField, Rationals, SparseMatrix, rref
 from hochcalc.identities import random_cochain
+from oracles import reference_pivot_complement, reference_solve
 
 # dimensions frozen from the independent full-bar run (the classical values
 # for these algebras); both pipelines must keep reproducing them.
@@ -71,6 +74,40 @@ def test_rank_identities(trunc_f2):
     sp = hh_space(trunc_f2, 3, -1)
     assert sp.dim == len(sp.cocycles) - len(sp.coboundaries)
     assert len(sp.cocycles) == len(sp.basis) - rref(sp.d_out)[0]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), Rationals()], ids=repr)
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "full"])
+def test_hh_bases_and_solves_match_reference(field, normalized):
+    """Bases, class coordinates and coboundary witnesses agree with fresh
+    reductions, in both pipelines."""
+    a = truncated_skew_laurent(field, 3 if field.char else 2)
+    rng = random.Random(f"hh-oracle/{field!r}/{normalized}")
+    for p in range(4):
+        for q in q_support(a, p):
+            sp = hh_space(a, p, q, normalized=normalized)
+            assert sp.hh_vectors == reference_pivot_complement(sp)
+            class_matrix = SparseMatrix.from_columns(
+                field, sp.coboundaries + sp.hh_vectors, len(sp.basis)
+            )
+            index_in = {pair: n for n, pair in enumerate(sp.basis_in)}
+            for _ in range(3):
+                coords = {}
+                for v in rng.sample(sp.cocycles, min(3, len(sp.cocycles))):
+                    for j, c in v.items():
+                        coords[j] = field.add(coords.get(j, field.zero()), c)
+                coords = {j: c for j, c in coords.items() if not field.is_zero(c)}
+                z = cochain_from_coords(a, p, q, sp.basis, coords)
+                k = len(sp.coboundaries)
+                x = reference_solve(class_matrix, coords)
+                assert sp.class_of(z).coords == {j - k: c for j, c in x.items() if j >= k}
+                if p == 0:
+                    continue
+                w = sp.is_coboundary(z)
+                x = reference_solve(sp.d_in, coords)
+                assert (w is None) == (x is None)
+                if w is not None:
+                    assert coords_of_cochain(w, sp.basis_in, index_in) == x
 
 
 def test_class_of_coboundary_is_zero(ext_q):

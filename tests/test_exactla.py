@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochcalc.errors import InputError
+from hochcalc.errors import ConfigurationError, InputError
 from hochcalc.exactla import (
+    PRIME_BOUND,
     PrimeField,
     Rationals,
     SparseMatrix,
-    complement_basis,
-    coordinates_in_basis,
+    _is_prime,
     field_from_json,
     kernel_basis,
     rref,
     solve,
     solve_columns,
 )
+from oracles import reference_kernel, reference_solve
 
 FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)]
 
@@ -26,6 +27,28 @@ def test_prime_field_rejects_composites():
         PrimeField(4)
     with pytest.raises(InputError):
         field_from_json({"type": "F", "p": 9})
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == [
+        n for n in range(3000) if _trial_division(n)
+    ]
+    # strong pseudoprimes to the first few prime bases
+    for n in (2047, 1373653, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+
+
+def test_prime_field_large_moduli():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(InputError):
+        PrimeField((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(InputError) as err:
+        field_from_json({"type": "F", "p": PRIME_BOUND})
+    assert err.value.path == "field.p"
 
 
 def test_rational_parsing():
@@ -98,15 +121,6 @@ def test_solve_free_variable_zeroed_f3():
     assert x == {0: 2}
 
 
-def test_complement_basis_cases():
-    Q = Rationals()
-    full = [{0: Q.one()}, {1: Q.one()}]
-    assert complement_basis(Q, full, 2) == []
-    assert complement_basis(Q, [], 2) == [{0: Q.one()}, {1: Q.one()}]
-    comp = complement_basis(Q, [{0: Q.one(), 1: Q.one()}], 3)
-    assert comp == [{1: Q.one()}, {2: Q.one()}]
-
-
 def _random_matrix(rng, field, rows, cols, density):
     entries = {}
     for _ in range(density):
@@ -171,10 +185,55 @@ def test_insertion_order_independence():
     assert kernel_basis(m1) == kernel_basis(m2)
 
 
-def test_coordinates_in_basis():
+def test_solve_in_a_basis():
+    """Coordinates in a linearly independent basis are the solution for the
+    matrix whose columns are the basis vectors."""
     Q = Rationals()
     basis = [{0: Q.one(), 1: Q.one()}, {1: Q.one()}]
-    v = {0: Q.from_int(2), 1: Q.from_int(5)}
-    coords = coordinates_in_basis(Q, basis, v, 2)
-    assert coords == {0: Q.from_int(2), 1: Q.from_int(3)}
-    assert coordinates_in_basis(Q, [basis[1]], {0: Q.one()}, 2) is None
+    ech = rref(SparseMatrix.from_columns(Q, basis, 2))
+    assert ech.solve({0: Q.from_int(2), 1: Q.from_int(5)}) == {0: Q.from_int(2), 1: Q.from_int(3)}
+    assert rref(SparseMatrix.from_columns(Q, [basis[1]], 2)).solve({0: Q.one()}) is None
+
+
+def test_solve_rejects_rhs_out_of_range():
+    Q = Rationals()
+    with pytest.raises(ConfigurationError):
+        solve(SparseMatrix.from_dense(Q, [[1, 0]]), {1: Q.one()})
+
+
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=repr)
+def test_factorization_matches_reference(field):
+    """One factorization answers several right-hand sides, consistent and
+    inconsistent, exactly as a fresh reduction of [m | b] does."""
+    rng = random.Random(f"echelon/{field!r}")
+    inconsistent = 0
+    for _ in range(150):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        m = _random_matrix(rng, field, rows, cols, rng.randrange(0, 3 * rows * cols // 2 + 1))
+        ech = rref(m)
+        assert ech.kernel() == reference_kernel(m) == kernel_basis(m)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(cols)}
+                b = m.apply({j: c for j, c in x0.items() if rng.random() < 0.5})
+            else:
+                b = {i: field.from_int(rng.randrange(1, 5)) for i in range(rows)}
+                b = {i: c for i, c in b.items() if rng.random() < 0.6 and not field.is_zero(c)}
+            want = reference_solve(m, b)
+            assert ech.solve(b) == want == solve(m, b)
+            if want is None:
+                inconsistent += 1
+            else:
+                assert m.apply(want) == b
+    assert inconsistent > 20
+
+
+class _WrongInverse(PrimeField):
+    def inv(self, a):
+        return 1
+
+
+def test_solve_columns_raises_when_its_check_fails():
+    field = _WrongInverse(5)
+    with pytest.raises(ConfigurationError):
+        solve_columns(field, [{"r": 2}], {"r": 1})
