@@ -56,9 +56,6 @@ class GradedAlgebra:
     def dim(self) -> int:
         return len(self.names)
 
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
-
     def suspended_degree(self, i: int) -> int:
         return self.degrees[i] + 1
 
@@ -75,13 +72,7 @@ class GradedAlgebra:
         out: dict = {}
         for i, a in u.items():
             for j, b in v.items():
-                coef = field.mul(a, b)
-                for k, c in self.product(i, j).items():
-                    s = field.add(out.get(k, field.zero()), field.mul(coef, c))
-                    if field.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                field.add_into(out, self.product(i, j).items(), field.mul(a, b))
         return out
 
     def degree_span(self):

@@ -58,7 +58,7 @@ def parse_input(text: str) -> InputDocument:
     """Parse and structurally validate a JSON input document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError("top level must be an object")
@@ -71,6 +71,8 @@ def parse_input(text: str) -> InputDocument:
     if not isinstance(ab, dict):
         raise InputError("algebra block must be an object", "algebra")
     basis = []
+    if not isinstance(ab.get("basis", []), list):
+        raise InputError("basis must be a list", "algebra.basis")
     for n, item in enumerate(ab.get("basis", [])):
         path = f"algebra.basis[{n}]"
         if isinstance(item, dict):
@@ -126,7 +128,7 @@ def parse_input(text: str) -> InputDocument:
         maps = {}
         for mname, entries in raw_maps.items():
             path = f"structure.maps.{mname}"
-            if not (mname.startswith("m") and mname[1:].isdigit()):
+            if not (mname.startswith("m") and mname[1:].isdecimal()):
                 raise InputError("map keys look like 'm3', 'm4', ...", path)
             n = int(mname[1:])
             if not (3 <= n <= k):
@@ -142,7 +144,7 @@ def parse_input(text: str) -> InputDocument:
                 if not isinstance(args, list) or len(args) != n:
                     raise InputError(f"args must list {n} basis names", epath)
                 for aname in args:
-                    if aname not in names:
+                    if not isinstance(aname, str) or aname not in names:
                         raise InputError(f"unknown basis name {aname!r}", f"{epath}.args")
                 tup = tuple(algebra.index[aname] for aname in args)
                 if not isinstance(entry["out"], dict):
@@ -152,9 +154,7 @@ def parse_input(text: str) -> InputDocument:
                     if cname not in names:
                         raise InputError(f"unknown basis name {cname!r}", f"{epath}.out")
                     vec[algebra.index[cname]] = parse_scalar(field, raw, f"{epath}.out.{cname}")
-                dst = table.setdefault(tup, {})
-                for idx, c in vec.items():
-                    dst[idx] = field.add(dst.get(idx, field.zero()), c)
+                field.add_into(table.setdefault(tup, {}), vec.items())
             cochain = Cochain(algebra, n, -1, table)
             try:
                 cochain.check_homogeneous()
@@ -286,6 +286,8 @@ def cmd_hh(docobj, args, report):
 
 
 def cmd_props(docobj, args, report):
+    if args.arity_max < 0:
+        raise InputError("arity-max must be >= 0", "arity-max")
     try:
         counts = run_identity_suite(docobj.algebra, args.trials, args.seed, args.arity_max)
     except AssertionError as exc:

@@ -25,7 +25,97 @@ from .algebra import GradedAlgebra, require_valid
 from .errors import ConfigurationError, DomainError
 
 
-class Cochain:
+class LinearCochain:
+    """Linear structure shared by finite and polynomially-indexed cochains,
+    which is all the brace calculus below needs besides ``compose_at``.
+
+    ``table`` maps keys to nonzero entries.  A subclass says how two entries
+    add (``_add_entries``, returning None for a zero sum) and how an entry
+    scales (``_scale_entry``).
+    """
+
+    __slots__ = ("algebra", "arity", "end_degree", "table")
+
+    def __init__(self, algebra, arity: int, end_degree: int):
+        self.algebra = algebra
+        self.arity = arity
+        self.end_degree = end_degree
+        self.table = {}
+
+    @property
+    def bidegree(self):
+        return (self.arity, 1 - self.arity - self.end_degree)
+
+    def zero_like(self, arity, end_degree):
+        return type(self)(self.algebra, arity, end_degree)
+
+    def is_zero(self) -> bool:
+        return not self.table
+
+    def _check_compatible(self, other):
+        if self.algebra is not other.algebra:
+            raise ConfigurationError("cochains over different algebras")
+        if (self.arity, self.end_degree) != (other.arity, other.end_degree):
+            raise ConfigurationError(
+                f"cochain shape mismatch: {(self.arity, self.end_degree)} vs "
+                f"{(other.arity, other.end_degree)}"
+            )
+
+    def _with_table(self, table):
+        out = self.zero_like(self.arity, self.end_degree)
+        out.table = table
+        return out
+
+    def _accumulate(self, items):
+        """Add ``(key, nonzero entry)`` pairs into this cochain's own table,
+        dropping keys whose entries cancel."""
+        table = self.table
+        for key, entry in items:
+            old = table.get(key)
+            if old is None:
+                table[key] = entry
+                continue
+            s = self._add_entries(old, entry)
+            if s is None:
+                del table[key]
+            else:
+                table[key] = s
+        return self
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self._with_table(dict(self.table))._accumulate(other.table.items())
+
+    def __neg__(self):
+        return self.scale(self.algebra.field.neg(self.algebra.field.one()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if self.algebra.field.is_zero(c):
+            return self.zero_like(self.arity, self.end_degree)
+        return self._with_table({k: self._scale_entry(c, e) for k, e in self.table.items()})
+
+    def scale_int(self, n: int):
+        return self.scale(self.algebra.field.from_int(n))
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.algebra is other.algebra
+            and (self.arity, self.end_degree) == (other.arity, other.end_degree)
+            and self.table == other.table
+        )
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(arity={self.arity}, deg={self.end_degree}, "
+            f"{len(self.table)} entries)"
+        )
+
+
+class Cochain(LinearCochain):
     """Sparse multilinear map on the suspended algebra.
 
     ``table`` maps tuples of basis indices to sparse output vectors
@@ -33,13 +123,10 @@ class Cochain:
     of tables is equality of maps.
     """
 
-    __slots__ = ("algebra", "arity", "end_degree", "table")
+    __slots__ = ()
 
     def __init__(self, algebra: GradedAlgebra, arity: int, end_degree: int, table=None):
-        self.algebra = algebra
-        self.arity = arity
-        self.end_degree = end_degree
-        self.table = {}
+        super().__init__(algebra, arity, end_degree)
         if table:
             field = algebra.field
             for t, vec in table.items():
@@ -47,21 +134,16 @@ class Cochain:
                 if clean:
                     self.table[tuple(t)] = clean
 
-    # -- bookkeeping --------------------------------------------------------
-
-    @property
-    def bidegree(self):
-        return (self.arity, 1 - self.arity - self.end_degree)
-
     @classmethod
     def zero(cls, algebra, arity, end_degree):
-        return cls(algebra, arity, end_degree, {})
+        return cls(algebra, arity, end_degree)
 
-    def zero_like(self, arity, end_degree):
-        return Cochain.zero(self.algebra, arity, end_degree)
+    def _add_entries(self, u: dict, v: dict):
+        return self.algebra.field.add_into(dict(u), v.items()) or None
 
-    def is_zero(self) -> bool:
-        return not self.table
+    def _scale_entry(self, c, vec: dict) -> dict:
+        mul = self.algebra.field.mul
+        return {k: mul(c, x) for k, x in vec.items()}
 
     def is_normalized(self) -> bool:
         """True if the cochain vanishes whenever an input is the unit."""
@@ -83,69 +165,6 @@ class Cochain:
     def multiplication(self) -> "Cochain":
         return shifted_m2(self.algebra)
 
-    # -- linear structure ----------------------------------------------------
-
-    def _check_compatible(self, other: "Cochain"):
-        if self.algebra is not other.algebra:
-            raise ConfigurationError("cochains over different algebras")
-        if (self.arity, self.end_degree) != (other.arity, other.end_degree):
-            raise ConfigurationError(
-                f"cochain shape mismatch: {(self.arity, self.end_degree)} vs "
-                f"{(other.arity, other.end_degree)}"
-            )
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        field = self.algebra.field
-        table = {t: dict(vec) for t, vec in self.table.items()}
-        for t, vec in other.table.items():
-            dst = table.setdefault(t, {})
-            for k, c in vec.items():
-                s = field.add(dst.get(k, field.zero()), c)
-                if field.is_zero(s):
-                    dst.pop(k, None)
-                else:
-                    dst[k] = s
-            if not dst:
-                del table[t]
-        out = Cochain(self.algebra, self.arity, self.end_degree)
-        out.table = table
-        return out
-
-    def __neg__(self) -> "Cochain":
-        return self.scale(self.algebra.field.neg(self.algebra.field.one()))
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def scale(self, c) -> "Cochain":
-        field = self.algebra.field
-        if field.is_zero(c):
-            return Cochain.zero(self.algebra, self.arity, self.end_degree)
-        out = Cochain(self.algebra, self.arity, self.end_degree)
-        out.table = {
-            t: {k: field.mul(c, x) for k, x in vec.items()} for t, vec in self.table.items()
-        }
-        return out
-
-    def scale_int(self, n: int) -> "Cochain":
-        return self.scale(self.algebra.field.from_int(n))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.algebra is other.algebra
-            and self.arity == other.arity
-            and self.end_degree == other.end_degree
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return (
-            f"Cochain(arity={self.arity}, deg={self.end_degree}, "
-            f"{len(self.table)} entries)"
-        )
-
     # -- evaluation and composition -------------------------------------------
 
     def evaluate(self, tuple_indices) -> dict:
@@ -156,9 +175,7 @@ class Cochain:
         if self.algebra is not g.algebra:
             raise ConfigurationError("cochains over different algebras")
         if self.is_zero() or g.is_zero():
-            return Cochain.zero(
-                self.algebra, self.arity + g.arity - 1, self.end_degree + g.end_degree
-            )
+            return self.zero_like(self.arity + g.arity - 1, self.end_degree + g.end_degree)
         if not (1 <= i <= self.arity):
             raise ConfigurationError(f"slot {i} out of range for arity {self.arity}")
         a = self.algebra
@@ -168,7 +185,7 @@ class Cochain:
             for b, c in vec_g.items():
                 g_by_out.setdefault(b, []).append((t_g, c))
         d_g = g.end_degree
-        out = Cochain.zero(a, self.arity + g.arity - 1, self.end_degree + d_g)
+        out = self.zero_like(self.arity + g.arity - 1, self.end_degree + d_g)
         table = out.table
         for t_f, vec_f in self.table.items():
             slot_basis = t_f[i - 1]
@@ -182,19 +199,12 @@ class Cochain:
             for t_g, c_g in hits:
                 coef = field.neg(c_g) if negate else c_g
                 new_t = prefix + t_g + suffix
-                dst = table.setdefault(new_t, {})
-                for k, c in vec_f.items():
-                    s = field.add(dst.get(k, field.zero()), field.mul(coef, c))
-                    if field.is_zero(s):
-                        dst.pop(k, None)
-                    else:
-                        dst[k] = s
-                if not dst:
+                if not field.add_into(table.setdefault(new_t, {}), vec_f.items(), coef):
                     del table[new_t]
         return out
 
 
-# -- brace calculus (generic over anything with compose_at/add/scale) --------
+# -- brace calculus (generic over LinearCochain subclasses) -------------------
 
 
 def brace(f, args):
@@ -317,6 +327,8 @@ def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
     """Ordered basis of the (p, q) cochain space: pairs (tuple, output index)
     in lexicographic order.  ``normalized`` restricts to tuples avoiding the
     unit."""
+    if p < 0:
+        raise DomainError("Hochschild degree must be >= 0")
     d = 1 - p - q
     out_by_degree: dict = {}
     for k in range(a.dim):
@@ -337,6 +349,8 @@ def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
 def q_support(a: GradedAlgebra, p: int):
     """Internal degrees q with a nonzero (p, q) cochain space, from the
     degree span of the algebra."""
+    if p < 0:
+        raise DomainError("Hochschild degree must be >= 0")
     lo, hi = a.degree_span()
     slo, shi = lo + 1, hi + 1
     qs = []
@@ -352,14 +366,11 @@ def q_support(a: GradedAlgebra, p: int):
 
 
 def cochain_from_coords(a: GradedAlgebra, p: int, q: int, basis, coords: dict) -> Cochain:
-    field = a.field
-    table: dict = {}
+    by_tuple: dict = {}
     for idx, c in coords.items():
-        if field.is_zero(c):
-            continue
         t, k = basis[idx]
-        dst = table.setdefault(t, {})
-        dst[k] = field.add(dst.get(k, field.zero()), c)
+        by_tuple.setdefault(t, []).append((k, c))
+    table = {t: a.field.add_into({}, pairs) for t, pairs in by_tuple.items()}
     return Cochain(a, p, 1 - p - q, table)
 
 

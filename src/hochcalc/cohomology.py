@@ -35,8 +35,6 @@ class HHSpace:
     """
 
     def __init__(self, algebra: GradedAlgebra, p: int, q: int, normalized: bool = True):
-        if p < 0:
-            raise DomainError("Hochschild degree must be >= 0")
         self.algebra = algebra
         self.p = p
         self.q = q

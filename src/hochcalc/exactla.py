@@ -74,9 +74,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -86,6 +83,29 @@ class Field:
 
     def format(self, a):
         raise NotImplementedError
+
+    def add_into(self, dst: dict, pairs, c=None) -> dict:
+        """Add ``c * x`` (or ``x`` when ``c`` is None) into ``dst[k]`` for each
+        ``(k, x)`` in ``pairs``, in place, dropping keys whose sum is zero;
+        returns ``dst``.  The one accumulation loop of the package: every
+        sparse vector keeps no stored zeros by going through it."""
+        add, is_zero, zero = self.add, self.is_zero, self.zero()
+        if c is None:
+            for k, x in pairs:
+                s = add(dst.get(k, zero), x)
+                if is_zero(s):
+                    dst.pop(k, None)
+                else:
+                    dst[k] = s
+        elif not is_zero(c):
+            mul = self.mul
+            for k, x in pairs:
+                s = add(dst.get(k, zero), mul(c, x))
+                if is_zero(s):
+                    dst.pop(k, None)
+                else:
+                    dst[k] = s
+        return dst
 
     def __eq__(self, other):
         return type(self) is type(other) and self.char == getattr(other, "char", None)
@@ -235,14 +255,7 @@ def field_to_json(field: Field):
 
 
 def vec_add(field: Field, u: dict, v: dict) -> dict:
-    out = dict(u)
-    for i, c in v.items():
-        s = field.add(out.get(i, field.zero()), c)
-        if field.is_zero(s):
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
+    return field.add_into(dict(u), v.items())
 
 
 def vec_scale(field: Field, c, v: dict) -> dict:
@@ -251,29 +264,16 @@ def vec_scale(field: Field, c, v: dict) -> dict:
     return {i: field.mul(c, x) for i, x in v.items()}
 
 
-def vec_sub(field: Field, u: dict, v: dict) -> dict:
-    return vec_add(field, u, vec_scale(field, field.neg(field.one()), v))
-
-
 def vec_combine(field: Field, terms) -> dict:
     """Sum of ``c * v`` over the pairs ``(c, v)`` in ``terms``."""
     out: dict = {}
     for c, v in terms:
-        for i, x in v.items():
-            s = field.add(out.get(i, field.zero()), field.mul(c, x))
-            if field.is_zero(s):
-                out.pop(i, None)
-            else:
-                out[i] = s
+        field.add_into(out, v.items(), c)
     return out
 
 
-def vec_is_zero(v: dict) -> bool:
-    return not v
-
-
 def vec_eq(field: Field, u: dict, v: dict) -> bool:
-    return vec_is_zero(vec_sub(field, u, v))
+    return not field.add_into(dict(u), v.items(), field.neg(field.one()))
 
 
 class SparseMatrix:
@@ -338,18 +338,10 @@ class SparseMatrix:
 
     def apply(self, v: dict) -> dict:
         """Matrix times sparse column vector."""
-        field = self.field
-        out: dict = {}
-        for (i, j), c in self.entries.items():
-            x = v.get(j)
-            if x is None:
-                continue
-            s = field.add(out.get(i, field.zero()), field.mul(c, x))
-            if field.is_zero(s):
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return out
+        mul = self.field.mul
+        return self.field.add_into(
+            {}, ((i, mul(c, v[j])) for (i, j), c in self.entries.items() if j in v)
+        )
 
     def __eq__(self, other):
         return (
@@ -451,13 +443,7 @@ def rref(m: SparseMatrix) -> Echelon:
             if c is None:
                 continue
             elim.append((i, c))
-            ri = rows[i]
-            for j, pc in prow.items():
-                s = field.sub(ri.get(j, field.zero()), field.mul(c, pc))
-                if field.is_zero(s):
-                    ri.pop(j, None)
-                else:
-                    ri[j] = s
+            field.add_into(rows[i], prow.items(), field.neg(c))
         pivots.append(col)
         ops.append((sel, inv, elim))
         pivot_row += 1
@@ -570,13 +556,7 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     # verify exactly (guards the incremental bookkeeping)
     check: dict = {}
     for j, c in x.items():
-        for r, v in cols[j].items():
-            n = row_id[r]
-            s = field.add(check.get(n, field.zero()), field.mul(c, v))
-            if field.is_zero(s):
-                check.pop(n, None)
-            else:
-                check[n] = s
+        field.add_into(check, ((row_id[r], v) for r, v in cols[j].items()), c)
     want = {row_id[r]: c for r, c in rhs.items() if not field.is_zero(c)}
     if check != want:
         raise ConfigurationError("solve_columns: solution failed its exact check")

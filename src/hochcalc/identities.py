@@ -17,6 +17,7 @@ from .cochain import (
     brace,
     bracket,
     cochain_basis,
+    cochain_from_coords,
     cup,
     hoch_d,
     q_support,
@@ -170,17 +171,15 @@ def random_cochain(rng: random.Random, a, p: int, q: int, density: int = 2,
                    normalized: bool = True) -> Cochain:
     basis = cochain_basis(a, p, q, normalized=normalized)
     field = a.field
-    table: dict = {}
-    if basis:
-        for _ in range(min(density, len(basis))):
-            t, k = basis[rng.randrange(len(basis))]
-            if field.char == 0:
-                c = field.from_int(rng.choice([-2, -1, 1, 2, 3]))
-            else:
-                c = field.from_int(rng.randrange(1, field.char))
-            dst = table.setdefault(t, {})
-            dst[k] = field.add(dst.get(k, field.zero()), c)
-    return Cochain(a, p, 1 - p - q, table)
+    picks = []
+    for _ in range(min(density, len(basis))):
+        n = rng.randrange(len(basis))
+        if field.char == 0:
+            c = field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+        else:
+            c = field.from_int(rng.randrange(1, field.char))
+        picks.append((n, c))
+    return cochain_from_coords(a, p, q, basis, field.add_into({}, picks))
 
 
 def _nonzero_cells(a, max_arity: int):

@@ -10,7 +10,7 @@ Signs and sigma powers only see residues; the output exponent is forced by
 degree homogeneity, so it is never stored.
 
 Over F_p polynomials are reduced by s^p = s per variable, which makes
-equality of components equality of the underlying multilinear maps.
+equality of table entries equality of the underlying multilinear maps.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import product as iproduct
 from math import gcd
 
 from .algebra import GradedAlgebra, require_valid
-from .cochain import brace, bracket, cup, hoch_d, sq
+from .cochain import LinearCochain, brace, bracket, cup, hoch_d, sq
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -46,18 +46,12 @@ class Poly:
         self.nvars = nvars
         self.terms = {}
         if terms:
+            if any(len(e) != nvars and not field.is_zero(c) for e, c in terms.items()):
+                raise ConfigurationError("monomial arity mismatch")
             char = field.char
-            for exps, c in terms.items():
-                if field.is_zero(c):
-                    continue
-                key = tuple(_reduce_exp(e, char) for e in exps)
-                if len(key) != nvars:
-                    raise ConfigurationError("monomial arity mismatch")
-                s = self.field.add(self.terms.get(key, field.zero()), c)
-                if field.is_zero(s):
-                    self.terms.pop(key, None)
-                else:
-                    self.terms[key] = s
+            field.add_into(self.terms, (
+                (tuple(_reduce_exp(e, char) for e in exps), c) for exps, c in terms.items()
+            ))
 
     @classmethod
     def constant(cls, field, nvars, value):
@@ -72,26 +66,23 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        field = self.field
-        for exps, c in other.terms.items():
-            s = field.add(out.get(exps, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        p = Poly(field, self.nvars)
-        p.terms = out
+    @classmethod
+    def _raw(cls, field, nvars, terms) -> "Poly":
+        """Wrap ``terms`` that are already reduced and free of zeros."""
+        p = cls(field, nvars)
+        p.terms = terms
         return p
+
+    def __add__(self, other):
+        return Poly._raw(
+            self.field, self.nvars, self.field.add_into(dict(self.terms), other.terms.items())
+        )
 
     def scale(self, c):
         field = self.field
         if field.is_zero(c):
             return Poly(field, self.nvars)
-        p = Poly(field, self.nvars)
-        p.terms = {e: field.mul(c, x) for e, x in self.terms.items()}
-        return p
+        return Poly._raw(field, self.nvars, {e: field.mul(c, x) for e, x in self.terms.items()})
 
     def __neg__(self):
         return self.scale(self.field.neg(self.field.one()))
@@ -101,19 +92,13 @@ class Poly:
 
     def __mul__(self, other):
         field = self.field
-        out = Poly(field, self.nvars)
-        acc: dict = {}
+        mul = field.mul
         char = field.char
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(_reduce_exp(a + b, char) for a, b in zip(e1, e2))
-                s = field.add(acc.get(key, field.zero()), field.mul(c1, c2))
-                if field.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        out.terms = acc
-        return out
+        return Poly._raw(field, self.nvars, field.add_into({}, (
+            (tuple(_reduce_exp(a + b, char) for a, b in zip(e1, e2)), mul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )))
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -131,47 +116,36 @@ class Poly:
 
     def remap(self, mapping, nvars: int) -> "Poly":
         """Move variable i to position mapping[i] in a wider variable set."""
-        out = {}
         field = self.field
-        for exps, c in self.terms.items():
-            new = [0] * nvars
-            for i, e in enumerate(exps):
-                new[mapping[i]] += e
-            key = tuple(new)
-            s = field.add(out.get(key, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(field, nvars, out)
+        return Poly(field, nvars, field.add_into({}, (
+            (_moved(exps, mapping, nvars), c) for exps, c in self.terms.items()
+        )))
 
     def subst_affine(self, var: int, positions, const: int, mapping, nvars: int) -> "Poly":
         """Substitute variable ``var`` by sum(x_pos) + const; every other
         variable i moves to ``mapping[i]``.  Powers of the affine form are
         expanded exactly."""
         field = self.field
-        affine_terms = {tuple([0] * nvars): field.from_int(const)}
+        one = field.one()
+        units = [((0,) * nvars, field.from_int(const))]
         for pos in positions:
             exps = [0] * nvars
             exps[pos] = 1
-            affine_terms[tuple(exps)] = field.add(
-                affine_terms.get(tuple(exps), field.zero()), field.one()
-            )
-        affine = Poly(field, nvars, affine_terms)
-        powers = [Poly.constant(field, nvars, field.one())]
-        result = Poly(field, nvars)
+            units.append((tuple(exps), one))
+        affine = Poly._raw(field, nvars, field.add_into({}, units))
+        powers = [Poly.constant(field, nvars, one)]
+        char = field.char
+        acc: dict = {}
         for exps, c in self.terms.items():
             e = exps[var]
             while len(powers) <= e:
                 powers.append(powers[-1] * affine)
-            base = [0] * nvars
-            for i, ei in enumerate(exps):
-                if i == var:
-                    continue
-                base[mapping[i]] += ei
-            mono = Poly(field, nvars, {tuple(base): c})
-            result = result + (mono * powers[e])
-        return result
+            base = _moved(exps, mapping, nvars, skip=var)
+            field.add_into(acc, (
+                (tuple(_reduce_exp(a + b, char) for a, b in zip(base, pe)), pc)
+                for pe, pc in powers[e].terms.items()
+            ), c)
+        return Poly._raw(field, nvars, acc)
 
     def __eq__(self, other):
         return (
@@ -182,6 +156,15 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars} vars, {len(self.terms)} terms)"
+
+
+def _moved(exps, mapping, nvars, skip=None):
+    """Exponent tuple with variable i moved to mapping[i], dropping ``skip``."""
+    new = [0] * nvars
+    for i, e in enumerate(exps):
+        if i != skip:
+            new[mapping[i]] += e
+    return tuple(new)
 
 
 def _lcm(a, b):
@@ -236,15 +219,9 @@ class TwistedLaurent:
         self._m2 = None
 
     def _apply_sigma(self, v: dict) -> dict:
-        field = self.field
         out: dict = {}
         for i, c in v.items():
-            for j, d in self.sigma[i].items():
-                s = field.add(out.get(j, field.zero()), field.mul(c, d))
-                if field.is_zero(s):
-                    out.pop(j, None)
-                else:
-                    out[j] = s
+            self.field.add_into(out, self.sigma[i].items(), c)
         return out
 
     def sigma_power(self, n: int) -> dict:
@@ -267,17 +244,9 @@ class TwistedLaurent:
                 for b1 in range(self.base.dim):
                     flip = (self.base.degrees[b1] + r1 * self.weight) % 2 == 1
                     for b2 in range(self.base.dim):
-                        twisted = sig[b2]
                         acc: dict = {}
-                        for c, coef in twisted.items():
-                            for d, coef2 in self.base.product(b1, c).items():
-                                s = field.add(
-                                    acc.get(d, field.zero()), field.mul(coef, coef2)
-                                )
-                                if field.is_zero(s):
-                                    acc.pop(d, None)
-                                else:
-                                    acc[d] = s
+                        for c, coef in sig[b2].items():
+                            field.add_into(acc, self.base.product(b1, c).items(), coef)
                         for d, coef in acc.items():
                             val = field.neg(coef) if flip else coef
                             comps[((r1, r2), (b1, b2), d)] = Poly.constant(field, 2, val)
@@ -292,32 +261,29 @@ class TwistedLaurent:
         )
 
 
-class PolyCochain:
+class PolyCochain(LinearCochain):
     """Residue-split polynomially-indexed cochain on a twisted Laurent
     algebra.
 
-    ``components`` maps ``(residues, input basis labels, output basis
-    label)`` to a Poly in the arity many parameters s_j; the output
-    x-exponent is forced by homogeneity.  Keys whose forced exponent is not
-    an integer are rejected.
+    ``table`` maps ``(residues, input basis labels, output basis label)``
+    to a Poly in the arity many parameters s_j; the output x-exponent is
+    forced by homogeneity.  Keys whose forced exponent is not an integer are
+    rejected.
     """
 
-    __slots__ = ("algebra", "arity", "end_degree", "components")
+    __slots__ = ()
 
-    def __init__(self, algebra: TwistedLaurent, arity: int, end_degree: int, components=None):
-        self.algebra = algebra
-        self.arity = arity
-        self.end_degree = end_degree
-        self.components = {}
-        if components:
-            for key, poly in components.items():
+    def __init__(self, algebra: TwistedLaurent, arity: int, end_degree: int, table=None):
+        super().__init__(algebra, arity, end_degree)
+        if table:
+            for key, poly in table.items():
                 res, bas, out = key
                 if len(res) != arity or len(bas) != arity:
                     raise ConfigurationError("component arity mismatch")
                 if poly.is_zero():
                     continue
                 self._exponent_const(bas, out)  # raises if not integral
-                self.components[(tuple(res), tuple(bas), out)] = poly
+                self.table[(tuple(res), tuple(bas), out)] = poly
 
     def _exponent_const(self, bas, out) -> int:
         """c with output exponent m = sum(n_j) * 1 + c; integrality is the
@@ -334,79 +300,18 @@ class PolyCochain:
             raise ConfigurationError("component violates degree homogeneity")
         return num // alg.weight
 
-    # -- linear structure ------------------------------------------------------
+    def _add_entries(self, p: Poly, q: Poly):
+        s = p + q
+        return None if s.is_zero() else s
 
-    @property
-    def bidegree(self):
-        return (self.arity, 1 - self.arity - self.end_degree)
-
-    def zero_like(self, arity, end_degree):
-        return PolyCochain(self.algebra, arity, end_degree)
+    def _scale_entry(self, c, p: Poly) -> Poly:
+        return p.scale(c)
 
     def multiplication(self):
         return self.algebra.multiplication_cochain()
 
-    def is_zero(self):
-        return not self.components
-
     def is_normalized(self) -> bool:
         return True
-
-    def _check_compatible(self, other):
-        if self.algebra is not other.algebra:
-            raise ConfigurationError("cochains over different algebras")
-        if (self.arity, self.end_degree) != (other.arity, other.end_degree):
-            raise ConfigurationError("cochain shape mismatch")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        comps = dict(self.components)
-        for key, poly in other.components.items():
-            if key in comps:
-                s = comps[key] + poly
-                if s.is_zero():
-                    del comps[key]
-                else:
-                    comps[key] = s
-            else:
-                comps[key] = poly
-        out = PolyCochain(self.algebra, self.arity, self.end_degree)
-        out.components = comps
-        return out
-
-    def scale(self, c):
-        field = self.algebra.field
-        out = PolyCochain(self.algebra, self.arity, self.end_degree)
-        if field.is_zero(c):
-            return out
-        out.components = {k: p.scale(c) for k, p in self.components.items()}
-        return out
-
-    def scale_int(self, n: int):
-        return self.scale(self.algebra.field.from_int(n))
-
-    def __neg__(self):
-        return self.scale(self.algebra.field.neg(self.algebra.field.one()))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyCochain)
-            and self.algebra is other.algebra
-            and (self.arity, self.end_degree) == (other.arity, other.end_degree)
-            and self.components == other.components
-        )
-
-    def max_poly_degree(self):
-        return max((p.total_degree() for p in self.components.values()), default=0)
-
-    def __repr__(self):
-        return (
-            f"PolyCochain(arity={self.arity}, deg={self.end_degree}, "
-            f"{len(self.components)} components)"
-        )
 
     # -- evaluation -------------------------------------------------------------
 
@@ -421,21 +326,12 @@ class PolyCochain:
         res = tuple(n % R for _, n in inputs)
         bas = tuple(b for b, _ in inputs)
         svals = [field.from_int((n - (n % R)) // R) for _, n in inputs]
-        out: dict = {}
-        for (r, bb, o), poly in self.components.items():
-            if r != res or bb != bas:
-                continue
-            c = poly.evaluate(svals)
-            if field.is_zero(c):
-                continue
-            m = sum(n for _, n in inputs) + self._exponent_const(bas, o)
-            key = (o, m)
-            s = field.add(out.get(key, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
+        total = sum(n for _, n in inputs)
+        return field.add_into({}, (
+            ((o, total + self._exponent_const(bas, o)), poly.evaluate(svals))
+            for (r, bb, o), poly in self.table.items()
+            if r == res and bb == bas
+        ))
 
     # -- composition -------------------------------------------------------------
 
@@ -445,9 +341,7 @@ class PolyCochain:
         if self.algebra is not g.algebra:
             raise ConfigurationError("cochains over different algebras")
         if self.is_zero() or g.is_zero():
-            return PolyCochain(
-                self.algebra, self.arity + g.arity - 1, self.end_degree + g.end_degree
-            )
+            return self.zero_like(self.arity + g.arity - 1, self.end_degree + g.end_degree)
         if not (1 <= i <= self.arity):
             raise ConfigurationError(f"slot {i} out of range")
         alg = self.algebra
@@ -455,10 +349,8 @@ class PolyCochain:
         R = alg.residue_modulus
         p, q = self.arity, g.arity
         nvars = p + q - 1
-        out = PolyCochain(alg, nvars, self.end_degree + g.end_degree)
-        comps = out.components
         g_items = []
-        for (rg, bg, og), poly_g in g.components.items():
+        for (rg, bg, og), poly_g in g.table.items():
             c = g._exponent_const(bg, og)
             r_m = (sum(rg) + c) % R
             k0 = (sum(rg) + c - r_m) // R
@@ -471,7 +363,8 @@ class PolyCochain:
                 mapping[j] = j + q - 1
         g_mapping = {j: i - 1 + j for j in range(q)}
         positions = list(range(i - 1, i - 1 + q))
-        for (rf, bf, of), poly_f in self.components.items():
+        terms = []
+        for (rf, bf, of), poly_f in self.table.items():
             slot_res = rf[i - 1]
             slot_bas = bf[i - 1]
             prefix_deg = sum(
@@ -488,16 +381,9 @@ class PolyCochain:
                 term = pf * pg
                 if negate:
                     term = -term
-                key = (new_res, new_bas, of)
-                if key in comps:
-                    s = comps[key] + term
-                    if s.is_zero():
-                        del comps[key]
-                    else:
-                        comps[key] = s
-                elif not term.is_zero():
-                    comps[key] = term
-        return out
+                if not term.is_zero():
+                    terms.append(((new_res, new_bas, of), term))
+        return self.zero_like(nvars, self.end_degree + g.end_degree)._accumulate(terms)
 
 
 # -- distinguished cochains ------------------------------------------------------
@@ -612,18 +498,16 @@ def _weight_vectors(alg: TwistedLaurent):
     base = alg.base
     n = base.dim
     rows = []
+    one, minus_one = Q.one(), Q.from_int(-1)
     for i in range(n):
         for j in range(n):
             for k in base.product(i, j):
-                row = {}
-                for idx, sgn in ((i, 1), (j, 1), (k, -1)):
-                    row[idx] = Q.add(row.get(idx, Q.zero()), Q.from_int(sgn))
-                rows.append({a: c for a, c in row.items() if not Q.is_zero(c)})
+                rows.append(Q.add_into({}, ((i, one), (j, one), (k, minus_one))))
     for i in range(n):
         for j in alg.sigma[i]:
             if j != i:
-                rows.append({i: Q.one(), j: Q.from_int(-1)})
-    rows.append({base.unit: Q.one()})
+                rows.append({i: one, j: minus_one})
+    rows.append({base.unit: one})
     mat = SparseMatrix(Q, len(rows), n,
                        {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
     vecs = []
@@ -663,7 +547,7 @@ def find_combination(target: PolyCochain, generators, d_search: int):
 
     def comp_rows(z):
         rows = {}
-        for ckey, poly in z.components.items():
+        for ckey, poly in z.table.items():
             for exps, c in poly.terms.items():
                 rows[(ckey, exps)] = c
         return rows
@@ -698,13 +582,8 @@ def find_combination(target: PolyCochain, generators, d_search: int):
     if sol is None:
         return None, None, stats
     x, coeffs = sol
-    comps: dict = {}
-    for nj, c in x.items():
-        key, mono = unknowns[nj]
-        poly = Poly(field, arity_b, {mono: c})
-        comps[key] = comps[key] + poly if key in comps else poly
-    witness = PolyCochain(
-        alg, arity_b, deg_b, {k: p for k, p in comps.items() if not p.is_zero()}
+    witness = PolyCochain(alg, arity_b, deg_b)._accumulate(
+        (unknowns[nj][0], Poly(field, arity_b, {unknowns[nj][1]: c})) for nj, c in x.items()
     )
     combo = target
     for j, g in enumerate(generators):

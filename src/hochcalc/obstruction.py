@@ -194,11 +194,10 @@ def obstruction_report(s: AInfStructure, ctx: HHContext = None) -> ObstructionRe
 
 
 class ExtensionStep:
-    def __init__(self, k, depth, perturbed, report=None):
+    def __init__(self, k, depth, perturbed):
         self.k = k
         self.depth = depth
         self.perturbed = perturbed  # indices whose maps changed
-        self.report = report
 
     def __repr__(self):
         return f"ExtensionStep(k={self.k}, depth={self.depth}, perturbed={self.perturbed})"

@@ -59,14 +59,10 @@ class QuadraticMap:
         d2 = self.evaluate(z2)
         space = self.ctx.space(4, -2)
         field = self.ctx.algebra.field
+        minus_one = field.neg(field.one())
         coords = dict(lhs.coords)
         for other in (d1, d2):
-            for j, c in other.coords.items():
-                s = field.sub(coords.get(j, field.zero()), c)
-                if field.is_zero(s):
-                    coords.pop(j, None)
-                else:
-                    coords[j] = s
+            field.add_into(coords, other.coords.items(), minus_one)
         return space.class_from_coords(coords)
 
 

@@ -1,9 +1,13 @@
 """Reference implementations the tests compare the library against.
 
 They redo each computation the direct way: a solve reduces the augmented
-matrix [m | b] from scratch, and the cohomology basis solves every
-coboundary in the cocycle basis separately.
+matrix [m | b] from scratch, the cohomology basis solves every coboundary
+in the cocycle basis separately, sparse accumulation sums with plain Python
+arithmetic, and the Hochschild differential is evaluated tuple by tuple
+from the product table.
 """
+
+from itertools import product as iproduct
 
 from hochcalc.exactla import SparseMatrix, rref
 
@@ -54,3 +58,61 @@ def reference_pivot_complement(space):
         cob_in_k.append(coords)
     _, pivots, _ = rref(SparseMatrix.from_rows(field, cob_in_k, len(space.cocycles)))
     return [v for j, v in enumerate(space.cocycles) if j not in pivots]
+
+
+def reference_add_into(field, dst, pairs, c=None):
+    """``dst + sum(c * x)`` as a new dict, summed with plain Python
+    arithmetic (reduced mod p at the end over F_p), zeros dropped."""
+    totals = dict(dst)
+    for k, x in pairs:
+        totals[k] = totals.get(k, 0) + (x if c is None else c * x)
+    if field.char:
+        totals = {k: v % field.char for k, v in totals.items()}
+    return {k: v for k, v in totals.items() if v != 0}
+
+
+def reference_hoch_d(f):
+    """Table of [m2, f] = m2{f} - (-1)^{|f|} f{m2}, evaluated on every input
+    tuple directly from the product table of the algebra.
+
+    Each composite carries the Koszul sign (-1)^{|g| (|u_1| + ... +
+    |u_{i-1}|)} of the cochain module docstring, with suspended degrees, and
+    m2(sx, sy) = (-1)^{|x|} s(xy).
+    """
+    a = f.algebra
+    field = a.field
+    p, d = f.arity, f.end_degree
+    sdeg = a.suspended_degree
+
+    def signed(c, odd):
+        return field.neg(c) if odd else c
+
+    def m2(x, y):
+        return {k: signed(c, a.degrees[x] % 2) for k, c in a.product(x, y).items()}
+
+    def value(args):
+        return f.table.get(tuple(args), {})
+
+    table = {}
+    for u in iproduct(range(a.dim), repeat=p + 1):
+        terms = []
+        # m2 o_1 f: no sign, f sits in the first slot
+        for k, c in value(u[:p]).items():
+            terms += [(l, field.mul(c, e)) for l, e in m2(k, u[p]).items()]
+        # m2 o_2 f: f passes u_1
+        for k, c in value(u[1:]).items():
+            terms += [(l, signed(field.mul(c, e), d * sdeg(u[0]) % 2))
+                      for l, e in m2(u[0], k).items()]
+        # -(-1)^{|f|} f o_i m2: m2 (degree -1) passes u_1 .. u_{i-1}
+        for i in range(p):
+            passed = sum(sdeg(j) for j in u[:i])
+            for l, e in m2(u[i], u[i + 1]).items():
+                for k, c in value(u[:i] + (l,) + u[i + 2:]).items():
+                    terms.append((k, signed(field.mul(c, e), (d + 1 + passed) % 2)))
+        vec = {}
+        for k, c in terms:
+            vec[k] = field.add(vec.get(k, field.zero()), c)
+        vec = {k: c for k, c in vec.items() if not field.is_zero(c)}
+        if vec:
+            table[u] = vec
+    return table

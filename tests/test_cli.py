@@ -5,8 +5,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hochcalc.cli import emit_document, main, parse_input
+from hochcalc.cli import InputDocument, emit_document, main, parse_input
 from hochcalc.errors import InputError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -131,7 +133,12 @@ def _tower_doc(maps):
 @pytest.mark.parametrize("doc, path", [
     (_tower_doc({"m3": [{"args": ["u", "u", "u"], "out": 1}]}), "structure.maps.m3[0].out"),
     (_tower_doc([{"args": ["u", "u", "u"], "out": {"u": 1}}]), "structure.maps"),
-], ids=["out-not-object", "maps-is-list"])
+    (_tower_doc({"m3": [{"args": [["u"], "u", "u"], "out": {"u": 1}}]}),
+     "structure.maps.m3[0].args"),
+    (_tower_doc({"m\u00b3": []}), "structure.maps.m\u00b3"),
+    ({"field": {"type": "Q"}, "algebra": {"basis": 5, "unit": "1"}}, "algebra.basis"),
+], ids=["out-not-object", "maps-is-list", "arg-not-a-string", "superscript-index",
+        "basis-not-a-list"])
 def test_malformed_structure_is_an_input_error(tmp_path, doc, path):
     f = tmp_path / "x.json"
     f.write_text(json.dumps(doc))
@@ -139,6 +146,12 @@ def test_malformed_structure_is_an_input_error(tmp_path, doc, path):
     assert code == 1
     assert report["error"]["kind"] == "input"
     assert report["error"]["path"] == path
+
+
+def test_unparsable_numbers_are_input_errors():
+    for text in ('{"field": ' + "9" * 5000 + "}", "[" * 100000 + "]" * 100000):
+        with pytest.raises(InputError):
+            parse_input(text)
 
 
 def test_large_composite_modulus_rejected_fast(tmp_path):
@@ -335,3 +348,67 @@ def test_e_page_3_command(tmp_path):
     assert cells["1,1"]["kind"] == "predicate"
     assert cells["3,2"]["kind"] == "undefined"
     assert cells["2,2"]["kind"] == "vector"
+
+
+def test_negative_hochschild_degree_is_a_json_error(tmp_path):
+    code, rep = run_cli(
+        ["--in", str(FIXTURES / "dual_numbers_q.json"), "hh", "--p", "-1"], tmp_path
+    )
+    assert code == 1
+    assert rep["error"] == {"kind": "DomainError", "message": "Hochschild degree must be >= 0"}
+
+
+def test_negative_arity_max_is_an_input_error(tmp_path):
+    code, rep = run_cli(
+        ["--in", str(FIXTURES / "dual_numbers_q.json"), "props", "--arity-max", "-1"], tmp_path
+    )
+    assert code == 1
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "arity-max"
+
+
+FUZZ_DOCUMENTS = [
+    json.loads(fx.read_text())
+    for fx in sorted(FIXTURES.glob("*.json"))
+    if fx.name != "section8_generators.json"
+]
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**40)
+    | st.integers(max_value=-(10**40)) | st.text(max_size=4)
+    | st.sampled_from(["1", "u", "e", "x1", "m3", "3/0", "F", "Q"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(node, out):
+    """Every (container, key) pair of a JSON tree, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _slots(child, out)
+    return out
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_parse_input_fuzz(data):
+    """Mutated fixture documents parse or raise InputError, nothing else."""
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_DOCUMENTS))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        action = data.draw(st.sampled_from(["drop", "replace", "rename"]))
+        if action == "drop":
+            del node[key]
+        elif action == "replace" or isinstance(node, list):
+            node[key] = data.draw(JUNK)
+        else:
+            node[data.draw(st.text(max_size=3))] = node.pop(key)
+    try:
+        assert isinstance(parse_input(json.dumps(doc)), InputDocument)
+    except InputError:
+        pass

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hochcalc.algebra import dual_numbers, exterior_line
+from hochcalc.algebra import dual_numbers, exterior_line, truncated_skew_laurent
 from hochcalc.cochain import (
     Cochain,
     beta_cochain,
@@ -30,6 +30,7 @@ from hochcalc.identities import (
     random_cochain,
     run_identity_suite,
 )
+from oracles import reference_hoch_d
 
 
 def test_shifted_m2_squares_to_zero(dual_q, ext_q):
@@ -196,3 +197,22 @@ def test_bracket_of_multiplication_with_itself(dual_q, ext_q):
 
 def test_sq_of_zero_cochain(ext_q):
     assert sq(Cochain.zero(ext_q, 2, 1)).is_zero()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dual_numbers(Rationals()),
+    lambda: exterior_line(Rationals()),
+    lambda: truncated_skew_laurent(PrimeField(3), 3),
+], ids=["dual-Q", "exterior-Q", "tsl-F3-3"])
+def test_hoch_d_matches_brute_force(make):
+    a = make()
+    rng = random.Random(11)
+    checked = 0
+    for p in range(4):
+        for q in q_support(a, p):
+            for normalized in (True, False):
+                for _ in range(3):
+                    f = random_cochain(rng, a, p, q, density=3, normalized=normalized)
+                    assert hoch_d(f).table == reference_hoch_d(f)
+                    checked += not f.is_zero()
+    assert checked > 20

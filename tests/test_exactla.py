@@ -17,7 +17,7 @@ from hochcalc.exactla import (
     solve,
     solve_columns,
 )
-from oracles import reference_kernel, reference_solve
+from oracles import reference_add_into, reference_kernel, reference_solve
 
 FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)]
 
@@ -237,3 +237,33 @@ def test_solve_columns_raises_when_its_check_fails():
     field = _WrongInverse(5)
     with pytest.raises(ConfigurationError):
         solve_columns(field, [{"r": 2}], {"r": 1})
+
+
+def _random_scalar(rng, field):
+    if field.char == 0:
+        return field.from_int(rng.randint(-3, 3)) / rng.choice([1, 2, 3])
+    return field.from_int(rng.randrange(field.char))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3)], ids=repr)
+def test_add_into_matches_reference(field):
+    rng = random.Random(7)
+    for _ in range(300):
+        dst = {k: c for k in range(6) if not field.is_zero(c := _random_scalar(rng, field))}
+        # few keys, so pairs repeat keys and sums cancel often
+        pairs = [(rng.randrange(8), _random_scalar(rng, field)) for _ in range(rng.randrange(12))]
+        c = rng.choice([None, field.zero(), _random_scalar(rng, field)])
+        want = reference_add_into(field, dst, pairs, c)
+        out = field.add_into(dst, iter(pairs), c)
+        assert out is dst and out == want
+        assert not any(field.is_zero(v) for v in out.values())
+
+
+def test_add_into_edge_cases():
+    Q, F2, F3 = Rationals(), PrimeField(2), PrimeField(3)
+    assert Q.add_into({0: Q.one()}, [(0, Q.from_int(-1))]) == {}
+    assert Q.add_into({0: Q.one()}, [(1, Q.one())], Q.zero()) == {0: 1}
+    assert F3.add_into({}, [(0, 1), (0, 1), (1, 2), (0, 1)]) == {1: 2}
+    assert F2.add_into({}, [(5, 1), (5, 1)]) == {}
+    assert F2.add_into({5: 1}, [(5, 1)], 1) == {}
+    assert F3.add_into({2: 1}, [(2, 1)], 2) == {}
