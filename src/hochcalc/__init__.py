@@ -17,7 +17,7 @@ from .cochain import (
     shifted_m2,
     sq,
 )
-from .cohomology import CohomClass, HHContext, HHSpace, hh_space
+from .cohomology import CochainComplex, CohomClass, HHContext, HHSpace, hh_space
 from .exactla import Field, PrimeField, Rationals, SparseMatrix, kernel_basis, rref, solve
 from .laurent import (
     PolyCochain,

@@ -16,7 +16,7 @@ from . import __version__
 from .ainf import AInfStructure, is_valid
 from .algebra import GradedAlgebra, validate_algebra
 from .cochain import Cochain, q_support
-from .cohomology import HHContext, hh_space
+from .cohomology import CochainComplex, HHContext
 from .errors import HochcalcError, InputError
 from .exactla import field_from_json, field_to_json, rref
 from .identities import run_identity_suite
@@ -260,17 +260,19 @@ def cmd_validate(docobj, args, report):
 
 def cmd_hh(docobj, args, report):
     a = docobj.algebra
-    pairs = []
     if args.p is not None:
         qs = [args.q] if args.q is not None else q_support(a, args.p)
-        pairs = [(args.p, q) for q in qs]
+        cells = [(q, args.p) for q in qs]
     else:
-        for p in range(args.p_max + 1):
-            pairs.extend((p, q) for q in q_support(a, p))
+        cells = [(q, p) for p in range(args.p_max + 1) for q in q_support(a, p)]
 
+    # one column C^{*,q} at a time: its cells share their differentials
     spaces = {}
-    for p, q in pairs:
-        space = hh_space(a, p, q, normalized=not args.full)
+    column = None
+    for q, p in sorted(cells):
+        if column is None or column.q != q:
+            column = CochainComplex(a, q, normalized=not args.full)
+        space = column.space(p)
         item = {
             "dim": space.dim,
             "dim_cochains": len(space.basis),

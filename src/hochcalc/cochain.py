@@ -19,7 +19,7 @@ q = 1 - p - d; the Hochschild differential [m2, -] moves (p, q) to
 
 from __future__ import annotations
 
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .algebra import GradedAlgebra, require_valid
 from .errors import ConfigurationError, DomainError
@@ -326,24 +326,30 @@ def identity_cochain(a: GradedAlgebra) -> Cochain:
 def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
     """Ordered basis of the (p, q) cochain space: pairs (tuple, output index)
     in lexicographic order.  ``normalized`` restricts to tuples avoiding the
-    unit."""
+    unit.
+
+    Tuples grow one slot at a time, in index order.  A prefix survives only
+    while some output degree is still within reach of its suspended degree
+    sum, given the least and greatest letter degree times the slots left."""
     if p < 0:
         raise DomainError("Hochschild degree must be >= 0")
     d = 1 - p - q
     out_by_degree: dict = {}
     for k in range(a.dim):
         out_by_degree.setdefault(a.suspended_degree(k), []).append(k)
-    indices = [i for i in range(a.dim) if not normalized or i != a.unit]
-    basis = []
-    if p == 0:
-        for k in out_by_degree.get(d, []):
-            basis.append(((), k))
-        return basis
-    for t in iproduct(indices, repeat=p):
-        want = sum(a.suspended_degree(i) for i in t) + d
-        for k in out_by_degree.get(want, []):
-            basis.append((t, k))
-    return basis
+    letters = [(i, a.suspended_degree(i)) for i in range(a.dim) if not normalized or i != a.unit]
+    sums = [e - d for e in out_by_degree]
+    lo = min((e for _, e in letters), default=0)
+    hi = max((e for _, e in letters), default=0)
+    prefixes = [((), 0)]
+    for left in range(p - 1, -1, -1):
+        prefixes = [
+            (t + (i,), s + e)
+            for t, s in prefixes
+            for i, e in letters
+            if any(s + e + left * lo <= x <= s + e + left * hi for x in sums)
+        ]
+    return [(t, k) for t, s in prefixes for k in out_by_degree.get(s + d, [])]
 
 
 def q_support(a: GradedAlgebra, p: int):

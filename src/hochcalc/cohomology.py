@@ -25,6 +25,42 @@ from .errors import ConfigurationError, DomainError
 from .exactla import SparseMatrix, kernel_basis, rref, vec_combine
 
 
+class CochainComplex:
+    """The column C^{*,q} of one pipeline: the lexicographic cochain basis
+    of each arity and the Hochschild differential out of it, each built
+    once.  Every HHSpace and the page-1 differential read them from here."""
+
+    def __init__(self, algebra: GradedAlgebra, q: int, normalized: bool = True):
+        self.algebra = algebra
+        self.q = q
+        self.normalized = normalized
+        self._bases: dict = {}
+        self._ds: dict = {}
+
+    def basis(self, p: int):
+        """The lexicographic basis of C^{p,q} and its index; empty for p < 0."""
+        if p not in self._bases:
+            basis = cochain_basis(self.algebra, p, self.q, self.normalized) if p >= 0 else []
+            self._bases[p] = (basis, {pair: n for n, pair in enumerate(basis)})
+        return self._bases[p]
+
+    def d(self, p: int) -> SparseMatrix:
+        """The matrix of [m2, -]: C^{p,q} -> C^{p+1,q}."""
+        if p not in self._ds:
+            a = self.algebra
+            one = a.field.one()
+            index = self.basis(p + 1)[1]
+            cols = []
+            for t, k in self.basis(p)[0]:
+                elem = Cochain(a, p, 1 - p - self.q, {t: {k: one}})
+                cols.append(coords_of_cochain(hoch_d(elem), None, index))
+            self._ds[p] = SparseMatrix.from_columns(a.field, cols, len(index))
+        return self._ds[p]
+
+    def space(self, p: int) -> "HHSpace":
+        return HHSpace(self, p)
+
+
 class HHSpace:
     """Cocycles, coboundaries and a cohomology basis at one bidegree.
 
@@ -34,43 +70,24 @@ class HHSpace:
     the cocycle basis vectors at pivot-complement positions.
     """
 
-    def __init__(self, algebra: GradedAlgebra, p: int, q: int, normalized: bool = True):
-        self.algebra = algebra
+    def __init__(self, column: CochainComplex, p: int):
+        self.algebra = column.algebra
         self.p = p
-        self.q = q
-        self.normalized = normalized
-        field = algebra.field
-        self.basis = cochain_basis(algebra, p, q, normalized=normalized)
-        self.index = {pair: n for n, pair in enumerate(self.basis)}
-        self.basis_out = cochain_basis(algebra, p + 1, q, normalized=normalized)
-        self._index_out = {pair: n for n, pair in enumerate(self.basis_out)}
-        self.d_out = self._differential_matrix(self.basis, self._index_out, p)
+        self.q = column.q
+        field = self.algebra.field
+        self.basis, self.index = column.basis(p)
+        self.basis_in = column.basis(p - 1)[0]
+        self.d_in = column.d(p - 1)
+        self.d_out = column.d(p)
         self.cocycles = kernel_basis(self.d_out)
-        if p == 0:
-            self.basis_in = []
-            self.d_in = SparseMatrix(field, len(self.basis), 0)
-        else:
-            self.basis_in = cochain_basis(algebra, p - 1, q, normalized=normalized)
-            self.d_in = self._differential_matrix(self.basis_in, self.index, p - 1)
         image = {(j, i): c for (i, j), c in self.d_in.entries.items()}
         rank_b, _, reduced = rref(SparseMatrix(field, self.d_in.cols, len(self.basis), image))
         self.coboundaries = reduced._row_list()[:rank_b]
         self.hh_vectors = self._pivot_complement()
         self.dim = len(self.hh_vectors)
         self.hh_reps = [
-            cochain_from_coords(algebra, p, q, self.basis, v) for v in self.hh_vectors
+            cochain_from_coords(self.algebra, p, self.q, self.basis, v) for v in self.hh_vectors
         ]
-
-    def _differential_matrix(self, basis_src, index_dst, p_src):
-        a = self.algebra
-        field = a.field
-        one = field.one()
-        d_src = 1 - p_src - self.q
-        cols = []
-        for (t, k) in basis_src:
-            elem = Cochain(a, p_src, d_src, {t: {k: one}})
-            cols.append(coords_of_cochain(hoch_d(elem), None, index_dst))
-        return SparseMatrix.from_columns(field, cols, len(index_dst))
 
     def _pivot_complement(self):
         """Cocycle basis vectors not needed to span the coboundaries.
@@ -186,28 +203,28 @@ class CohomClass:
 
 
 class HHContext:
-    """Caches HHSpace objects per algebra and pipeline."""
+    """Caches cochain complexes per (q, pipeline), HHSpaces per (p, q, pipeline)."""
 
     def __init__(self, algebra: GradedAlgebra, normalized: bool = True):
         self.algebra = algebra
         self.normalized = normalized
+        self._complexes: dict = {}
         self._spaces: dict = {}
-        self._full_spaces: dict = {}
         self._normalizers: dict = {}
 
     def space(self, p: int, q: int) -> HHSpace:
-        key = (p, q)
-        if key not in self._spaces:
-            self._spaces[key] = HHSpace(self.algebra, p, q, normalized=self.normalized)
-        return self._spaces[key]
+        return self._space(p, q, self.normalized)
 
     def full_space(self, p: int, q: int) -> HHSpace:
-        if self.normalized is False:
-            return self.space(p, q)
-        key = (p, q)
-        if key not in self._full_spaces:
-            self._full_spaces[key] = HHSpace(self.algebra, p, q, normalized=False)
-        return self._full_spaces[key]
+        return self._space(p, q, False)
+
+    def _space(self, p: int, q: int, normalized: bool) -> HHSpace:
+        key = (p, q, normalized)
+        if key not in self._spaces:
+            if (q, normalized) not in self._complexes:
+                self._complexes[q, normalized] = CochainComplex(self.algebra, q, normalized)
+            self._spaces[key] = self._complexes[q, normalized].space(p)
+        return self._spaces[key]
 
     def normalizer(self, p: int, q: int):
         """Factorization of [full coboundaries | normalized cocycles], both
@@ -234,11 +251,11 @@ class HHContext:
 
 
 def hh_space(a: GradedAlgebra, p: int, q: int, normalized: bool = True) -> HHSpace:
-    return HHSpace(a, p, q, normalized=normalized)
+    return CochainComplex(a, q, normalized).space(p)
 
 
 def hh_dim(a: GradedAlgebra, p: int, q: int, normalized: bool = True) -> int:
-    return HHSpace(a, p, q, normalized=normalized).dim
+    return hh_space(a, p, q, normalized).dim
 
 
 # -- induced maps on cohomology ------------------------------------------------
@@ -246,25 +263,20 @@ def hh_dim(a: GradedAlgebra, p: int, q: int, normalized: bool = True) -> int:
 
 def induced_bracket(ctx: HHContext, z: CohomClass, p: int, q: int) -> SparseMatrix:
     """Matrix of [z, -]: HH^{p,q} -> HH^{p+pz-1, q+qz} in the cached bases."""
-    pz, qz = z.bidegree
-    src = ctx.space(p, q)
-    tgt = ctx.space(p + pz - 1, q + qz)
-    cols = []
-    for rep in src.hh_reps:
-        w = bracket(z.representative, rep)
-        cols.append(tgt.class_of(w).coords)
-    return SparseMatrix.from_columns(ctx.algebra.field, cols, tgt.dim)
+    return _induced_map(ctx, bracket, z, p, q, -1)
 
 
 def induced_cup(ctx: HHContext, z: CohomClass, p: int, q: int) -> SparseMatrix:
     """Matrix of z cup -: HH^{p,q} -> HH^{p+pz, q+qz}."""
+    return _induced_map(ctx, cup, z, p, q, 0)
+
+
+def _induced_map(ctx: HHContext, op, z: CohomClass, p: int, q: int, shift: int) -> SparseMatrix:
+    """Matrix of op(z, -) from HH^{p,q} to HH^{p+pz+shift, q+qz}."""
     pz, qz = z.bidegree
     src = ctx.space(p, q)
-    tgt = ctx.space(p + pz, q + qz)
-    cols = []
-    for rep in src.hh_reps:
-        w = cup(z.representative, rep)
-        cols.append(tgt.class_of(w).coords)
+    tgt = ctx.space(p + pz + shift, q + qz)
+    cols = [tgt.class_of(op(z.representative, rep)).coords for rep in src.hh_reps]
     return SparseMatrix.from_columns(ctx.algebra.field, cols, tgt.dim)
 
 

@@ -10,6 +10,7 @@ which makes every derived basis deterministic.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -43,6 +44,15 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# Python's default digit limit for int strings.  A rational scalar may carry
+# a decimal exponent of at most this size (``Fraction("1e999999999")`` would
+# expand the power of ten in full), and its numerator and denominator have
+# fewer digits than this, so that the scalar can be written back out.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 class Field:
@@ -153,10 +163,16 @@ class Rationals(Field):
         if isinstance(text, int):
             return Fraction(text)
         if isinstance(text, str):
+            exponent = _EXPONENT.search(text)
             try:
-                return Fraction(text)
+                if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
+                    raise ValueError(f"decimal exponent beyond {MAX_DIGITS}")
+                value = Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad rational scalar {text!r}: {exc}")
+            if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+                raise InputError(f"bad rational scalar {text!r}: more than {MAX_DIGITS} digits")
+            return value
         raise InputError(f"bad rational scalar {text!r}")
 
     def format(self, a):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from .ainf import AInfStructure, require_valid_structure
 from .algebra import GradedAlgebra
-from .cochain import Cochain, bracket, brace, cochain_basis, cochain_from_coords, cup, hoch_d
-from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
+from .cochain import Cochain, bracket, brace, cochain_from_coords, cup
+from .cohomology import CochainComplex, HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
 from .errors import DomainError, NotProvidedError, UndefinedCellError
 from .exactla import SparseMatrix, kernel_basis, rref
 
@@ -79,7 +79,7 @@ def e1_term(a: GradedAlgebra, s: int, t: int) -> PageCell:
     """E1 at (s,t): the full cochain module of bidegree (s+2, -t)."""
     if s < 0:
         return PageCell(1, s, t, "undefined")
-    dim = len(cochain_basis(a, s + 2, -t, normalized=False))
+    dim = len(CochainComplex(a, -t, normalized=False).basis(s + 2)[0])
     return PageCell(1, s, t, "vector", dim=dim)
 
 
@@ -88,21 +88,7 @@ def d1_matrix(a: GradedAlgebra, s: int, t: int) -> SparseMatrix:
     cochains; defined for s >= 1 (any t) and for t > s = 0."""
     if not (s >= 1 or (s == 0 and t > 0)):
         raise UndefinedCellError(f"d1 undefined at ({s},{t})")
-    field = a.field
-    src = cochain_basis(a, s + 2, -t, normalized=False)
-    dst = cochain_basis(a, s + 3, -t, normalized=False)
-    idx = {pair: n for n, pair in enumerate(dst)}
-    d = 1 - (s + 2) + t
-    cols = []
-    for (tup, k) in src:
-        elem = Cochain(a, s + 2, d, {tup: {k: field.one()}})
-        img = hoch_d(elem)
-        col = {}
-        for tt, vec in img.table.items():
-            for kk, c in vec.items():
-                col[idx[(tt, kk)]] = c
-        cols.append(col)
-    m = SparseMatrix.from_columns(field, cols, len(dst))
+    m = CochainComplex(a, -t, normalized=False).d(s + 2)
     return _sign_scale(m, (t - s) % 2 == 1)
 
 

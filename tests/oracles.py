@@ -3,8 +3,9 @@
 They redo each computation the direct way: a solve reduces the augmented
 matrix [m | b] from scratch, the cohomology basis solves every coboundary
 in the cocycle basis separately, sparse accumulation sums with plain Python
-arithmetic, and the Hochschild differential is evaluated tuple by tuple
-from the product table.
+arithmetic, the Hochschild differential is evaluated tuple by tuple from
+the product table, and a cochain basis filters every argument tuple by its
+degree.
 """
 
 from itertools import product as iproduct
@@ -58,6 +59,21 @@ def reference_pivot_complement(space):
         cob_in_k.append(coords)
     _, pivots, _ = rref(SparseMatrix.from_rows(field, cob_in_k, len(space.cocycles)))
     return [v for j, v in enumerate(space.cocycles) if j not in pivots]
+
+
+def reference_cochain_basis(a, p, q, normalized=True):
+    """The (p, q) cochain basis: every argument tuple, in lexicographic
+    order, paired with each output index of the degree it needs."""
+    d = 1 - p - q
+    out_by_degree = {}
+    for k in range(a.dim):
+        out_by_degree.setdefault(a.suspended_degree(k), []).append(k)
+    letters = [i for i in range(a.dim) if not normalized or i != a.unit]
+    basis = []
+    for t in iproduct(letters, repeat=p):
+        for k in out_by_degree.get(sum(a.suspended_degree(i) for i in t) + d, []):
+            basis.append((t, k))
+    return basis
 
 
 def reference_add_into(field, dst, pairs, c=None):

@@ -167,6 +167,30 @@ def test_large_composite_modulus_rejected_fast(tmp_path):
     assert report["error"]["path"] == "field.p"
 
 
+def test_huge_decimal_exponent_rejected_fast(tmp_path):
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps({
+        "field": {"type": "Q"},
+        "algebra": {"basis": [{"name": "1", "degree": 0}, {"name": "e", "degree": 0}],
+                    "unit": "1", "products": {"e": {"e": {"e": "1e999999999"}}}},
+    }))
+    start = time.perf_counter()
+    code, report = run_cli(["--in", str(f), "validate"], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert report["error"]["kind"] == "input"
+    assert report["error"]["path"] == "algebra.products.e.e.e"
+
+
+def test_hh_at_arity_1500(tmp_path):
+    code, rep = run_cli(
+        ["--in", str(FIXTURES / "exterior_line_q.json"), "hh", "--p", "1500", "--q", "1500"],
+        tmp_path,
+    )
+    assert code == 0
+    assert rep["results"]["spaces"]["1500,1500"]["dim"] == 1
+
+
 def test_hh_command(tmp_path):
     code, report = run_cli(
         ["--in", str(FIXTURES / "dual_numbers_f3.json"), "hh", "--p-max", "3"], tmp_path

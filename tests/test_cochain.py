@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hochcalc.algebra import dual_numbers, exterior_line, truncated_skew_laurent
+from hochcalc.algebra import dual_numbers, exterior_line, square_zero_tower, truncated_skew_laurent
 from hochcalc.cochain import (
     Cochain,
     beta_cochain,
@@ -30,7 +30,7 @@ from hochcalc.identities import (
     random_cochain,
     run_identity_suite,
 )
-from oracles import reference_hoch_d
+from oracles import reference_cochain_basis, reference_hoch_d
 
 
 def test_shifted_m2_squares_to_zero(dual_q, ext_q):
@@ -216,3 +216,30 @@ def test_hoch_d_matches_brute_force(make):
                     assert hoch_d(f).table == reference_hoch_d(f)
                     checked += not f.is_zero()
     assert checked > 20
+
+
+@pytest.mark.parametrize("make", [
+    lambda: truncated_skew_laurent(PrimeField(3), 4),
+    lambda: truncated_skew_laurent(Rationals(), 3),
+    lambda: exterior_line(Rationals(), 1),
+    lambda: exterior_line(Rationals(), -2),
+    lambda: square_zero_tower(PrimeField(2), [-3, 1, 4]),
+], ids=["tsl-F3-4", "tsl-Q-3", "exterior-1", "exterior-minus-2", "tower-negative"])
+def test_cochain_basis_matches_reference(make):
+    a = make()
+    for p in range(6):
+        for q in range(-12, 12):
+            for normalized in (True, False):
+                got = cochain_basis(a, p, q, normalized)
+                assert got == reference_cochain_basis(a, p, q, normalized)
+
+
+def test_cochain_basis_at_arity_1500(ext_q):
+    # the unit is the only other letter, so the reference enumerates one
+    # tuple; the enumeration must not recurse once per slot
+    for q in (1499, 1500, 1501):
+        assert cochain_basis(ext_q, 1500, q) == reference_cochain_basis(ext_q, 1500, q)
+    # in the full pipeline the degree bound alone excludes the unit here,
+    # out of 2^1500 tuples
+    only = ((ext_q.index["u"],) * 1500, ext_q.index["1"])
+    assert cochain_basis(ext_q, 1500, 1500, normalized=False) == [only]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hochcalc.algebra import dual_numbers, truncated_skew_laurent
+from hochcalc.algebra import GradedAlgebra, dual_numbers, square_zero_tower, truncated_skew_laurent
 from hochcalc.cochain import (
     Cochain,
     beta_cochain,
@@ -15,6 +15,7 @@ from hochcalc.cochain import (
     q_support,
 )
 from hochcalc.cohomology import (
+    CochainComplex,
     HHContext,
     cup_bijectivity_window,
     hh_dim,
@@ -261,3 +262,76 @@ def test_normalized_class_of_full_agrees(ext_q):
     z = d + hoch_d(full_f)
     cls = normalized_class_of_full(ctx, z)
     assert cls.coords == ctx.class_of(d).coords
+
+
+def test_neighbouring_cells_share_one_differential(tower_f2, ext_q):
+    for a in (tower_f2, ext_q):
+        ctx = HHContext(a)
+        for space in (ctx.space, ctx.full_space):
+            for p in range(3):
+                for q in q_support(a, p):
+                    assert space(p, q).d_out is space(p + 1, q).d_in
+        assert ctx.space(0, 0).d_in.cols == 0 and ctx.space(0, 0).basis_in == []
+
+
+# -- differential oracles on random small algebras ------------------------------
+
+
+def truncated_polynomial(field, n: int, degree: int) -> GradedAlgebra:
+    """k[x]/(x^n) with |x| = degree."""
+    names = ["1"] + [f"x{i}" for i in range(1, n)]
+    basis = [(name, i * degree) for i, name in enumerate(names)]
+    products = {
+        (names[i], names[j]): {names[i + j]: field.one()} if i + j < n else {}
+        for i in range(1, n)
+        for j in range(1, n)
+    }
+    return GradedAlgebra(field, basis, "1", products)
+
+
+def small_algebras(field, seed: int):
+    """A seeded square-zero tower with a generator in negative degree, a
+    seeded truncated polynomial algebra, and tsl(field, 2); all structure
+    constants are integers, so the same draw gives the same algebra over
+    every field."""
+    rng = random.Random(seed)
+    tower = sorted({rng.randint(-3, -1), rng.randint(0, 4)})
+    return [
+        square_zero_tower(field, tower),
+        truncated_polynomial(field, rng.randint(2, 4), rng.randint(-2, 3)),
+        truncated_skew_laurent(field, 2),
+    ]
+
+
+def column_dims(a, normalized: bool, p_max: int = 3) -> dict:
+    """dim HH^{p,q} for p <= p_max and every q in q_support, from one
+    cochain complex per column, checking d(p+1) d(p) = 0 on the way."""
+    qs = sorted({q for p in range(p_max + 1) for q in q_support(a, p)})
+    dims = {}
+    for q in qs:
+        column = CochainComplex(a, q, normalized)
+        for p in range(-1, p_max):
+            first, second = column.d(p), column.d(p + 1)
+            assert second.cols == first.rows
+            for j in range(first.cols):
+                assert second.apply(first.column(j)) == {}
+        for p in range(p_max + 1):
+            dims[p, q] = column.space(p).dim
+    return dims
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_small_algebras_agree_across_pipelines_and_fields(seed):
+    fields = (Rationals(), PrimeField(2), PrimeField(3))
+    dims = {}
+    for field in fields:
+        for n, a in enumerate(small_algebras(field, seed)):
+            for normalized in (True, False):
+                dims[field.char, n, normalized] = column_dims(a, normalized)
+    for (char, n, normalized), got in dims.items():
+        # the normalized complex computes the cohomology of the full one
+        assert got == dims[char, n, False]
+        # semicontinuity: reducing integral structure constants mod p can
+        # only raise dimensions
+        rational = dims[0, n, normalized]
+        assert all(got[cell] >= rational[cell] for cell in rational)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,17 @@ def test_rational_parsing():
     assert Q.parse(-2) == -2
     with pytest.raises(InputError):
         Q.parse("3/0")
+
+
+def test_rational_exponent_bound():
+    Q = Rationals()
+    assert [Q.parse(x) for x in ("3", "-3/4", "1.5", "2e3")] == [3, Fraction(-3, 4), Fraction(3, 2), 2000]
+    assert Q.parse("1e4299") == 10**4299 and Q.parse("1E-4299") == Fraction(1, 10**4299)
+    # beyond the bound the power of ten is never expanded; at it, the value
+    # has too many digits to be written back out
+    for text in ("1e999999999", "1e-999999999", "1e4301", "1e" + "9" * 5000, "1e4300", "1.5e4300"):
+        with pytest.raises(InputError):
+            Q.parse(text)
 
 
 def test_rref_proportional_rows():

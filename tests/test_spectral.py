@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,8 @@ from hochcalc.cochain import (
     hoch_d,
     shifted_m2,
 )
-from hochcalc.cohomology import HHContext, hh_dim, induced_sq, normalized_class_of_full
+from hochcalc.cli import parse_input
+from hochcalc.cohomology import HHContext, hh_dim, hh_space, induced_sq, normalized_class_of_full
 from hochcalc.errors import DomainError, NotProvidedError, UndefinedCellError
 from hochcalc.exactla import PrimeField, kernel_basis, rref
 from hochcalc.identities import random_cochain
@@ -104,6 +106,37 @@ def test_d1_sign_and_range(ext_q):
         d1_matrix(ext_q, 0, 0)
     with pytest.raises(UndefinedCellError):
         d1_matrix(ext_q, 0, -1)
+
+
+FIXTURE_ALGEBRAS = [
+    "dual_numbers_f3.json",
+    "dual_numbers_q.json",
+    "exterior_line_q.json",
+    "tower_f2_a4_extendable.json",
+    "tower_f2_a4_obstructed.json",
+    "tower_f2_a5_valid.json",
+    "tower_q_a4_undecided.json",
+]
+
+
+@pytest.mark.parametrize("doc", FIXTURE_ALGEBRAS)
+def test_d1_is_the_signed_full_differential(doc):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    a = parse_input((fixtures / doc).read_text()).algebra
+    nonzero = 0
+    for s in range(4):
+        for t in range(4):
+            if not (s >= 1 or t > s):
+                continue
+            m = d1_matrix(a, s, t)
+            d = hh_space(a, s + 2, -t, normalized=False).d_out
+            negate = (t - s) % 2 == 1
+            assert (m.rows, m.cols) == (d.rows, d.cols)
+            assert m.entries == {
+                k: a.field.neg(c) if negate else c for k, c in d.entries.items()
+            }
+            nonzero += len(m.entries)
+    assert nonzero
 
 
 def test_d1_squares_to_zero(ext_q):
