@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import ConfigurationError, InputError
 
@@ -239,6 +240,38 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"F_{self.p}"
+
+
+# Over Q, solve_columns eliminates modulo this prime first (2^61 - 1, so
+# residues stay near one machine word) and lifts the result back to Q.
+MODULUS = 2**61 - 1
+_LIFT_BOUND = isqrt(MODULUS // 2)
+
+
+def _residue(c: Fraction) -> int:
+    """``c`` modulo ``MODULUS``; raises ``ZeroDivisionError`` if its
+    denominator is divisible by ``MODULUS``."""
+    den = c.denominator % MODULUS
+    if den == 0:
+        raise ZeroDivisionError(f"denominator of {c} is divisible by the modulus")
+    if den == 1:
+        return c.numerator % MODULUS
+    return c.numerator * pow(den, -1, MODULUS) % MODULUS
+
+
+def _rational_lift(a: int):
+    """The fraction r/s with |r|, s <= sqrt(MODULUS / 2) that is congruent to
+    ``a`` modulo ``MODULUS``, or ``None`` if there is none (Wang's rational
+    reconstruction: the extended Euclidean algorithm stopped halfway)."""
+    r0, r1 = MODULUS, a % MODULUS
+    s0, s1 = 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def field_from_json(doc) -> Field:
@@ -487,26 +520,75 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
 
     Unlike :func:`solve`, free variables are zeroed relative to the
     elimination order, which favours sparse witnesses on large systems.
-    """
-    import heapq
 
+    Over Q the elimination runs modulo ``MODULUS`` first, and each
+    coordinate is lifted by rational reconstruction.  The lift is returned
+    only if it passes the exact check over Q.  If a denominator is divisible
+    by ``MODULUS``, the reduced system is inconsistent, or a lift or the
+    check fails, the system is eliminated exactly, so inconsistency over Q
+    is decided only by exact elimination.
+    """
     cols = list(columns) + list(extra_columns)
     n_main = len(columns)
     # canonical integer row ids, in sorted row-key order for determinism
     row_keys = sorted({r for col in cols for r in col} | set(rhs))
     row_id = {r: n for n, r in enumerate(row_keys)}
-    row_items = {n: {} for n in range(len(row_keys))}
+    x = None
+    if field.char == 0:
+        try:
+            x = _eliminate(PrimeField(MODULUS), cols, rhs, row_id, _residue)
+        except ZeroDivisionError:
+            pass
+        if x is not None:
+            x = {j: _rational_lift(v) for j, v in x.items()}
+            if None in x.values() or not _satisfies(field, cols, rhs, x):
+                x = None
+    if x is None:
+        x = _eliminate(field, cols, rhs, row_id)
+        if x is None:
+            return None
+        if not _satisfies(field, cols, rhs, x):
+            raise ConfigurationError("solve_columns: solution failed its exact check")
+    main = {j: c for j, c in x.items() if j < n_main}
+    extra = {j - n_main: c for j, c in x.items() if j >= n_main}
+    return main, extra
+
+
+def _satisfies(field: Field, cols, rhs: dict, x: dict) -> bool:
+    """Exact check that ``sum_j x_j cols[j] == rhs``."""
+    check: dict = {}
+    for j, c in x.items():
+        field.add_into(check, cols[j].items(), c)
+    return check == {r: c for r, c in rhs.items() if not field.is_zero(c)}
+
+
+def _eliminate(field: Field, cols, rhs: dict, row_id: dict, load=None):
+    """The least-fill elimination of :func:`solve_columns` over ``field``.
+    ``load`` maps each input scalar into ``field`` as it is read.  Returns
+    the solution as a sparse dict over column indices, or ``None`` if the
+    system is inconsistent over ``field``."""
+    # imported here, not at the top: loading its extension module would add
+    # to the start-up of every command, and only the witness search gets here
+    import heapq
+
+    row_items = {n: {} for n in range(len(row_id))}
     col_rows = [set() for _ in cols]
     for j, col in enumerate(cols):
         for r, c in col.items():
+            if load is not None:
+                c = load(c)
             if field.is_zero(c):
                 continue
             n = row_id[r]
             row_items[n][j] = c
             col_rows[j].add(n)
-    b = {row_id[r]: c for r, c in rhs.items() if not field.is_zero(c)}
+    b = {}
+    for r, c in rhs.items():
+        if load is not None:
+            c = load(c)
+        if not field.is_zero(c):
+            b[row_id[r]] = c
     used_rows = set()
-    used_cols = set()
     assignments = []
     heap = [(len(cs), r) for r, cs in row_items.items() if cs]
     heapq.heapify(heap)
@@ -521,7 +603,6 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
             continue
         j = min(live)
         used_rows.add(r)
-        used_cols.add(j)
         assignments.append((j, r))
         inv = field.inv(live[j])
         prow = {jj: field.mul(inv, c) for jj, c in live.items()}
@@ -569,13 +650,4 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
                 acc = field.sub(acc, field.mul(c, xv))
         if not field.is_zero(acc):
             x[j] = acc
-    # verify exactly (guards the incremental bookkeeping)
-    check: dict = {}
-    for j, c in x.items():
-        field.add_into(check, ((row_id[r], v) for r, v in cols[j].items()), c)
-    want = {row_id[r]: c for r, c in rhs.items() if not field.is_zero(c)}
-    if check != want:
-        raise ConfigurationError("solve_columns: solution failed its exact check")
-    main = {j: c for j, c in x.items() if j < n_main}
-    extra = {j - n_main: c for j, c in x.items() if j >= n_main}
-    return main, extra
+    return x

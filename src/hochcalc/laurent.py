@@ -18,14 +18,22 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import gcd
 
-from .algebra import GradedAlgebra, require_valid
+from .algebra import GradedAlgebra, dual_numbers, require_valid
 from .cochain import LinearCochain, brace, bracket, cup, hoch_d, sq
 from .errors import (
     ConfigurationError,
     DomainError,
     UnsupportedAlgebraError,
 )
-from .exactla import Field, SparseMatrix, solve_columns, vec_eq
+from .exactla import (
+    Field,
+    PrimeField,
+    Rationals,
+    SparseMatrix,
+    kernel_basis,
+    solve_columns,
+    vec_eq,
+)
 
 
 def _reduce_exp(e: int, char: int) -> int:
@@ -217,6 +225,10 @@ class TwistedLaurent:
         self.residue_modulus = _lcm(2, order)
         self._sigma_powers = powers[: order] if order > 0 else powers
         self._m2 = None
+        self._weights = None
+        # find_combination's coboundary columns, keyed by witness shape; every
+        # later search shares them, and solve_columns only reads them
+        self._columns = {}
 
     def _apply_sigma(self, v: dict) -> dict:
         out: dict = {}
@@ -363,6 +375,9 @@ class PolyCochain(LinearCochain):
                 mapping[j] = j + q - 1
         g_mapping = {j: i - 1 + j for j in range(q)}
         positions = list(range(i - 1, i - 1 + q))
+        # each entry of g is remapped once, when it first matches; each entry
+        # of f is substituted once per k0
+        remapped = [None] * len(g_items)
         terms = []
         for (rf, bf, of), poly_f in self.table.items():
             slot_res = rf[i - 1]
@@ -370,14 +385,19 @@ class PolyCochain(LinearCochain):
             prefix_deg = sum(
                 alg.base.degrees[bf[j]] + rf[j] * alg.weight + 1 for j in range(i - 1)
             )
-            for (rg, bg, og, poly_g, r_m, k0) in g_items:
+            negate = (g.end_degree * prefix_deg) % 2 == 1
+            substituted = {}
+            for n, (rg, bg, og, poly_g, r_m, k0) in enumerate(g_items):
                 if og != slot_bas or r_m != slot_res:
                     continue
-                negate = (g.end_degree * prefix_deg) % 2 == 1
                 new_res = rf[: i - 1] + rg + rf[i:]
                 new_bas = bf[: i - 1] + bg + bf[i:]
-                pf = poly_f.subst_affine(i - 1, positions, k0, mapping, nvars)
-                pg = poly_g.remap(g_mapping, nvars)
+                pf = substituted.get(k0)
+                if pf is None:
+                    pf = substituted[k0] = poly_f.subst_affine(i - 1, positions, k0, mapping, nvars)
+                pg = remapped[n]
+                if pg is None:
+                    pg = remapped[n] = poly_g.remap(g_mapping, nvars)
                 term = pf * pg
                 if negate:
                     term = -term
@@ -490,10 +510,8 @@ def _weight_vectors(alg: TwistedLaurent):
     """Gradings of the base that every product and sigma respect, as a list
     of integer weight vectors (unit weight 0).  Used only to prune witness
     searches; correctness never depends on them."""
-    if getattr(alg, "_weights", None) is not None:
+    if alg._weights is not None:
         return alg._weights
-    from .exactla import Rationals, kernel_basis as kb
-
     Q = Rationals()
     base = alg.base
     n = base.dim
@@ -511,7 +529,7 @@ def _weight_vectors(alg: TwistedLaurent):
     mat = SparseMatrix(Q, len(rows), n,
                        {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
     vecs = []
-    for v in kb(mat):
+    for v in kernel_basis(mat):
         denom = 1
         for c in v.values():
             denom = _lcm(denom, c.denominator)
@@ -525,9 +543,21 @@ def _key_weight(wvecs, key):
     return tuple(w[out] - sum(w[b] for b in bas) for w in wvecs)
 
 
+def _coordinates(z: PolyCochain) -> dict:
+    """The coefficients of ``z``, keyed by (component key, monomial)."""
+    rows = {}
+    for ckey, poly in z.table.items():
+        for exps, c in poly.terms.items():
+            rows[(ckey, exps)] = c
+    return rows
+
+
 def find_combination(target: PolyCochain, generators, d_search: int):
     """Solve target = sum_i a_i gen_i + hoch_d(b) exactly, with b in the
     residue-split class of polynomial total degree <= d_search.
+
+    The image of each basis monomial of b is built once per algebra and
+    kept on it, so later searches at the same shape reuse it.
 
     Returns ``(coeffs, witness, stats)`` or ``(None, None, stats)``; a
     found solution is verified exactly, absence is one-sided.
@@ -544,16 +574,8 @@ def find_combination(target: PolyCochain, generators, d_search: int):
     arity_b = target.arity - 1
     deg_b = target.end_degree + 1
     wvecs = _weight_vectors(alg)
-
-    def comp_rows(z):
-        rows = {}
-        for ckey, poly in z.table.items():
-            for exps, c in poly.terms.items():
-                rows[(ckey, exps)] = c
-        return rows
-
-    tcoords = comp_rows(target)
-    gen_cols = [comp_rows(g) for g in generators]
+    tcoords = _coordinates(target)
+    gen_cols = [_coordinates(g) for g in generators]
     weights = {_key_weight(wvecs, ckey) for (ckey, _) in tcoords}
     for col in gen_cols:
         weights |= {_key_weight(wvecs, ckey) for (ckey, _) in col}
@@ -567,15 +589,20 @@ def find_combination(target: PolyCochain, generators, d_search: int):
         ]
         monos = _monomials(arity_b, d_search, field.char)
         one = field.one()
+        cache = alg._columns
         for key in keys:
             for mono in monos:
-                elem = PolyCochain(
-                    alg, arity_b, deg_b, {key: Poly(field, arity_b, {mono: one})}
-                )
-                img = hoch_d(elem)
-                if img.is_zero():
+                shape = (arity_b, deg_b, key, mono)
+                if shape in cache:
+                    col = cache[shape]
+                else:
+                    img = hoch_d(PolyCochain(
+                        alg, arity_b, deg_b, {key: Poly(field, arity_b, {mono: one})}
+                    ))
+                    col = cache[shape] = None if img.is_zero() else _coordinates(img)
+                if col is None:
                     continue
-                columns.append(comp_rows(img))
+                columns.append(col)
                 unknowns.append((key, mono))
     stats = {"unknowns": len(columns), "generators": len(generators)}
     sol = solve_columns(field, columns, tcoords, extra_columns=gen_cols)
@@ -619,8 +646,6 @@ def find_witness(lhs: PolyCochain, rhs: PolyCochain, d_search: int):
 
 def sign_twisted_laurent(field: Field) -> TwistedLaurent:
     """k<e, x^{+-1}>/(e^2, xe + ex): dual numbers twisted by e -> -e, |x| = 1."""
-    from .algebra import dual_numbers
-
     base = dual_numbers(field, eps_degree=0)
     eps = base.index["e"]
     unit = base.unit
@@ -688,16 +713,7 @@ def section8_report(characteristic: int, d_search: int = 3):
     polynomial class of total degree <= d_search.  A missing witness is
     reported as FAIL (not certified at this degree), never silently passed.
     """
-    from .exactla import PrimeField, Rationals
-
-    if characteristic == 0:
-        field = Rationals()
-    elif characteristic == 2:
-        field = PrimeField(2)
-    else:
-        field = PrimeField(characteristic)
-        if characteristic < 3:
-            raise DomainError("characteristic must be 0, 2, or an odd prime")
+    field = Rationals() if characteristic == 0 else PrimeField(characteristic)
     alg = sign_twisted_laurent(field)
     e = skew_derivation_cochain(alg)
     delta = euler_cochain(alg)

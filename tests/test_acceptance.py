@@ -2,6 +2,8 @@
 its measured numbers.  Every equality here is exact; the only tolerances
 are the stated runtime budgets."""
 
+import hashlib
+import json
 import random
 import time
 
@@ -35,6 +37,18 @@ from hochcalc.errors import NotProvidedError, UndefinedCellError
 
 def report(n, text):
     print(f"\nACCEPTANCE {n}: PASS — {text}")
+
+
+def sorted_json_sha256(value):
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted-JSON section8 report, keyed by (characteristic, d_search)
+SECTION8_DIGESTS = {
+    (5, 3): "acc6bf188f20a1c61e6612a54baf21f971b3c824be57e684e9adfccf2600f99c",
+    (0, 3): "3d2464c1aab2232b3f27fd82081c7e550727781e0457f973dff89c359162d592",
+    (2, 3): "2c7c03dc50607557487ec835fb0bb5deade2a326f9c768744afff202489aabe1",
+}
 
 
 def test_acceptance_1_identity_suite():
@@ -215,6 +229,7 @@ def test_acceptance_6_section8_char5_and_char0():
         expected = {"(0,1)", "(1,0)", "(1,1)"} | ({"(2,3)"} if char == 5 else set())
         assert set(samples) == expected
         assert all(v == "witness" for v in samples.values())
+        assert sorted_json_sha256(rep) == SECTION8_DIGESTS[(char, 3)]
     elapsed = time.time() - t0
     assert elapsed < 600, f"took {elapsed:.1f}s"
     report(6, f"worked-example report passes in characteristic 5 and 0 "
@@ -229,6 +244,7 @@ def test_acceptance_7_section8_char2():
         assert status[check_id] == "PASS", (check_id, rep["failed"])
     detail = next(c for c in rep["checks"] if c["id"] == "f")["detail"]["samples"]
     assert len(detail) == 8 and all(v == "witness" for v in detail.values())
+    assert sorted_json_sha256(rep) == SECTION8_DIGESTS[(2, 3)]
     report(7, f"characteristic-2 report passes, including the diagonal square "
               f"identity and the four-coefficient formula at 8 tuples "
               f"({time.time() - t0:.1f}s)")

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hochcalc.exactla as exactla
 from hochcalc.errors import ConfigurationError, InputError
 from hochcalc.exactla import (
+    MODULUS,
     PRIME_BOUND,
     PrimeField,
     Rationals,
     SparseMatrix,
+    _LIFT_BOUND,
     _is_prime,
+    _rational_lift,
+    _residue,
     field_from_json,
     kernel_basis,
     rref,
@@ -279,3 +284,118 @@ def test_add_into_edge_cases():
     assert F2.add_into({}, [(5, 1), (5, 1)]) == {}
     assert F2.add_into({5: 1}, [(5, 1)], 1) == {}
     assert F3.add_into({2: 1}, [(2, 1)], 2) == {}
+
+
+# -- the modular front of solve_columns over Q ----------------------------------
+
+
+def test_rational_lift_round_trips_up_to_the_bound():
+    B = _LIFT_BOUND
+    assert 2 * B * B < MODULUS <= 2 * (B + 1) * (B + 1)
+    rng = random.Random(11)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(B), Fraction(-B),
+              Fraction(1, B), Fraction(-1, B), Fraction(B - 1, B), Fraction(-B, B - 1)]
+    for _ in range(500):
+        r, s = rng.randint(-B, B), rng.randint(1, B)
+        values.append(Fraction(r, s))
+    for _ in range(200):
+        values.append(Fraction(rng.randint(-50, 50), rng.randint(1, 50)))
+    for v in values:
+        assert _rational_lift(_residue(v)) == v
+
+
+def test_rational_lift_fails_past_the_bound():
+    B = _LIFT_BOUND
+    for v in (Fraction(B + 1), Fraction(B + 1, B), Fraction(B, B + 1)):
+        assert _rational_lift(_residue(v)) is None
+    # past the bound a lift is either missing or a different fraction
+    for v in (Fraction(1, 3**40), Fraction(3**40), Fraction(MODULUS + 1)):
+        assert _rational_lift(_residue(v)) != v
+
+
+def test_residue_rejects_a_denominator_divisible_by_the_modulus():
+    assert _residue(Fraction(-3, 2)) * 2 % MODULUS == MODULUS - 3
+    with pytest.raises(ZeroDivisionError):
+        _residue(Fraction(1, MODULUS))
+
+
+@pytest.fixture
+def exact_eliminations(monkeypatch):
+    """Count the eliminations that solve_columns runs over Q itself."""
+    calls = []
+    real = exactla._eliminate
+
+    def spy(field, *args):
+        if field.char == 0:
+            calls.append(field)
+        return real(field, *args)
+
+    monkeypatch.setattr(exactla, "_eliminate", spy)
+    return calls
+
+
+def test_solve_columns_over_q_needs_no_exact_elimination(exact_eliminations):
+    Q = Rationals()
+    cols = [{0: Fraction(2, 3), 1: Fraction(1)}, {1: Fraction(-5, 7)}]
+    x, extra = solve_columns(Q, cols, {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(1)},
+                             extra_columns=[{2: Fraction(7)}])
+    assert x == {0: Fraction(3, 2), 1: Fraction(7, 5)} and extra == {0: Fraction(1, 7)}
+    assert exact_eliminations == []
+
+
+@pytest.mark.parametrize("cols, rhs, want", [
+    # a denominator divisible by the modulus
+    ([{0: Fraction(1, MODULUS)}], {0: Fraction(1)}, {0: Fraction(MODULUS)}),
+    # inconsistent modulo the modulus, with the solution 1/P over Q
+    ([{0: Fraction(MODULUS)}], {0: Fraction(1)}, {0: Fraction(1, MODULUS)}),
+    # a solution beyond the lift bound
+    ([{0: Fraction(3**40)}, {1: Fraction(1)}], {0: Fraction(1), 1: Fraction(2)},
+     {0: Fraction(1, 3**40), 1: Fraction(2)}),
+    # the lift succeeds (to 1) but fails the exact check
+    ([{0: Fraction(1)}], {0: Fraction(MODULUS + 1)}, {0: Fraction(MODULUS + 1)}),
+], ids=["denominator", "inconsistent-mod-p", "lift-bound", "check"])
+def test_solve_columns_falls_back_to_exact_elimination(exact_eliminations, cols, rhs, want):
+    assert solve_columns(Rationals(), cols, rhs) == (want, {})
+    assert len(exact_eliminations) == 1
+
+
+def test_solve_columns_decides_inconsistency_exactly(exact_eliminations):
+    Q = Rationals()
+    assert solve_columns(Q, [{0: Fraction(1), 1: Fraction(1, 2)}], {0: Fraction(1)}) is None
+    assert len(exact_eliminations) == 1
+
+
+def _random_q_system(rng, rows, cols):
+    Q = Rationals()
+    entries = {}
+    for _ in range(rng.randrange(rows * cols + 1)):
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        entries[(i, j)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 7]))
+    m = SparseMatrix(Q, rows, cols, entries)
+    if rng.random() < 0.5:
+        x0 = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for j in range(cols)}
+        b = m.apply(x0)
+    else:
+        b = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for i in range(rows)}
+        b = {i: c for i, c in b.items() if c}
+    return m, b
+
+
+def test_solve_columns_over_q_agrees_with_exact_elimination():
+    rng = random.Random(2024)
+    found = missing = 0
+    for _ in range(300):
+        m, b = _random_q_system(rng, rng.randrange(1, 9), rng.randrange(1, 9))
+        # keys that are not integers, as in the witness search
+        columns = [{("r", i): c for i, c in m.column(j).items()} for j in range(m.cols)]
+        got = solve_columns(m.field, columns, {("r", i): c for i, c in b.items()})
+        want = solve(m, b)
+        assert (got is None) == (want is None)
+        if got is None:
+            missing += 1
+            continue
+        found += 1
+        x, extra = got
+        assert extra == {}
+        assert m.apply(x) == b
+    assert found > 50 and missing > 50

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+import hochcalc.laurent as laurent
 from hochcalc.algebra import dual_numbers
 from hochcalc.cochain import brace, bracket, cup, hoch_d, sq
 from hochcalc.errors import DomainError, UnsupportedAlgebraError
@@ -246,6 +249,31 @@ def test_find_witness_basics():
     assert w is None
 
 
+def test_witness_columns_are_built_once_per_algebra(monkeypatch):
+    alg = sign_twisted_laurent(Rationals())
+    d = euler_cochain(alg)
+    lhs, rhs = cup(d, d), PolyCochain(alg, 2, -1)
+    calls = []
+    real = laurent.hoch_d
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(laurent, "hoch_d", counting)
+    w1, stats1 = find_witness(lhs, rhs, 2)
+    first = len(calls)
+    calls.clear()
+    w2, stats2 = find_witness(lhs, rhs, 2)
+    assert w1 is not None and w2 is not None
+    assert stats1["unknowns"] == stats2["unknowns"] > 0
+    # the first search builds its columns; the second only checks its witness
+    assert first > stats1["unknowns"]
+    assert len(calls) == 1 and calls[0] is w2
+    assert alg._columns
+    assert sign_twisted_laurent(Rationals())._columns == {}
+
+
 def test_find_combination_reads_off_coefficients():
     alg = sign_twisted_laurent(PrimeField(5))
     z1 = display_monomial(alg, 0, 4, 0, 3)
@@ -275,3 +303,5 @@ def test_section8_char2_report():
     status = {c["id"]: c["status"] for c in rep["checks"]}
     assert status["c"] == "PASS" and status["f"] == "PASS"
     assert status["e"] == "SKIPPED" and status["g"] == "SKIPPED"
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "8b05aa6deb2639720c1c4a4e830201b74463fec99c24a783f3637f840b6efe2c"
