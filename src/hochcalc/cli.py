@@ -333,19 +333,18 @@ def cmd_e_page(docobj, args, report):
             for t in range(t0, t1 + 1):
                 try:
                     if args.page == 1:
-                        m = d1_matrix(docobj.algebra, s, t)
+                        m = d1_matrix(ctx, s, t)
+                        # d1 is d(s+2) up to sign: read the rank off its factorization
+                        rank = ctx.column(-t, normalized=False).echelon(s + 2).rank
                     elif args.page == 2:
                         m = d2_map(ctx, phi, s, t)
                         if not hasattr(m, "entries"):
                             diffs[f"{s},{t}"] = {"kind": "quadratic"}
                             continue
+                        rank = rref(m).rank
                     else:
                         continue
-                    diffs[f"{s},{t}"] = {
-                        "rows": m.rows,
-                        "cols": m.cols,
-                        "rank": rref(m)[0],
-                    }
+                    diffs[f"{s},{t}"] = {"rows": m.rows, "cols": m.cols, "rank": rank}
                 except HochcalcError as exc:
                     diffs[f"{s},{t}"] = {"undefined": type(exc).__name__}
         report["results"]["differentials"] = diffs

@@ -22,13 +22,14 @@ from .cochain import (
     sq,
 )
 from .errors import ConfigurationError, DomainError
-from .exactla import SparseMatrix, kernel_basis, rref, vec_combine
+from .exactla import Echelon, SparseMatrix, rref, vec_combine
 
 
 class CochainComplex:
     """The column C^{*,q} of one pipeline: the lexicographic cochain basis
-    of each arity and the Hochschild differential out of it, each built
-    once.  Every HHSpace and the page-1 differential read them from here."""
+    of each arity, the Hochschild differential out of it and that
+    differential's factorization, each built once.  Every HHSpace and the
+    page-1 differential read them from here."""
 
     def __init__(self, algebra: GradedAlgebra, q: int, normalized: bool = True):
         self.algebra = algebra
@@ -36,6 +37,7 @@ class CochainComplex:
         self.normalized = normalized
         self._bases: dict = {}
         self._ds: dict = {}
+        self._echelons: dict = {}
 
     def basis(self, p: int):
         """The lexicographic basis of C^{p,q} and its index; empty for p < 0."""
@@ -57,6 +59,13 @@ class CochainComplex:
             self._ds[p] = SparseMatrix.from_columns(a.field, cols, len(index))
         return self._ds[p]
 
+    def echelon(self, p: int) -> Echelon:
+        """The factorization of d(p): the cocycles at (p, q) are its kernel,
+        and it decides which cocycles at (p + 1, q) bound."""
+        if p not in self._echelons:
+            self._echelons[p] = rref(self.d(p))
+        return self._echelons[p]
+
     def space(self, p: int) -> "HHSpace":
         return HHSpace(self, p)
 
@@ -65,24 +74,27 @@ class HHSpace:
     """Cocycles, coboundaries and a cohomology basis at one bidegree.
 
     All bases are deterministic: the cochain basis is lexicographic, the
-    cocycle basis comes from kernel vectors in free-column order, the
-    coboundary basis is row-reduced, and the cohomology representatives are
-    the cocycle basis vectors at pivot-complement positions.
+    cocycle basis comes from kernel vectors of d(p) in free-column order,
+    the coboundary basis is the columns of d(p - 1) at its pivots, and the
+    cohomology representatives are the cocycle basis vectors at
+    pivot-complement positions.
     """
 
     def __init__(self, column: CochainComplex, p: int):
         self.algebra = column.algebra
         self.p = p
         self.q = column.q
-        field = self.algebra.field
         self.basis, self.index = column.basis(p)
         self.basis_in = column.basis(p - 1)[0]
         self.d_in = column.d(p - 1)
         self.d_out = column.d(p)
-        self.cocycles = kernel_basis(self.d_out)
-        image = {(j, i): c for (i, j), c in self.d_in.entries.items()}
-        rank_b, _, reduced = rref(SparseMatrix(field, self.d_in.cols, len(self.basis), image))
-        self.coboundaries = reduced._row_list()[:rank_b]
+        self.cocycles = column.echelon(p).kernel()
+        self._d_in_echelon = column.echelon(p - 1)
+        pivot_columns = {j: {} for j in self._d_in_echelon.pivots}
+        for (i, j), c in self.d_in.entries.items():
+            if j in pivot_columns:
+                pivot_columns[j][i] = c
+        self.coboundaries = list(pivot_columns.values())
         self.hh_vectors = self._pivot_complement()
         self.dim = len(self.hh_vectors)
         self.hh_reps = [
@@ -117,10 +129,6 @@ class HHSpace:
         return rref(SparseMatrix.from_columns(
             self.algebra.field, self.coboundaries + self.hh_vectors, len(self.basis)
         ))
-
-    @cached_property
-    def _d_in_echelon(self):
-        return rref(self.d_in)
 
     # -- classes -------------------------------------------------------------
 
@@ -218,12 +226,16 @@ class HHContext:
     def full_space(self, p: int, q: int) -> HHSpace:
         return self._space(p, q, False)
 
+    def column(self, q: int, normalized: bool) -> CochainComplex:
+        """The cached column C^{*,q} of one pipeline."""
+        if (q, normalized) not in self._complexes:
+            self._complexes[q, normalized] = CochainComplex(self.algebra, q, normalized)
+        return self._complexes[q, normalized]
+
     def _space(self, p: int, q: int, normalized: bool) -> HHSpace:
         key = (p, q, normalized)
         if key not in self._spaces:
-            if (q, normalized) not in self._complexes:
-                self._complexes[q, normalized] = CochainComplex(self.algebra, q, normalized)
-            self._spaces[key] = self._complexes[q, normalized].space(p)
+            self._spaces[key] = self.column(q, normalized).space(p)
         return self._spaces[key]
 
     def normalizer(self, p: int, q: int):

@@ -463,36 +463,76 @@ def rref(m: SparseMatrix) -> Echelon:
     ``(rank, pivots, reduced)`` where ``pivots`` lists pivot columns in
     increasing order.  Pivoting is by column order, then row order, so the
     output is unique and deterministic.
+
+    ``col_rows[j]`` holds the rows with a nonzero in column ``j``, so each
+    pivot search and elimination touches only those rows.  It is kept up to
+    date on swaps, fill-in and cancellation, and dropped once its column is
+    processed: rows at or below the pivot row are zero in every processed
+    column, so later pivot rows never write there.
     """
     field = m.field
+    add, mul, neg = field.add, field.mul, field.neg
+    one = field.one()
+    minus_one = neg(one)
     rows = m._row_list()
+    col_rows = [set() for _ in range(m.cols)]
+    for i, j in m.entries:
+        col_rows[j].add(i)
     pivots = []
     ops = []
     pivot_row = 0
     for col in range(m.cols):
-        sel = None
-        for i in range(pivot_row, m.rows):
-            if col in rows[i]:
-                sel = i
-                break
+        hits = col_rows[col]
+        sel = min((i for i in hits if i >= pivot_row), default=None)
         if sel is None:
+            col_rows[col] = None
             continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        head = rows[pivot_row][col]
-        inv = None
-        if head != field.one():
-            inv = field.inv(head)
-            rows[pivot_row] = {j: field.mul(inv, c) for j, c in rows[pivot_row].items()}
+        if sel != pivot_row:
+            upper, lower = rows[pivot_row], rows[sel]
+            for j in upper.keys() - lower.keys():
+                col_rows[j].discard(pivot_row)
+                col_rows[j].add(sel)
+            for j in lower.keys() - upper.keys():
+                col_rows[j].discard(sel)
+                col_rows[j].add(pivot_row)
+            rows[pivot_row], rows[sel] = lower, upper
+        col_rows[col] = None
         prow = rows[pivot_row]
+        head = prow[col]
+        inv = None
+        if head != one:
+            inv = field.inv(head)
+            prow = rows[pivot_row] = {j: mul(inv, c) for j, c in prow.items()}
+        rest = [(j, c) for j, c in prow.items() if j != col]
+        negated = None
+        hits.discard(pivot_row)
         elim = []
-        for i in range(m.rows):
-            if i == pivot_row:
-                continue
-            c = rows[i].get(col)
-            if c is None:
-                continue
+        for i in sorted(hits):
+            row = rows[i]
+            c = row.pop(col)
             elim.append((i, c))
-            field.add_into(rows[i], prow.items(), field.neg(c))
+            negc = neg(c)
+            # multipliers of +-1 (every one over F_2 and F_3) need no products
+            if negc == one:
+                scaled = rest
+            elif negc == minus_one:
+                if negated is None:
+                    negated = [(j, neg(pc)) for j, pc in rest]
+                scaled = negated
+            else:
+                scaled = [(j, mul(negc, pc)) for j, pc in rest]
+            for j, x in scaled:
+                old = row.get(j)
+                if old is None:
+                    row[j] = x
+                    col_rows[j].add(i)
+                    continue
+                s = add(old, x)
+                if not s:  # scalars are normalized, so only zero is falsy
+                    del row[j]
+                    col_rows[j].discard(i)
+                else:
+                    row[j] = s
         pivots.append(col)
         ops.append((sel, inv, elim))
         pivot_row += 1

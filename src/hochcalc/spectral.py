@@ -15,7 +15,7 @@ from __future__ import annotations
 from .ainf import AInfStructure, require_valid_structure
 from .algebra import GradedAlgebra
 from .cochain import Cochain, bracket, brace, cochain_from_coords, cup
-from .cohomology import CochainComplex, HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
+from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
 from .errors import DomainError, NotProvidedError, UndefinedCellError
 from .exactla import SparseMatrix, kernel_basis, rref
 
@@ -75,20 +75,21 @@ def _sign_scale(m: SparseMatrix, negate: bool) -> SparseMatrix:
     )
 
 
-def e1_term(a: GradedAlgebra, s: int, t: int) -> PageCell:
+def e1_term(ctx: HHContext, s: int, t: int) -> PageCell:
     """E1 at (s,t): the full cochain module of bidegree (s+2, -t)."""
     if s < 0:
         return PageCell(1, s, t, "undefined")
-    dim = len(CochainComplex(a, -t, normalized=False).basis(s + 2)[0])
+    dim = len(ctx.column(-t, normalized=False).basis(s + 2)[0])
     return PageCell(1, s, t, "vector", dim=dim)
 
 
-def d1_matrix(a: GradedAlgebra, s: int, t: int) -> SparseMatrix:
+def d1_matrix(ctx: HHContext, s: int, t: int) -> SparseMatrix:
     """(-1)^{t-s} [m2, -] from full (s+2,-t) cochains to full (s+3,-t)
-    cochains; defined for s >= 1 (any t) and for t > s = 0."""
+    cochains; defined for s >= 1 (any t) and for t > s = 0.  Its rank is
+    that of ``ctx.column(-t, normalized=False).echelon(s + 2)``."""
     if not (s >= 1 or (s == 0 and t > 0)):
         raise UndefinedCellError(f"d1 undefined at ({s},{t})")
-    m = CochainComplex(a, -t, normalized=False).d(s + 2)
+    m = ctx.column(-t, normalized=False).d(s + 2)
     return _sign_scale(m, (t - s) % 2 == 1)
 
 
@@ -247,7 +248,7 @@ def page_report(ctx: HHContext, phi, page: int, window):
     for s in range(s0, s1 + 1):
         for t in range(t0, t1 + 1):
             if page == 1:
-                cells[(s, t)] = e1_term(ctx.algebra, s, t)
+                cells[(s, t)] = e1_term(ctx, s, t)
             elif page == 2:
                 cells[(s, t)] = e2_term(ctx, s, t)
             elif page == 3:

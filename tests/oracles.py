@@ -1,16 +1,58 @@
 """Reference implementations the tests compare the library against.
 
-They redo each computation the direct way: a solve reduces the augmented
-matrix [m | b] from scratch, the cohomology basis solves every coboundary
-in the cocycle basis separately, sparse accumulation sums with plain Python
-arithmetic, the Hochschild differential is evaluated tuple by tuple from
-the product table, and a cochain basis filters every argument tuple by its
-degree.
+They redo each computation the direct way: row reduction scans every row
+for each pivot column, a solve reduces the augmented matrix [m | b] from
+scratch, the cohomology basis solves every coboundary in the cocycle basis
+separately, sparse accumulation sums with plain Python arithmetic, the
+Hochschild differential is evaluated tuple by tuple from the product table,
+and a cochain basis filters every argument tuple by its degree.
 """
 
 from itertools import product as iproduct
 
-from hochcalc.exactla import SparseMatrix, rref
+from hochcalc.exactla import Echelon, SparseMatrix
+
+
+def reference_rref(m):
+    """Reduced row-echelon form, pivoting by column order, then row order:
+    each pivot is found by scanning the remaining rows, and every row is
+    checked for an entry in the pivot column.  Returns the same
+    :class:`Echelon`, recorded operations included, as ``rref``."""
+    field = m.field
+    rows = m._row_list()
+    pivots = []
+    ops = []
+    pivot_row = 0
+    for col in range(m.cols):
+        sel = None
+        for i in range(pivot_row, m.rows):
+            if col in rows[i]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        head = rows[pivot_row][col]
+        inv = None
+        if head != field.one():
+            inv = field.inv(head)
+            rows[pivot_row] = {j: field.mul(inv, c) for j, c in rows[pivot_row].items()}
+        prow = rows[pivot_row]
+        elim = []
+        for i in range(m.rows):
+            if i == pivot_row:
+                continue
+            c = rows[i].get(col)
+            if c is None:
+                continue
+            elim.append((i, c))
+            field.add_into(rows[i], prow.items(), field.neg(c))
+        pivots.append(col)
+        ops.append((sel, inv, elim))
+        pivot_row += 1
+        if pivot_row == m.rows:
+            break
+    return Echelon(pivots, SparseMatrix.from_rows(field, rows, m.cols), ops)
 
 
 def reference_solve(m, b):
@@ -21,7 +63,7 @@ def reference_solve(m, b):
         if not m.field.is_zero(c):
             aug_entries[(i, m.cols)] = c
     aug = SparseMatrix(m.field, m.rows, m.cols + 1, aug_entries)
-    _, pivots, red = rref(aug)
+    _, pivots, red = reference_rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
     rows = red._row_list()
@@ -31,7 +73,7 @@ def reference_solve(m, b):
 def reference_kernel(m):
     """Kernel basis read off the reduced matrix column by column."""
     field = m.field
-    rank, pivots, red = rref(m)
+    rank, pivots, red = reference_rref(m)
     rows = red._row_list()
     basis = []
     for j in range(m.cols):
@@ -57,7 +99,7 @@ def reference_pivot_complement(space):
         coords = reference_solve(in_cocycles, b)
         assert coords is not None, "coboundary outside the cocycle space"
         cob_in_k.append(coords)
-    _, pivots, _ = rref(SparseMatrix.from_rows(field, cob_in_k, len(space.cocycles)))
+    _, pivots, _ = reference_rref(SparseMatrix.from_rows(field, cob_in_k, len(space.cocycles)))
     return [v for j, v in enumerate(space.cocycles) if j not in pivots]
 
 

@@ -173,7 +173,7 @@ def test_acceptance_5_spectral_pages(collapse_fixture):
         ctx = HHContext(a)
         for s in window_s:
             for t in window_t:
-                dim = e1_term(a, s, t).dim
+                dim = e1_term(ctx, s, t).dim
                 count = 0
                 for tup in iproduct(range(a.dim), repeat=s + 2):
                     want = sum(a.degrees[i] + 1 for i in tup) + (1 - (s + 2) + t)
@@ -181,12 +181,12 @@ def test_acceptance_5_spectral_pages(collapse_fixture):
                 assert dim == count
                 cell = e2_term(ctx, s, t)
                 if cell.kind == "vector":
-                    out = d1_matrix(a, s, t)
-                    inc = d1_matrix(a, s - 1, t) if (s - 1 >= 1 or t > s - 1 >= 0) else None
+                    out = d1_matrix(ctx, s, t)
+                    inc = d1_matrix(ctx, s - 1, t) if (s - 1 >= 1 or t > s - 1 >= 0) else None
                     hom = len(kernel_basis(out)) - (rref(inc)[0] if inc is not None else 0)
                     assert hom == cell.dim
                 elif cell.kind == "cocycle":
-                    assert cell.dim == len(kernel_basis(d1_matrix(a, s, t)))
+                    assert cell.dim == len(kernel_basis(d1_matrix(ctx, s, t)))
     # (ii) d2 composes to zero on all linear cells of a valid k = 5 fixture
     tower, ctx, phi5 = collapse_fixture
     composites = 0

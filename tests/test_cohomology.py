@@ -1,8 +1,13 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import hochcalc.cohomology as cohomology
+
 from hochcalc.algebra import GradedAlgebra, dual_numbers, square_zero_tower, truncated_skew_laurent
+from hochcalc.cli import main
 from hochcalc.cochain import (
     Cochain,
     beta_cochain,
@@ -27,7 +32,7 @@ from hochcalc.cohomology import (
 from hochcalc.errors import DomainError
 from hochcalc.exactla import PrimeField, Rationals, SparseMatrix, rref
 from hochcalc.identities import random_cochain
-from oracles import reference_pivot_complement, reference_solve
+from oracles import reference_pivot_complement, reference_rref, reference_solve
 
 # dimensions frozen from the independent full-bar run (the classical values
 # for these algebras); both pipelines must keep reproducing them.
@@ -272,6 +277,53 @@ def test_neighbouring_cells_share_one_differential(tower_f2, ext_q):
                 for q in q_support(a, p):
                     assert space(p, q).d_out is space(p + 1, q).d_in
         assert ctx.space(0, 0).d_in.cols == 0 and ctx.space(0, 0).basis_in == []
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "full"])
+def test_neighbouring_cells_share_one_factorization(normalized):
+    """d(p) is factored once per column: its kernel is the cocycle basis at
+    (p, q), the same Echelon decides coboundaries at (p + 1, q), and the
+    columns of d(p) at its pivots are a basis of the coboundaries there."""
+    a = truncated_skew_laurent(PrimeField(3), 3)
+    field = a.field
+    ctx = HHContext(a)
+    space = ctx.space if normalized else ctx.full_space
+    for p in range(3):
+        for q in q_support(a, p):
+            column = ctx.column(q, normalized)
+            here, up = space(p, q), space(p + 1, q)
+            assert up._d_in_echelon is column.echelon(p)
+            assert here.cocycles == column.echelon(p).kernel()
+            cocycles = SparseMatrix.from_columns(field, up.cocycles, len(up.basis))
+            cobs = SparseMatrix.from_columns(field, up.coboundaries, len(up.basis))
+            assert all(reference_solve(cocycles, b) is not None for b in up.coboundaries)
+            assert reference_rref(cobs).rank == len(up.coboundaries) == reference_rref(up.d_in).rank
+            assert all(
+                reference_solve(cobs, up.d_in.column(j)) is not None for j in range(up.d_in.cols)
+            )
+            assert up.hh_vectors == reference_pivot_complement(up)
+
+
+def test_hh_factors_each_differential_once(monkeypatch, tmp_path):
+    """One `hh --p-max 3 --bases` run calls rref once per differential
+    d(p), and once more per space for its pivot complement."""
+    calls, columns = [], []
+    monkeypatch.setattr(cohomology, "rref", lambda m: calls.append(m) or rref(m))
+    init = CochainComplex.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        columns.append(self)
+
+    monkeypatch.setattr(CochainComplex, "__init__", recording_init)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "tower_f2_a5_valid.json"
+    out = tmp_path / "report.json"
+    assert main(["--in", str(fixture), "--out", str(out), "hh", "--p-max", "3", "--bases"]) == 0
+    spaces = json.loads(out.read_text())["results"]["spaces"]
+    ds = [d for column in columns for d in column._ds.values()]
+    assert len(ds) > len(columns) > 1
+    assert all(sum(m is d for m in calls) == 1 for d in ds)
+    assert len(calls) == len(ds) + len(spaces)
 
 
 # -- differential oracles on random small algebras ------------------------------

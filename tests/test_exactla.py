@@ -23,7 +23,7 @@ from hochcalc.exactla import (
     solve,
     solve_columns,
 )
-from oracles import reference_add_into, reference_kernel, reference_solve
+from oracles import reference_add_into, reference_kernel, reference_rref, reference_solve
 
 FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)]
 
@@ -218,26 +218,52 @@ def test_solve_rejects_rhs_out_of_range():
         solve(SparseMatrix.from_dense(Q, [[1, 0]]), {1: Q.one()})
 
 
+def _index_cases(field):
+    """Shapes that exercise the column index of ``rref``: empty matrices,
+    single rows and columns, and swaps of a pivot row into the place of a
+    row with overlapping support."""
+    yield SparseMatrix(field, 0, 4)
+    yield SparseMatrix(field, 4, 0)
+    yield SparseMatrix(field, 0, 0)
+    yield SparseMatrix.from_dense(field, [[0, 2, 0, 1]])
+    yield SparseMatrix.from_dense(field, [[0], [3], [1]])
+    # row 0 shares columns 1, 2 with row 2, which holds the first pivot
+    yield SparseMatrix.from_dense(field, [[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 2, 0]])
+    # a swap at every step, with fill-in and cancellation in later columns
+    yield SparseMatrix.from_dense(field, [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 0, 1]])
+    yield SparseMatrix.from_dense(field, [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+
+
 @pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=repr)
 def test_factorization_matches_reference(field):
-    """One factorization answers several right-hand sides, consistent and
-    inconsistent, exactly as a fresh reduction of [m | b] does."""
+    """The column-indexed elimination returns the pivots, the reduced matrix
+    (in the same entry order) and the recorded operations of the
+    scan-every-row ``reference_rref``.  One factorization answers several
+    right-hand sides, consistent and inconsistent, exactly as a fresh
+    reduction of [m | b] does."""
     rng = random.Random(f"echelon/{field!r}")
+
+    def matrices():
+        for _ in range(150):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            yield _random_matrix(rng, field, rows, cols, rng.randrange(0, 3 * rows * cols // 2 + 1))
+        yield from _index_cases(field)
+
     inconsistent = 0
-    for _ in range(150):
-        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
-        m = _random_matrix(rng, field, rows, cols, rng.randrange(0, 3 * rows * cols // 2 + 1))
-        ech = rref(m)
+    for m in matrices():
+        ech, ref = rref(m), reference_rref(m)
+        assert ech.pivots == ref.pivots and ech._ops == ref._ops
+        assert list(ech.reduced.entries.items()) == list(ref.reduced.entries.items())
         assert ech.kernel() == reference_kernel(m) == kernel_basis(m)
         for _ in range(4):
             if rng.random() < 0.5:
-                x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(cols)}
+                x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(m.cols)}
                 b = m.apply({j: c for j, c in x0.items() if rng.random() < 0.5})
             else:
-                b = {i: field.from_int(rng.randrange(1, 5)) for i in range(rows)}
+                b = {i: field.from_int(rng.randrange(1, 5)) for i in range(m.rows)}
                 b = {i: c for i, c in b.items() if rng.random() < 0.6 and not field.is_zero(c)}
             want = reference_solve(m, b)
-            assert ech.solve(b) == want == solve(m, b)
+            assert ech.solve(b) == ref.solve(b) == want == solve(m, b)
             if want is None:
                 inconsistent += 1
             else:

@@ -71,24 +71,27 @@ def test_e1_ground_field():
     from hochcalc.exactla import Rationals
 
     k = GradedAlgebra(Rationals(), [("1", 0)], "1")
-    assert e1_term(k, 0, 0).dim == 1
+    assert e1_term(HHContext(k), 0, 0).dim == 1
 
 
 def test_e1_matches_combinatorial_count(ext_q):
     a3 = dual_numbers(PrimeField(3))
     for a in (ext_q, a3):
+        ctx = HHContext(a)
         for s in range(0, 5):
             for t in range(-2, 4):
-                assert e1_term(a, s, t).dim == count_cochain_dim(a, s + 2, -t)
+                assert e1_term(ctx, s, t).dim == count_cochain_dim(a, s + 2, -t)
 
 
 def test_e1_outside_support(ext_q):
-    assert e1_term(ext_q, 1, 12).dim == 0
-    assert e1_term(ext_q, -1, 0).kind == "undefined"
+    ctx = HHContext(ext_q)
+    assert e1_term(ctx, 1, 12).dim == 0
+    assert e1_term(ctx, -1, 0).kind == "undefined"
 
 
 def test_d1_sign_and_range(ext_q):
-    m = d1_matrix(ext_q, 1, 2)
+    ctx = HHContext(ext_q)
+    m = d1_matrix(ctx, 1, 2)
     # d1 = (-1)^{t-s} [m2, -]: here the sign is -1
     basis = cochain_basis(ext_q, 3, -2, normalized=False)
     dst = cochain_basis(ext_q, 4, -2, normalized=False)
@@ -103,9 +106,9 @@ def test_d1_sign_and_range(ext_q):
                 expect[idx[(tt, kk)]] = ext_q.field.neg(c)
         assert col == expect
     with pytest.raises(UndefinedCellError):
-        d1_matrix(ext_q, 0, 0)
+        d1_matrix(ctx, 0, 0)
     with pytest.raises(UndefinedCellError):
-        d1_matrix(ext_q, 0, -1)
+        d1_matrix(ctx, 0, -1)
 
 
 FIXTURE_ALGEBRAS = [
@@ -123,12 +126,13 @@ FIXTURE_ALGEBRAS = [
 def test_d1_is_the_signed_full_differential(doc):
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     a = parse_input((fixtures / doc).read_text()).algebra
+    ctx = HHContext(a)
     nonzero = 0
     for s in range(4):
         for t in range(4):
             if not (s >= 1 or t > s):
                 continue
-            m = d1_matrix(a, s, t)
+            m = d1_matrix(ctx, s, t)
             d = hh_space(a, s + 2, -t, normalized=False).d_out
             negate = (t - s) % 2 == 1
             assert (m.rows, m.cols) == (d.rows, d.cols)
@@ -140,9 +144,10 @@ def test_d1_is_the_signed_full_differential(doc):
 
 
 def test_d1_squares_to_zero(ext_q):
+    ctx = HHContext(ext_q)
     for (s, t) in ((1, 0), (2, 1), (1, 2), (0, 1)):
-        m1 = d1_matrix(ext_q, s, t)
-        m2m = d1_matrix(ext_q, s + 1, t)
+        m1 = d1_matrix(ctx, s, t)
+        m2m = d1_matrix(ctx, s + 1, t)
         for j in range(m1.cols):
             assert m2m.apply(m1.column(j)) == {}
 
@@ -153,12 +158,13 @@ def test_homology_of_d1_equals_hh(ext_q):
     # pipeline dimensions
     a3 = dual_numbers(PrimeField(3))
     for a in (ext_q, a3):
+        ctx = HHContext(a)
         for s in range(1, 4):
             for t in range(-1, 3):
                 if not (s >= 2 or t >= s):
                     continue
-                out = d1_matrix(a, s, t)
-                inc = d1_matrix(a, s - 1, t) if (s - 1 >= 1 or t > s - 1 >= 0) else None
+                out = d1_matrix(ctx, s, t)
+                inc = d1_matrix(ctx, s - 1, t) if (s - 1 >= 1 or t > s - 1 >= 0) else None
                 ker = len(kernel_basis(out))
                 im = rref(inc)[0] if inc is not None else 0
                 assert ker - im == hh_dim(a, s + 2, -t)
