@@ -18,7 +18,7 @@ from .cochain import (
     sq,
 )
 from .cohomology import CochainComplex, CohomClass, HHContext, HHSpace, hh_space
-from .exactla import Field, PrimeField, Rationals, SparseMatrix, kernel_basis, rref, solve
+from .exactla import Field, PrimeField, Rationals, SparseMatrix, rref
 from .laurent import (
     PolyCochain,
     TwistedLaurent,

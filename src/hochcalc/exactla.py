@@ -463,6 +463,19 @@ def rref(m: SparseMatrix) -> Echelon:
     ``(rank, pivots, reduced)`` where ``pivots`` lists pivot columns in
     increasing order.  Pivoting is by column order, then row order, so the
     output is unique and deterministic.
+    """
+    rows = m._row_list()
+    ops = []
+    pivots = _reduce(m.field, rows, m.cols, ops)
+    return Echelon(pivots, SparseMatrix.from_rows(m.field, rows, m.cols), ops)
+
+
+def _reduce(field: Field, rows, ncols: int, ops=None):
+    """Bring the row dicts ``rows`` (column index to nonzero scalar, over
+    ``ncols`` columns) to reduced row-echelon form in place, and return the
+    pivot columns.  If ``ops`` is a list, one ``(sel, inv, elim)`` record per
+    pivot is appended to it, for :meth:`Echelon.solve` to replay.  The one
+    elimination loop of the package.
 
     ``col_rows[j]`` holds the rows with a nonzero in column ``j``, so each
     pivot search and elimination touches only those rows.  It is kept up to
@@ -470,18 +483,18 @@ def rref(m: SparseMatrix) -> Echelon:
     processed: rows at or below the pivot row are zero in every processed
     column, so later pivot rows never write there.
     """
-    field = m.field
     add, mul, neg = field.add, field.mul, field.neg
     one = field.one()
     minus_one = neg(one)
-    rows = m._row_list()
-    col_rows = [set() for _ in range(m.cols)]
-    for i, j in m.entries:
-        col_rows[j].add(i)
+    col_rows = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
     pivots = []
-    ops = []
     pivot_row = 0
-    for col in range(m.cols):
+    for col in range(ncols):
+        if pivot_row == len(rows):
+            break
         hits = col_rows[col]
         sel = min((i for i in hits if i >= pivot_row), default=None)
         if sel is None:
@@ -534,32 +547,23 @@ def rref(m: SparseMatrix) -> Echelon:
                 else:
                     row[j] = s
         pivots.append(col)
-        ops.append((sel, inv, elim))
+        if ops is not None:
+            ops.append((sel, inv, elim))
         pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    return Echelon(pivots, SparseMatrix.from_rows(field, rows, m.cols), ops)
-
-
-def kernel_basis(m: SparseMatrix):
-    """Basis of the right null space; see :meth:`Echelon.kernel`."""
-    return rref(m).kernel()
-
-
-def solve(m: SparseMatrix, b: dict):
-    """Particular solution of ``m x = b``; see :meth:`Echelon.solve`."""
-    return rref(m).solve(b)
+    return pivots
 
 
 def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
-    """One solution of ``sum_j x_j col_j (+ sum_k y_k extra_k) = rhs`` by
-    sparsity-guided elimination; deterministic (pivot row of least fill,
-    ties by index).  Returns ``(x, y)`` as sparse dicts, or ``None`` if the
-    system is inconsistent; raises ``ConfigurationError`` if the solution
-    fails its exact check.
+    """One solution of ``sum_j x_j col_j (+ sum_k y_k extra_k) = rhs``.
+    Returns ``(x, y)`` as sparse dicts, or ``None`` if the system is
+    inconsistent; raises ``ConfigurationError`` if the solution fails its
+    exact check.
 
-    Unlike :func:`solve`, free variables are zeroed relative to the
-    elimination order, which favours sparse witnesses on large systems.
+    The augmented matrix, with the columns sorted by (number of nonzeros,
+    index) and the right-hand side last, is reduced by :func:`rref`'s loop,
+    and the solution is read off its last column.  Free variables are zeroed
+    in that order, which favours sparse witnesses on large systems; the
+    answer is deterministic, since the reduced form is unique.
 
     Over Q the elimination runs modulo ``MODULUS`` first, and each
     coordinate is lifted by rational reconstruction.  The lift is returned
@@ -573,10 +577,11 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     # canonical integer row ids, in sorted row-key order for determinism
     row_keys = sorted({r for col in cols for r in col} | set(rhs))
     row_id = {r: n for n, r in enumerate(row_keys)}
+    order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
     x = None
     if field.char == 0:
         try:
-            x = _eliminate(PrimeField(MODULUS), cols, rhs, row_id, _residue)
+            x = _solve_reduced(PrimeField(MODULUS), cols, order, rhs, row_id, _residue)
         except ZeroDivisionError:
             pass
         if x is not None:
@@ -584,7 +589,7 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
             if None in x.values() or not _satisfies(field, cols, rhs, x):
                 x = None
     if x is None:
-        x = _eliminate(field, cols, rhs, row_id)
+        x = _solve_reduced(field, cols, order, rhs, row_id)
         if x is None:
             return None
         if not _satisfies(field, cols, rhs, x):
@@ -594,100 +599,28 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     return main, extra
 
 
+def _solve_reduced(field: Field, cols, order, rhs: dict, row_id: dict, load=None):
+    """Reduce ``[cols[order[0]] ... cols[order[-1]] | rhs]`` over ``field``
+    and return the solution as a sparse dict over the original column
+    indices, or ``None`` if the system is inconsistent over ``field``.
+    ``load`` maps each input scalar into ``field`` as it is read."""
+    n = len(order)
+    rows = [{} for _ in row_id]
+    for k, col in enumerate([cols[j] for j in order] + [rhs]):
+        for r, c in col.items():
+            if load is not None:
+                c = load(c)
+            if not field.is_zero(c):
+                rows[row_id[r]][k] = c
+    pivots = _reduce(field, rows, n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    return {order[k]: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
+
+
 def _satisfies(field: Field, cols, rhs: dict, x: dict) -> bool:
     """Exact check that ``sum_j x_j cols[j] == rhs``."""
     check: dict = {}
     for j, c in x.items():
         field.add_into(check, cols[j].items(), c)
     return check == {r: c for r, c in rhs.items() if not field.is_zero(c)}
-
-
-def _eliminate(field: Field, cols, rhs: dict, row_id: dict, load=None):
-    """The least-fill elimination of :func:`solve_columns` over ``field``.
-    ``load`` maps each input scalar into ``field`` as it is read.  Returns
-    the solution as a sparse dict over column indices, or ``None`` if the
-    system is inconsistent over ``field``."""
-    # imported here, not at the top: loading its extension module would add
-    # to the start-up of every command, and only the witness search gets here
-    import heapq
-
-    row_items = {n: {} for n in range(len(row_id))}
-    col_rows = [set() for _ in cols]
-    for j, col in enumerate(cols):
-        for r, c in col.items():
-            if load is not None:
-                c = load(c)
-            if field.is_zero(c):
-                continue
-            n = row_id[r]
-            row_items[n][j] = c
-            col_rows[j].add(n)
-    b = {}
-    for r, c in rhs.items():
-        if load is not None:
-            c = load(c)
-        if not field.is_zero(c):
-            b[row_id[r]] = c
-    used_rows = set()
-    assignments = []
-    heap = [(len(cs), r) for r, cs in row_items.items() if cs]
-    heapq.heapify(heap)
-    while heap:
-        size, r = heapq.heappop(heap)
-        if r in used_rows:
-            continue
-        live = row_items[r]
-        if not live or len(live) != size:
-            if live:
-                heapq.heappush(heap, (len(live), r))
-            continue
-        j = min(live)
-        used_rows.add(r)
-        assignments.append((j, r))
-        inv = field.inv(live[j])
-        prow = {jj: field.mul(inv, c) for jj, c in live.items()}
-        row_items[r] = prow
-        pval = field.mul(inv, b.get(r, field.zero()))
-        if field.is_zero(pval):
-            b.pop(r, None)
-        else:
-            b[r] = pval
-        for jj in prow:
-            if jj != j:
-                col_rows[jj].add(r)
-        touched = [rr for rr in col_rows[j] if rr != r and rr not in used_rows]
-        for rr in touched:
-            target = row_items[rr]
-            c = target.get(j)
-            if c is None:
-                continue
-            for jj, pc in prow.items():
-                s = field.sub(target.get(jj, field.zero()), field.mul(c, pc))
-                if field.is_zero(s):
-                    target.pop(jj, None)
-                else:
-                    target[jj] = s
-                    col_rows[jj].add(rr)
-            bv = field.sub(b.get(rr, field.zero()), field.mul(c, pval))
-            if field.is_zero(bv):
-                b.pop(rr, None)
-            else:
-                b[rr] = bv
-            if target:
-                heapq.heappush(heap, (len(target), rr))
-    # any remaining rhs on unused rows means inconsistency
-    for r, c in b.items():
-        if r not in used_rows and not field.is_zero(c):
-            return None
-    x: dict = {}
-    for j, r in reversed(assignments):
-        acc = b.get(r, field.zero())
-        for jj, c in row_items[r].items():
-            if jj == j:
-                continue
-            xv = x.get(jj)
-            if xv is not None:
-                acc = field.sub(acc, field.mul(c, xv))
-        if not field.is_zero(acc):
-            x[j] = acc
-    return x

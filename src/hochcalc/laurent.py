@@ -30,7 +30,7 @@ from .exactla import (
     PrimeField,
     Rationals,
     SparseMatrix,
-    kernel_basis,
+    rref,
     solve_columns,
     vec_eq,
 )
@@ -64,12 +64,6 @@ class Poly:
     @classmethod
     def constant(cls, field, nvars, value):
         return cls(field, nvars, {tuple([0] * nvars): value})
-
-    @classmethod
-    def variable(cls, field, nvars, i):
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(field, nvars, {tuple(exps): field.one()})
 
     def is_zero(self):
         return not self.terms
@@ -107,9 +101,6 @@ class Poly:
             for e1, c1 in self.terms.items()
             for e2, c2 in other.terms.items()
         )))
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def evaluate(self, values):
         field = self.field
@@ -529,7 +520,7 @@ def _weight_vectors(alg: TwistedLaurent):
     mat = SparseMatrix(Q, len(rows), n,
                        {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
     vecs = []
-    for v in kernel_basis(mat):
+    for v in rref(mat).kernel():
         denom = 1
         for c in v.values():
             denom = _lcm(denom, c.denominator)

@@ -15,7 +15,7 @@ from .ainf import AInfStructure, perturb, require_valid_structure, stasheff_resi
 from .cochain import Cochain, bracket, brace, hoch_d
 from .cohomology import CohomClass, HHContext, induced_bracket
 from .errors import DomainError, UnsupportedDepthError
-from .exactla import kernel_basis, rref
+from .exactla import rref
 
 ENUMERATION_BOUND = 10**6
 
@@ -147,7 +147,7 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
     candidates = [Cochain.zero(s.algebra, 3, -1)]
     m3_class = ctx.space(3, -1).class_of(s.map(3))
     mat = induced_bracket(ctx, m3_class, 3, -1)
-    for v in kernel_basis(mat):
+    for v in rref(mat).kernel():
         candidates.append(space_prev.class_from_coords(v).representative)
     for b_prev in candidates:
         b_top = top_space.is_coboundary(_page3_equation_rhs(s, b_prev))

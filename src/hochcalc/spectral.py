@@ -17,7 +17,7 @@ from .algebra import GradedAlgebra
 from .cochain import Cochain, bracket, brace, cochain_from_coords, cup
 from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
 from .errors import DomainError, NotProvidedError, UndefinedCellError
-from .exactla import SparseMatrix, kernel_basis, rref
+from .exactla import SparseMatrix, rref
 
 
 class PageCell:
@@ -199,7 +199,7 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
     _require_k5(phi)
     if s >= 2 and d2_defined(s, t) and s - 2 >= 0 and d2_defined(s - 2, t - 1):
         out_m = d2_map(ctx, phi, s, t)
-        ker = kernel_basis(out_m)
+        ker = rref(out_m).kernel()
         image = _incoming_image(ctx, phi, s, t)
         for v in image:
             if out_m.apply(v):
@@ -209,10 +209,10 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
         return PageCell(3, s, t, "vector", dim=dim)
     if s == 1 and t > 1:
         m = d2_map(ctx, phi, 1, t)
-        return PageCell(3, s, t, "vector", dim=len(kernel_basis(m)))
+        return PageCell(3, s, t, "vector", dim=len(rref(m).kernel()))
     if s == 0 and t > 1:
         m = d2_map(ctx, phi, 0, t)
-        return PageCell(3, s, t, "cocycle", dim=len(kernel_basis(m)))
+        return PageCell(3, s, t, "cocycle", dim=len(rref(m).kernel()))
     if (s, t) == (0, 1):
         # kernel of the class-level map alpha on HH^{2,-1}; alpha is linear
         # over every supported field (the cup square vanishes on classes in
@@ -220,7 +220,7 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
         alpha_matrix = SparseMatrix.from_columns(
             ctx.algebra.field, _alpha_image_vectors(ctx, phi), ctx.space(4, -2).dim
         )
-        ker_dim = len(kernel_basis(alpha_matrix))
+        ker_dim = len(rref(alpha_matrix).kernel())
         full = ctx.full_space(2, -1)
         dim = ker_dim + full.coboundary_dim()
         return PageCell(

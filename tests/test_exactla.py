@@ -18,10 +18,9 @@ from hochcalc.exactla import (
     _rational_lift,
     _residue,
     field_from_json,
-    kernel_basis,
     rref,
-    solve,
     solve_columns,
+    vec_combine,
 )
 from oracles import reference_add_into, reference_kernel, reference_rref, reference_solve
 
@@ -107,16 +106,16 @@ def test_rref_idempotent():
 def test_kernel_identity_and_zero():
     Q = Rationals()
     ident = SparseMatrix.from_dense(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert kernel_basis(ident) == []
+    assert rref(ident).kernel() == []
     zero = SparseMatrix(Q, 1, 3)
-    basis = kernel_basis(zero)
+    basis = rref(zero).kernel()
     assert [sorted(v.items()) for v in basis] == [[(0, 1)], [(1, 1)], [(2, 1)]]
 
 
 def test_kernel_rank_one():
     Q = Rationals()
     m = SparseMatrix.from_dense(Q, [[1, 2], [2, 4]])
-    (v,) = kernel_basis(m)
+    (v,) = rref(m).kernel()
     # proportional to (-2, 1)
     assert v[1] * (-2) == v[0] * 1 * -2 or True
     assert m.apply(v) == {}
@@ -126,27 +125,28 @@ def test_solve_identity_and_inconsistent():
     Q = Rationals()
     ident = SparseMatrix.from_dense(Q, [[1, 0], [0, 1]])
     b = {0: Q.from_int(7)}
-    assert solve(ident, b) == b
+    assert rref(ident).solve(b) == b
     zero = SparseMatrix(Q, 2, 2)
-    assert solve(zero, b) is None
+    assert rref(zero).solve(b) is None
 
 
 def test_solve_free_variable_zeroed_f3():
     F = PrimeField(3)
     m = SparseMatrix.from_dense(F, [[1, 1], [0, 0]])
-    x = solve(m, {0: 2})
+    x = rref(m).solve({0: 2})
     assert x == {0: 2}
+
+
+def _random_nonzero(rng, field):
+    if field.char == 0:
+        return field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+    return field.from_int(rng.randrange(1, field.char))
 
 
 def _random_matrix(rng, field, rows, cols, density):
     entries = {}
     for _ in range(density):
-        i, j = rng.randrange(rows), rng.randrange(cols)
-        if field.char == 0:
-            c = field.from_int(rng.choice([-2, -1, 1, 2, 3]))
-        else:
-            c = field.from_int(rng.randrange(1, field.char))
-        entries[(i, j)] = c
+        entries[(rng.randrange(rows), rng.randrange(cols))] = _random_nonzero(rng, field)
     return SparseMatrix(field, rows, cols, entries)
 
 
@@ -157,14 +157,14 @@ def test_rank_nullity_and_solutions(seed, field):
     rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
     m = _random_matrix(rng, field, rows, cols, rng.randrange(0, 8))
     rank, pivots, _ = rref(m)
-    basis = kernel_basis(m)
+    basis = rref(m).kernel()
     assert rank + len(basis) == cols
     for v in basis:
         assert m.apply(v) == {}
     # a consistent rhs: image of a random vector
     x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(cols) if rng.random() < 0.5}
     b = m.apply(x0)
-    x = solve(m, b)
+    x = rref(m).solve(b)
     assert x is not None
     assert m.apply(x) == b
 
@@ -188,9 +188,20 @@ def test_solve_columns_matches_solve(seed, field):
         b2 = dict(b)
         fresh = SparseMatrix(field, rows + 1, cols, {(i, j): c for (i, j), c in m.entries.items()})
         b2[rows] = field.one()
-        assert (solve(fresh, b2) is None) == (
+        assert (rref(fresh).solve(b2) is None) == (
             solve_columns(field, [fresh.column(j) for j in range(cols)], b2) is None
         )
+    # extra columns with one nonzero each, sparser than most main columns, so
+    # that the (nonzeros, index) order puts them between main columns; the
+    # answer keeps every coordinate under its original index
+    extras = [{rng.randrange(rows): _random_nonzero(rng, field)}
+              for _ in range(rng.randrange(1, 4))]
+    y0 = {k: _random_nonzero(rng, field) for k in range(len(extras)) if rng.random() < 0.7}
+    b3 = vec_combine(field, [(field.one(), b)] + [(c, extras[k]) for k, c in y0.items()])
+    x, extra = solve_columns(field, columns, b3, extra_columns=extras)
+    assert set(x) <= set(range(cols)) and set(extra) <= set(range(len(extras)))
+    got = [(field.one(), m.apply(x))] + [(c, extras[k]) for k, c in extra.items()]
+    assert vec_combine(field, got) == b3
 
 
 def test_insertion_order_independence():
@@ -199,7 +210,7 @@ def test_insertion_order_independence():
     m1 = SparseMatrix(Q, 2, 2, dict(entries))
     m2 = SparseMatrix(Q, 2, 2, dict(reversed(list(entries.items()))))
     assert rref(m1) == rref(m2)
-    assert kernel_basis(m1) == kernel_basis(m2)
+    assert rref(m1).kernel() == rref(m2).kernel()
 
 
 def test_solve_in_a_basis():
@@ -215,7 +226,7 @@ def test_solve_in_a_basis():
 def test_solve_rejects_rhs_out_of_range():
     Q = Rationals()
     with pytest.raises(ConfigurationError):
-        solve(SparseMatrix.from_dense(Q, [[1, 0]]), {1: Q.one()})
+        rref(SparseMatrix.from_dense(Q, [[1, 0]])).solve({1: Q.one()})
 
 
 def _index_cases(field):
@@ -254,7 +265,7 @@ def test_factorization_matches_reference(field):
         ech, ref = rref(m), reference_rref(m)
         assert ech.pivots == ref.pivots and ech._ops == ref._ops
         assert list(ech.reduced.entries.items()) == list(ref.reduced.entries.items())
-        assert ech.kernel() == reference_kernel(m) == kernel_basis(m)
+        assert ech.kernel() == reference_kernel(m)
         for _ in range(4):
             if rng.random() < 0.5:
                 x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(m.cols)}
@@ -263,7 +274,7 @@ def test_factorization_matches_reference(field):
                 b = {i: field.from_int(rng.randrange(1, 5)) for i in range(m.rows)}
                 b = {i: c for i, c in b.items() if rng.random() < 0.6 and not field.is_zero(c)}
             want = reference_solve(m, b)
-            assert ech.solve(b) == ref.solve(b) == want == solve(m, b)
+            assert ech.solve(b) == ref.solve(b) == want
             if want is None:
                 inconsistent += 1
             else:
@@ -349,14 +360,14 @@ def test_residue_rejects_a_denominator_divisible_by_the_modulus():
 def exact_eliminations(monkeypatch):
     """Count the eliminations that solve_columns runs over Q itself."""
     calls = []
-    real = exactla._eliminate
+    real = exactla._reduce
 
     def spy(field, *args):
         if field.char == 0:
             calls.append(field)
         return real(field, *args)
 
-    monkeypatch.setattr(exactla, "_eliminate", spy)
+    monkeypatch.setattr(exactla, "_reduce", spy)
     return calls
 
 
@@ -415,7 +426,7 @@ def test_solve_columns_over_q_agrees_with_exact_elimination():
         # keys that are not integers, as in the witness search
         columns = [{("r", i): c for i, c in m.column(j).items()} for j in range(m.cols)]
         got = solve_columns(m.field, columns, {("r", i): c for i, c in b.items()})
-        want = solve(m, b)
+        want = rref(m).solve(b)
         assert (got is None) == (want is None)
         if got is None:
             missing += 1
