@@ -51,6 +51,7 @@ class GradedAlgebra:
             if sparse:
                 self.products[(i, j)] = sparse
         self._m2 = None
+        self._m2_lookups = None
 
     @property
     def dim(self) -> int:

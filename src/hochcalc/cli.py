@@ -215,16 +215,6 @@ def cochain_json(f: Cochain):
     ]
 
 
-def matrix_json(m):
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": {
-            f"{i},{j}": scalar_json(m.field, c) for (i, j), c in sorted(m.entries.items())
-        },
-    }
-
-
 def class_json(cls):
     return {
         "bidegree": list(cls.bidegree),
@@ -258,6 +248,18 @@ def cmd_validate(docobj, args, report):
     return code
 
 
+def hh_item(space, bases: bool) -> dict:
+    item = {
+        "dim": space.dim,
+        "dim_cochains": len(space.basis),
+        "dim_cocycles": space.cocycle_dim(),
+        "dim_coboundaries": space.coboundary_dim(),
+    }
+    if bases:
+        item["representatives"] = [cochain_json(f) for f in space.hh_reps]
+    return item
+
+
 def cmd_hh(docobj, args, report):
     a = docobj.algebra
     if args.p is not None:
@@ -266,22 +268,15 @@ def cmd_hh(docobj, args, report):
     else:
         cells = [(q, p) for p in range(args.p_max + 1) for q in q_support(a, p)]
 
-    # one column C^{*,q} at a time: its cells share their differentials
+    # one column C^{*,q} at a time, in increasing p: its cells share their
+    # differentials, and each is dropped once no later cell reads it
     spaces = {}
     column = None
     for q, p in sorted(cells):
         if column is None or column.q != q:
             column = CochainComplex(a, q, normalized=not args.full)
-        space = column.space(p)
-        item = {
-            "dim": space.dim,
-            "dim_cochains": len(space.basis),
-            "dim_cocycles": space.cocycle_dim(),
-            "dim_coboundaries": space.coboundary_dim(),
-        }
-        if args.bases:
-            item["representatives"] = [cochain_json(f) for f in space.hh_reps]
-        spaces[f"{p},{q}"] = item
+        spaces[f"{p},{q}"] = hh_item(column.space(p), args.bases)
+        column.release(p - 1)
     report["results"]["pipeline"] = "full" if args.full else "normalized"
     report["results"]["spaces"] = spaces
     return 0

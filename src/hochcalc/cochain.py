@@ -14,7 +14,18 @@ insertion positions; all further signs arise from this single convention.
 
 The bidegree of an arity-p cochain of map degree d is (p, q) with
 q = 1 - p - d; the Hochschild differential [m2, -] moves (p, q) to
-(p+1, q).
+(p+1, q).  It is the bracket [m2, f] = m2{f} - (-1)^{|f|} f{m2}, and
+:func:`hoch_d` evaluates it in one pass over the entries of f, reading
+m2 (of degree -1) off lookups of the shifted product.  Its three families
+of terms carry the signs
+
+    m2 o_1 f:   +1,
+    m2 o_2 f:   (-1)^{|f| |u_1|},
+    f o_i m2:   (-1)^{|f| + 1 + |u_1| + ... + |u_{i-1}|},  1 <= i <= p,
+
+the last one being the Koszul sign of m2 passing u_1 ... u_{i-1} times the
+bracket's -(-1)^{|f|}.  The brace form ``bracket(m2, f)`` is kept as the
+reference in the test suite's ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +34,13 @@ from itertools import combinations
 
 from .algebra import GradedAlgebra, require_valid
 from .errors import ConfigurationError, DomainError
+
+
+def _add_at(field, table: dict, key, pairs, c=None):
+    """``field.add_into`` on the sparse entry ``table[key]``, dropping the
+    key when the entry cancels."""
+    if not field.add_into(table.setdefault(key, {}), pairs, c):
+        del table[key]
 
 
 class LinearCochain:
@@ -170,6 +188,32 @@ class Cochain(LinearCochain):
     def evaluate(self, tuple_indices) -> dict:
         return dict(self.table.get(tuple(tuple_indices), {}))
 
+    def _hoch_d(self) -> "Cochain":
+        """[m2, self], term by term as in the module docstring."""
+        a = self.algebra
+        p, d = self.arity, self.end_degree
+        out = self.zero_like(p + 1, d - 1)
+        if self.is_zero():
+            return out
+        field = a.field
+        odd_f = d % 2 == 1
+        by_first, by_second, by_product = _m2_lookups(a)
+        table: dict = {}
+        for t, vec in self.table.items():
+            for k, c in vec.items():
+                for y, prod in by_first.get(k, ()):
+                    _add_at(field, table, t + (y,), prod.items(), c)
+                for x, prod, signed in by_second.get(k, ()):
+                    _add_at(field, table, (x,) + t, (signed if odd_f else prod).items(), c)
+            negate = not odd_f
+            for i, l in enumerate(t):
+                for x, y, e, minus_e in by_product.get(l, ()):
+                    _add_at(field, table, t[:i] + (x, y) + t[i + 1:], vec.items(),
+                            minus_e if negate else e)
+                negate ^= a.suspended_degree(l) % 2 == 1
+        out.table = table
+        return out
+
     def compose_at(self, g: "Cochain", i: int) -> "Cochain":
         """Operadic composition at slot i (1-based)."""
         if self.algebra is not g.algebra:
@@ -199,8 +243,7 @@ class Cochain(LinearCochain):
             for t_g, c_g in hits:
                 coef = field.neg(c_g) if negate else c_g
                 new_t = prefix + t_g + suffix
-                if not field.add_into(table.setdefault(new_t, {}), vec_f.items(), coef):
-                    del table[new_t]
+                _add_at(field, table, new_t, vec_f.items(), coef)
         return out
 
 
@@ -259,8 +302,11 @@ def sq(f):
 
 
 def hoch_d(f):
-    """Hochschild differential [m2, -]."""
-    return bracket(f.multiplication(), f)
+    """Hochschild differential [m2, f] of a ``Cochain`` or ``PolyCochain``,
+    in one pass over the entries of f: each entry meets the entries of m2
+    whose first factor, second factor or product it matches, with the signs
+    of the module docstring."""
+    return f._hoch_d()
 
 
 # -- distinguished cochains ---------------------------------------------------
@@ -288,6 +334,27 @@ def shifted_m2(a: GradedAlgebra) -> Cochain:
     m2 = Cochain(a, 2, -1, table)
     a._m2 = m2
     return m2
+
+
+def _m2_lookups(a: GradedAlgebra):
+    """The entries of the shifted m2 by first factor, ``x -> [(y, m2(x, y),
+    (-1)^{|sx|} m2(x, y))]``, by second factor, ``y -> [(x, m2(x, y),
+    (-1)^{|sx|} m2(x, y))]``, and by product basis element, ``l -> [(x, y,
+    e, -e)]`` with e the coefficient of l in m2(x, y).  Cached on the
+    algebra."""
+    if a._m2_lookups is None:
+        neg = a.field.neg
+        by_first: dict = {}
+        by_second: dict = {}
+        by_product: dict = {}
+        for (x, y), vec in shifted_m2(a).table.items():
+            by_first.setdefault(x, []).append((y, vec))
+            signed = {l: neg(e) for l, e in vec.items()} if a.suspended_degree(x) % 2 else vec
+            by_second.setdefault(y, []).append((x, vec, signed))
+            for l, e in vec.items():
+                by_product.setdefault(l, []).append((x, y, e, neg(e)))
+        a._m2_lookups = (by_first, by_second, by_product)
+    return a._m2_lookups
 
 
 def euler_delta(a: GradedAlgebra) -> Cochain:
@@ -328,9 +395,11 @@ def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
     in lexicographic order.  ``normalized`` restricts to tuples avoiding the
     unit.
 
-    Tuples grow one slot at a time, in index order.  A prefix survives only
-    while some output degree is still within reach of its suspended degree
-    sum, given the least and greatest letter degree times the slots left."""
+    The suspended degree sums that prefixes of each length can reach are
+    counted first, slot by slot as bit sets, and then cut back to those from
+    which the remaining slots can end at an output degree.  Tuples are
+    emitted depth first in index order through such prefixes only, so every
+    prefix visited ends in at least one basis element."""
     if p < 0:
         raise DomainError("Hochschild degree must be >= 0")
     d = 1 - p - q
@@ -338,18 +407,52 @@ def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
     for k in range(a.dim):
         out_by_degree.setdefault(a.suspended_degree(k), []).append(k)
     letters = [(i, a.suspended_degree(i)) for i in range(a.dim) if not normalized or i != a.unit]
-    sums = [e - d for e in out_by_degree]
     lo = min((e for _, e in letters), default=0)
-    hi = max((e for _, e in letters), default=0)
-    prefixes = [((), 0)]
-    for left in range(p - 1, -1, -1):
-        prefixes = [
-            (t + (i,), s + e)
-            for t, s in prefixes
-            for i, e in letters
-            if any(s + e + left * lo <= x <= s + e + left * hi for x in sums)
-        ]
-    return [(t, k) for t, s in prefixes for k in out_by_degree.get(s + d, [])]
+    steps = [(i, e - lo) for i, e in letters]
+    shifts = {s for _, s in steps}
+    # bit b of live[k]: some k-letter prefix has degree sum k * lo + b
+    live = [1]
+    for _ in range(p):
+        live.append(_bit_union(live[-1] << s for s in shifts))
+    live[p] &= _bit_union(1 << (x - d - p * lo) for x in out_by_degree if x - d >= p * lo)
+    for k in range(p - 1, -1, -1):
+        live[k] &= _bit_union(live[k + 1] >> s for s in shifts)
+    if not live[0]:
+        return []
+    if p == 0:
+        return [((), k) for k in out_by_degree[d]]
+    basis = []
+    path: list = []
+    sums = [0]
+    todo = [iter(steps)]
+    while todo:
+        depth = len(path) + 1
+        for i, s in todo[-1]:
+            b = sums[-1] + s
+            if not live[depth] >> b & 1:
+                continue
+            path.append(i)
+            if depth < p:
+                sums.append(b)
+                todo.append(iter(steps))
+                break
+            t = tuple(path)
+            basis.extend((t, k) for k in out_by_degree[p * lo + b + d])
+            path.pop()
+        else:
+            todo.pop()
+            sums.pop()
+            if path:
+                path.pop()
+    return basis
+
+
+def _bit_union(ints) -> int:
+    """Bitwise or of the given ints."""
+    out = 0
+    for x in ints:
+        out |= x
+    return out
 
 
 def q_support(a: GradedAlgebra, p: int):

@@ -69,6 +69,14 @@ class CochainComplex:
     def space(self, p: int) -> "HHSpace":
         return HHSpace(self, p)
 
+    def release(self, p: int):
+        """Forget the basis of C^{p,q}, d(p) and its factorization, for a
+        caller that visits the cells in increasing p: the cells above p + 1
+        never read them."""
+        self._bases.pop(p, None)
+        self._ds.pop(p, None)
+        self._echelons.pop(p, None)
+
 
 class HHSpace:
     """Cocycles, coboundaries and a cohomology basis at one bidegree.

@@ -16,10 +16,10 @@ equality of table entries equality of the underlying multilinear maps.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import gcd
+from math import comb, gcd
 
 from .algebra import GradedAlgebra, dual_numbers, require_valid
-from .cochain import LinearCochain, brace, bracket, cup, hoch_d, sq
+from .cochain import LinearCochain, _add_at, brace, bracket, cup, hoch_d, sq
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -216,6 +216,8 @@ class TwistedLaurent:
         self.residue_modulus = _lcm(2, order)
         self._sigma_powers = powers[: order] if order > 0 else powers
         self._m2 = None
+        self._m2_lookups = None
+        self._expansions = {}
         self._weights = None
         # find_combination's coboundary columns, keyed by witness shape; every
         # later search shares them, and solve_columns only reads them
@@ -338,6 +340,58 @@ class PolyCochain(LinearCochain):
 
     # -- composition -------------------------------------------------------------
 
+    def _hoch_d(self) -> "PolyCochain":
+        """[m2, self] in one pass over the entries, with the signs of the
+        finite case (see :mod:`hochcalc.cochain`); m2 is constant, so an
+        m2 o_j f term moves the exponents of an entry, and an f o_i m2 term
+        replaces s_i by s_i + s_{i+1} + k0."""
+        alg = self.algebra
+        p, d = self.arity, self.end_degree
+        nvars = p + 1
+        out = self.zero_like(nvars, d - 1)
+        if self.is_zero():
+            return out
+        field = alg.field
+        mul = field.mul
+        R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
+        odd_f = d % 2 == 1
+        by_first, by_second, by_product = _m2_lookups(alg)
+        acc: dict = {}
+        for (rf, bf, of), poly in self.table.items():
+            terms = poly.terms
+            r_out = (sum(rf) + self._exponent_const(bf, of)) % R
+            hits = by_first.get((of, r_out))
+            if hits:
+                moved = [(e + (0,), x) for e, x in terms.items()]
+                for r2, b2, o, c in hits:
+                    _add_at(field, acc, (rf + (r2,), bf + (b2,), o), moved, c)
+            hits = by_second.get((of, r_out))
+            if hits:
+                moved = [((0,) + e, x) for e, x in terms.items()]
+                for r1, b1, o, c, signed in hits:
+                    _add_at(field, acc, ((r1,) + rf, (b1,) + bf, o), moved,
+                            signed if odd_f else c)
+            negate = not odd_f
+            for i in range(p):
+                hits = by_product.get((bf[i], rf[i]))
+                if hits:
+                    # the substituted entry, signed and scaled, once per (k0, factor)
+                    substituted: dict = {}
+                    for r1, r2, b1, b2, c, minus_c, k0 in hits:
+                        c = minus_c if negate else c
+                        pairs = substituted.get((k0, c))
+                        if pairs is None:
+                            pairs = substituted[k0, c] = [
+                                (e[:i] + (a, b) + e[i + 1:], mul(mul(c, m), x))
+                                for e, x in terms.items()
+                                for a, b, m in _expansion(alg, e[i], k0)
+                            ]
+                        res = rf[:i] + (r1, r2) + rf[i + 1:]
+                        _add_at(field, acc, (res, bf[:i] + (b1, b2) + bf[i + 1:], of), pairs)
+                negate ^= (degrees[bf[i]] + rf[i] * w) % 2 == 0
+        out.table = {key: Poly._raw(field, nvars, t) for key, t in acc.items()}
+        return out
+
     def compose_at(self, g: "PolyCochain", i: int) -> "PolyCochain":
         """Operadic composition at slot i (1-based), with the same Koszul
         sign convention as finite cochains."""
@@ -395,6 +449,50 @@ class PolyCochain(LinearCochain):
                 if not term.is_zero():
                     terms.append(((new_res, new_bas, of), term))
         return self.zero_like(nvars, self.end_degree + g.end_degree)._accumulate(terms)
+
+
+def _m2_lookups(alg: TwistedLaurent):
+    """The entries ``((r1, r2), (b1, b2), o) -> c`` of the constant m2 by
+    first factor, ``(b1, r1) -> [(r2, b2, o, c)]``, by second factor,
+    ``(b2, r2) -> [(r1, b1, o, c, (-1)^{|s b1 x^r1|} c)]``, and by product,
+    ``(o, r) -> [(r1, r2, b1, b2, c, -c, k0)]``, where the output exponent
+    r1 + r2 + R (s1 + s2) + const of m2 is r + R (s1 + s2 + k0).  Cached on
+    the algebra."""
+    if alg._m2_lookups is None:
+        neg = alg.field.neg
+        R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
+        by_first: dict = {}
+        by_second: dict = {}
+        by_product: dict = {}
+        m2 = alg.multiplication_cochain()
+        for ((r1, r2), (b1, b2), o), poly in m2.table.items():
+            (c,) = poly.terms.values()
+            signed = neg(c) if (degrees[b1] + r1 * w) % 2 == 0 else c
+            by_first.setdefault((b1, r1), []).append((r2, b2, o, c))
+            by_second.setdefault((b2, r2), []).append((r1, b1, o, c, signed))
+            k0, r = divmod(r1 + r2 + m2._exponent_const((b1, b2), o), R)
+            by_product.setdefault((o, r), []).append((r1, r2, b1, b2, c, neg(c), k0))
+        alg._m2_lookups = (by_first, by_second, by_product)
+    return alg._m2_lookups
+
+
+def _expansion(alg: TwistedLaurent, e: int, k0: int):
+    """(s + t + k0)^e as ``[(a, b, coefficient)]``, the integer multinomials
+    e! / (a! b! k!) k0^k with k = e - a - b mapped into the field, zeros
+    dropped.  Entries are reduced, so e < p over F_p, and so are a and b:
+    the expansion needs no s^p = s reduction.  Cached on the algebra."""
+    key = (e, k0)
+    terms = alg._expansions.get(key)
+    if terms is None:
+        from_int, is_zero = alg.field.from_int, alg.field.is_zero
+        terms = []
+        for a in range(e + 1):
+            for b in range(e - a + 1):
+                m = from_int(comb(e, a) * comb(e - a, b) * k0 ** (e - a - b))
+                if not is_zero(m):
+                    terms.append((a, b, m))
+        alg._expansions[key] = terms
+    return terms
 
 
 # -- distinguished cochains ------------------------------------------------------

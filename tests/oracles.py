@@ -4,12 +4,14 @@ They redo each computation the direct way: row reduction scans every row
 for each pivot column, a solve reduces the augmented matrix [m | b] from
 scratch, the cohomology basis solves every coboundary in the cocycle basis
 separately, sparse accumulation sums with plain Python arithmetic, the
-Hochschild differential is evaluated tuple by tuple from the product table,
-and a cochain basis filters every argument tuple by its degree.
+Hochschild differential is evaluated tuple by tuple from the product table
+or as the brace form of the bracket with m2, and a cochain basis filters
+every argument tuple by its degree.
 """
 
 from itertools import product as iproduct
 
+from hochcalc.cochain import bracket
 from hochcalc.exactla import Echelon, SparseMatrix
 
 
@@ -174,3 +176,10 @@ def reference_hoch_d(f):
         if vec:
             table[u] = vec
     return table
+
+
+def reference_bracket_hoch_d(f):
+    """[m2, f] as the Gerstenhaber bracket of braces, m2{f} - (-1)^{|f|}
+    f{m2}, for a ``Cochain`` or a ``PolyCochain``: p + 2 compositions, each
+    built as its own cochain and added in."""
+    return bracket(f.multiplication(), f)

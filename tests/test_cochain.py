@@ -30,7 +30,8 @@ from hochcalc.identities import (
     random_cochain,
     run_identity_suite,
 )
-from oracles import reference_cochain_basis, reference_hoch_d
+from oracles import reference_bracket_hoch_d, reference_cochain_basis, reference_hoch_d
+from test_cohomology import small_algebras
 
 
 def test_shifted_m2_squares_to_zero(dual_q, ext_q):
@@ -218,6 +219,27 @@ def test_hoch_d_matches_brute_force(make):
     assert checked > 20
 
 
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_hoch_d_matches_bracket_form(field):
+    # random cochains with several entries, on the seeded small algebras and
+    # on tsl(field, 3), against the brace form [m2, f]
+    rng = random.Random(field.char + 7)
+    algebras = small_algebras(field, field.char) + [truncated_skew_laurent(field, 3)]
+    checked = 0
+    for a in algebras:
+        for p in range(5):
+            for q in q_support(a, p):
+                for normalized in (True, False, False):
+                    f = random_cochain(rng, a, p, q, density=4, normalized=normalized)
+                    want = reference_bracket_hoch_d(f)
+                    got = hoch_d(f)
+                    assert (got.arity, got.end_degree) == (want.arity, want.end_degree)
+                    assert got.table == want.table
+                    checked += len(f.table) > 1
+    assert checked > 50
+
+
 @pytest.mark.parametrize("make", [
     lambda: truncated_skew_laurent(PrimeField(3), 4),
     lambda: truncated_skew_laurent(Rationals(), 3),
@@ -243,3 +265,9 @@ def test_cochain_basis_at_arity_1500(ext_q):
     # out of 2^1500 tuples
     only = ((ext_q.index["u"],) * 1500, ext_q.index["1"])
     assert cochain_basis(ext_q, 1500, 1500, normalized=False) == [only]
+    # one slot more: the unit in any one slot, in lexicographic order, then
+    # no unit at all; 1,502 tuples out of 2^1501
+    unit, u = ext_q.index["1"], ext_q.index["u"]
+    want = [((u,) * i + (unit,) + (u,) * (1500 - i), unit) for i in range(1501)]
+    want.append(((u,) * 1501, u))
+    assert cochain_basis(ext_q, 1501, 1500, normalized=False) == want

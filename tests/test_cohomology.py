@@ -306,24 +306,32 @@ def test_neighbouring_cells_share_one_factorization(normalized):
 
 def test_hh_factors_each_differential_once(monkeypatch, tmp_path):
     """One `hh --p-max 3 --bases` run calls rref once per differential
-    d(p), and once more per space for its pivot complement."""
-    calls, columns = [], []
+    d(p), and once more per space for its pivot complement; each column
+    keeps only the differential its next cell reads."""
+    calls, columns, ds = [], [], []
     monkeypatch.setattr(cohomology, "rref", lambda m: calls.append(m) or rref(m))
-    init = CochainComplex.__init__
+    init, d = CochainComplex.__init__, CochainComplex.d
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         columns.append(self)
 
+    def recording_d(self, p):
+        m = d(self, p)
+        if not any(m is seen for seen in ds):
+            ds.append(m)
+        return m
+
     monkeypatch.setattr(CochainComplex, "__init__", recording_init)
+    monkeypatch.setattr(CochainComplex, "d", recording_d)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "tower_f2_a5_valid.json"
     out = tmp_path / "report.json"
     assert main(["--in", str(fixture), "--out", str(out), "hh", "--p-max", "3", "--bases"]) == 0
     spaces = json.loads(out.read_text())["results"]["spaces"]
-    ds = [d for column in columns for d in column._ds.values()]
     assert len(ds) > len(columns) > 1
     assert all(sum(m is d for m in calls) == 1 for d in ds)
     assert len(calls) == len(ds) + len(spaces)
+    assert all(len(column._ds) == len(column._echelons) == 1 for column in columns)
 
 
 # -- differential oracles on random small algebras ------------------------------

@@ -25,21 +25,25 @@ from hochcalc.laurent import (
     skew_derivation_cochain,
 )
 from hochcalc import identities as idn
+from oracles import reference_bracket_hoch_d
 
 
-def random_poly_cochain(rng, alg, arity, end_degree, density=2, maxdeg=1):
+def random_poly_cochain(rng, alg, arity, end_degree, density=2, maxdeg=1, terms=1):
+    """``density`` random entries, each a sum of ``terms`` random monomials
+    with every exponent at most ``maxdeg``."""
     keys = _witness_basis_keys(alg, arity, end_degree)
     F = alg.field
     comps = {}
     for _ in range(density):
         key = keys[rng.randrange(len(keys))]
-        exps = tuple(rng.randrange(0, maxdeg + 1) for _ in range(arity))
-        if F.char == 0:
-            c = F.from_int(rng.choice([1, 2, -1, 3]))
-        else:
-            c = F.from_int(rng.randrange(1, F.char))
-        p = Poly(F, arity, {exps: c})
-        comps[key] = comps.get(key, Poly(F, arity)) + p
+        for _ in range(terms):
+            exps = tuple(rng.randrange(0, maxdeg + 1) for _ in range(arity))
+            if F.char == 0:
+                c = F.from_int(rng.choice([1, 2, -1, 3]))
+            else:
+                c = F.from_int(rng.randrange(1, F.char))
+            p = Poly(F, arity, {exps: c})
+            comps[key] = comps.get(key, Poly(F, arity)) + p
     return PolyCochain(
         alg, arity, end_degree, {k: p for k, p in comps.items() if not p.is_zero()}
     )
@@ -184,6 +188,49 @@ def test_identity_suite_on_poly_cochains():
             yo = y if char2 else rand_c(par=1)
             assert idn.check_square_bracket(xo, y)
             assert idn.check_sq_cup_witness(xo, yo)
+
+
+def twisted_laurent_order_4():
+    """Dual numbers over F_5 twisted by e -> 2e (order 4), |x| = 2: R = 4."""
+    F = PrimeField(5)
+    base = dual_numbers(F, eps_degree=0)
+    eps, unit = base.index["e"], base.unit
+    return TwistedLaurent(base, {unit: {unit: F.one()}, eps: {eps: F.from_int(2)}}, weight=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sign_twisted_laurent(Rationals()),
+    lambda: sign_twisted_laurent(PrimeField(2)),
+    lambda: sign_twisted_laurent(PrimeField(3)),
+    twisted_laurent_order_4,
+], ids=["sign-Q", "sign-F2", "sign-F3", "order4-weight2-F5"])
+def test_poly_hoch_d_matches_bracket_form(make):
+    # entries with several terms of degree up to 4, so that s^p = s reduces
+    # them over F_2 and F_3, against the brace form [m2, f]
+    alg = make()
+    rng = random.Random(23)
+    checked = 0
+    for arity in range(5):
+        for end_degree in range(-3, 3):
+            if not _witness_basis_keys(alg, arity, end_degree):
+                continue
+            for _ in range(2):
+                f = random_poly_cochain(rng, alg, arity, end_degree, density=3, maxdeg=4, terms=3)
+                want = reference_bracket_hoch_d(f)
+                got = hoch_d(f)
+                assert (got.arity, got.end_degree) == (want.arity, want.end_degree)
+                assert got.table == want.table
+                checked += not want.is_zero()
+    assert checked > 10
+
+
+def test_m2_lookups_cover_shifted_output_exponents():
+    # the order-4 weight-2 algebra has m2 products whose output exponent
+    # leaves the residue range, so f o_i m2 substitutes with k0 != 0
+    alg = twisted_laurent_order_4()
+    assert alg.residue_modulus == 4
+    by_product = laurent._m2_lookups(alg)[2]
+    assert {hit[-1] for hits in by_product.values() for hit in hits} == {0, 1}
 
 
 def test_distinguished_cocycles_and_squares():
