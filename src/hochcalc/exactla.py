@@ -470,18 +470,23 @@ def rref(m: SparseMatrix) -> Echelon:
     return Echelon(pivots, SparseMatrix.from_rows(m.field, rows, m.cols), ops)
 
 
-def _reduce(field: Field, rows, ncols: int, ops=None):
+def _reduce(field: Field, rows, ncols: int, ops=None, forward=False):
     """Bring the row dicts ``rows`` (column index to nonzero scalar, over
     ``ncols`` columns) to reduced row-echelon form in place, and return the
-    pivot columns.  If ``ops`` is a list, one ``(sel, inv, elim)`` record per
-    pivot is appended to it, for :meth:`Echelon.solve` to replay.  The one
-    elimination loop of the package.
+    pivot columns, with ``rows[r]`` the pivot row of ``pivots[r]``.  If ``ops``
+    is a list, one ``(sel, inv, elim)`` record per pivot is appended to it,
+    for :meth:`Echelon.solve` to replay.  The one elimination loop.
 
     ``col_rows[j]`` holds the rows with a nonzero in column ``j``, so each
     pivot search and elimination touches only those rows.  It is kept up to
     date on swaps, fill-in and cancellation, and dropped once its column is
     processed: rows at or below the pivot row are zero in every processed
     column, so later pivot rows never write there.
+
+    ``forward`` stops at echelon form, eliminating below each pivot only:
+    the pivot row is the sparsest unused row with an entry in its column
+    (least index on ties), unswapped; it then leaves ``col_rows``, and
+    ``rows`` ends cut to the pivot rows.
     """
     add, mul, neg = field.add, field.mul, field.neg
     one = field.one()
@@ -491,34 +496,38 @@ def _reduce(field: Field, rows, ncols: int, ops=None):
         for j in row:
             col_rows[j].add(i)
     pivots = []
-    pivot_row = 0
+    used = []
     for col in range(ncols):
-        if pivot_row == len(rows):
+        if len(pivots) == len(rows):
             break
         hits = col_rows[col]
-        sel = min((i for i in hits if i >= pivot_row), default=None)
+        if forward:
+            sel = at = min(hits, key=lambda i: (len(rows[i]), i), default=None)
+        else:
+            at = len(pivots)
+            sel = min((i for i in hits if i >= at), default=None)
         if sel is None:
             col_rows[col] = None
             continue
-        if sel != pivot_row:
-            upper, lower = rows[pivot_row], rows[sel]
+        if sel != at:
+            upper, lower = rows[at], rows[sel]
             for j in upper.keys() - lower.keys():
-                col_rows[j].discard(pivot_row)
+                col_rows[j].discard(at)
                 col_rows[j].add(sel)
             for j in lower.keys() - upper.keys():
                 col_rows[j].discard(sel)
-                col_rows[j].add(pivot_row)
-            rows[pivot_row], rows[sel] = lower, upper
+                col_rows[j].add(at)
+            rows[at], rows[sel] = lower, upper
         col_rows[col] = None
-        prow = rows[pivot_row]
+        prow = rows[at]
         head = prow[col]
         inv = None
         if head != one:
             inv = field.inv(head)
-            prow = rows[pivot_row] = {j: mul(inv, c) for j, c in prow.items()}
+            prow = rows[at] = {j: mul(inv, c) for j, c in prow.items()}
         rest = [(j, c) for j, c in prow.items() if j != col]
         negated = None
-        hits.discard(pivot_row)
+        hits.discard(at)
         elim = []
         for i in sorted(hits):
             row = rows[i]
@@ -546,10 +555,15 @@ def _reduce(field: Field, rows, ncols: int, ops=None):
                     col_rows[j].discard(i)
                 else:
                     row[j] = s
+        if forward:
+            for j, _ in rest:
+                col_rows[j].discard(at)
         pivots.append(col)
+        used.append(at)
         if ops is not None:
             ops.append((sel, inv, elim))
-        pivot_row += 1
+    if forward:
+        rows[:] = [rows[i] for i in used]
     return pivots
 
 
@@ -560,10 +574,11 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     exact check.
 
     The augmented matrix, with the columns sorted by (number of nonzeros,
-    index) and the right-hand side last, is reduced by :func:`rref`'s loop,
-    and the solution is read off its last column.  Free variables are zeroed
-    in that order, which favours sparse witnesses on large systems; the
-    answer is deterministic, since the reduced form is unique.
+    index) and the right-hand side last, is eliminated by :func:`_reduce`
+    in forward mode and back-substituted on its last column.  Free variables
+    are zeroed in that order, which favours sparse witnesses on large
+    systems.  The answer is unique: it depends neither on the pivot rows
+    chosen nor on the row keys, which need only be hashable.
 
     Over Q the elimination runs modulo ``MODULUS`` first, and each
     coordinate is lifted by rational reconstruction.  The lift is returned
@@ -574,9 +589,8 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     """
     cols = list(columns) + list(extra_columns)
     n_main = len(columns)
-    # canonical integer row ids, in sorted row-key order for determinism
-    row_keys = sorted({r for col in cols for r in col} | set(rhs))
-    row_id = {r: n for n, r in enumerate(row_keys)}
+    # integer row ids in first-seen order
+    row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + [rhs] for r in col))}
     order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
     x = None
     if field.char == 0:
@@ -600,8 +614,8 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
 
 
 def _solve_reduced(field: Field, cols, order, rhs: dict, row_id: dict, load=None):
-    """Reduce ``[cols[order[0]] ... cols[order[-1]] | rhs]`` over ``field``
-    and return the solution as a sparse dict over the original column
+    """Eliminate ``[cols[order[0]] ... cols[order[-1]] | rhs]`` over ``field``
+    and back-substitute, returning a sparse dict over the original column
     indices, or ``None`` if the system is inconsistent over ``field``.
     ``load`` maps each input scalar into ``field`` as it is read."""
     n = len(order)
@@ -612,10 +626,17 @@ def _solve_reduced(field: Field, cols, order, rhs: dict, row_id: dict, load=None
                 c = load(c)
             if not field.is_zero(c):
                 rows[row_id[r]][k] = c
-    pivots = _reduce(field, rows, n + 1)
+    pivots = _reduce(field, rows, n + 1, forward=True)
     if pivots and pivots[-1] == n:
         return None
-    return {order[k]: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
+    x = {}
+    for k, row in zip(reversed(pivots), reversed(rows)):
+        v = row.get(n, field.zero())
+        for j in row.keys() & x.keys():
+            v = field.sub(v, field.mul(row[j], x[j]))
+        if not field.is_zero(v):
+            x[k] = v
+    return {order[k]: x[k] for k in pivots if k in x}
 
 
 def _satisfies(field: Field, cols, rhs: dict, x: dict) -> bool:

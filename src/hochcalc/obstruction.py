@@ -14,7 +14,7 @@ from __future__ import annotations
 from .ainf import AInfStructure, perturb, require_valid_structure, stasheff_residual
 from .cochain import Cochain, bracket, brace, hoch_d
 from .cohomology import CohomClass, HHContext, induced_bracket
-from .errors import DomainError, UnsupportedDepthError
+from .errors import ConfigurationError, DomainError, UnsupportedDepthError
 from .exactla import rref
 
 ENUMERATION_BOUND = 10**6
@@ -83,9 +83,16 @@ def _page3_equation_rhs(s: AInfStructure, b_prev: Cochain) -> Cochain:
     return rhs
 
 
-def _verify_page3_witnesses(s: AInfStructure, b_prev: Cochain, b_top: Cochain) -> bool:
-    lhs = hoch_d(b_top)
-    return (lhs - _page3_equation_rhs(s, b_prev)).is_zero()
+def _verify_page3_witnesses(space, b_prev: Cochain, rhs: Cochain) -> Page3Status:
+    """A "vanishes" status for b_prev and the b_top that
+    ``space.is_coboundary(rhs)`` finds, once hoch_d(b_top) = rhs is checked
+    exactly; None if rhs is not a coboundary."""
+    b_top = space.is_coboundary(rhs)
+    if b_top is None:
+        return None
+    if not (hoch_d(b_top) - rhs).is_zero():
+        raise ConfigurationError("page-3 witness b_top failed its exact check")
+    return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
 
 
 def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
@@ -104,10 +111,10 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
         ctx = HHContext(s.algebra)
     theta = theta_page2(s, ctx)
     space_prev = ctx.space(s.k - 1, 3 - s.k)
+    top_space = ctx.space(s.k + 1, 2 - s.k)
     if theta.is_zero():
         b_prev = Cochain.zero(s.algebra, s.k - 1, -1)
-        b_top = page2_witness(s, ctx)
-        return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
+        return _verify_page3_witnesses(top_space, b_prev, -obstruction_cocycle(s))
 
     field = s.algebra.field
     if s.k >= 5:
@@ -125,22 +132,21 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
             }
             return Page3Status("nonzero", certificate=certificate)
         b_prev = space_prev.class_from_coords(x).representative
-        b_top = ctx.space(s.k + 1, 2 - s.k).is_coboundary(_page3_equation_rhs(s, b_prev))
-        if b_top is None:
+        status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
+        if status is None:
             raise DomainError("page-3 class solve succeeded but the lift failed")
-        return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
+        return status
 
     # k = 4: the equation is Sq({m3 + b}) = 0 over cocycles b.
-    top_space = ctx.space(s.k + 1, 2 - s.k)
     dim = space_prev.dim
     if field.char > 0 and field.char**dim <= ENUMERATION_BOUND:
         tried = 0
         for coords in _iterate_coordinate_vectors(field, dim):
             tried += 1
             b_prev = space_prev.class_from_coords(coords).representative
-            b_top = top_space.is_coboundary(_page3_equation_rhs(s, b_prev))
-            if b_top is not None:
-                return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
+            status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
+            if status is not None:
+                return status
         certificate = {"kind": "enumeration", "classes_checked": tried, "dim": dim}
         return Page3Status("nonzero", certificate=certificate)
 
@@ -150,9 +156,9 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
     for v in rref(mat).kernel():
         candidates.append(space_prev.class_from_coords(v).representative)
     for b_prev in candidates:
-        b_top = top_space.is_coboundary(_page3_equation_rhs(s, b_prev))
-        if b_top is not None:
-            return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
+        status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
+        if status is not None:
+            return status
     return Page3Status(
         "undecided",
         reason=(

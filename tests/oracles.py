@@ -2,7 +2,8 @@
 
 They redo each computation the direct way: row reduction scans every row
 for each pivot column, a solve reduces the augmented matrix [m | b] from
-scratch, the cohomology basis solves every coboundary in the cocycle basis
+scratch (``solve_columns`` too, which eliminates forward with sparsest-row
+pivots and back-substitutes), the cohomology basis solves every coboundary in the cocycle basis
 separately, sparse accumulation sums with plain Python arithmetic, the
 Hochschild differential is evaluated tuple by tuple from the product table
 or as the brace form of the bracket with m2, and a cochain basis filters
@@ -70,6 +71,27 @@ def reference_solve(m, b):
         return None
     rows = red._row_list()
     return {c: rows[r][m.cols] for r, c in enumerate(pivots) if m.cols in rows[r]}
+
+
+def reference_solve_columns(field, columns, rhs, extra_columns=()):
+    """``solve_columns`` by full reduced row-echelon form: the augmented
+    matrix, its columns sorted by (nonzeros, index) and the right-hand side
+    last, is reduced by ``reference_rref`` over ``field`` (exactly, also
+    over Q), and the solution is read off the last column.  Returns
+    ``(x, extra)`` or ``None`` if the system is inconsistent."""
+    cols = list(columns) + list(extra_columns)
+    row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + [rhs] for r in col))}
+    order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
+    n = len(order)
+    entries = {(row_id[r], k): c
+               for k, col in enumerate([cols[j] for j in order] + [rhs]) for r, c in col.items()}
+    _, pivots, red = reference_rref(SparseMatrix(field, len(row_id), n + 1, entries))
+    if pivots and pivots[-1] == n:
+        return None
+    rows = red._row_list()
+    x = {order[k]: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
+    main = len(columns)
+    return {j: c for j, c in x.items() if j < main}, {j - main: c for j, c in x.items() if j >= main}
 
 
 def reference_kernel(m):

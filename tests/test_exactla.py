@@ -22,7 +22,13 @@ from hochcalc.exactla import (
     solve_columns,
     vec_combine,
 )
-from oracles import reference_add_into, reference_kernel, reference_rref, reference_solve
+from oracles import (
+    reference_add_into,
+    reference_kernel,
+    reference_rref,
+    reference_solve,
+    reference_solve_columns,
+)
 
 FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)]
 
@@ -282,6 +288,90 @@ def test_factorization_matches_reference(field):
     assert inconsistent > 20
 
 
+def _witness_system(rng, field):
+    """A seeded ``solve_columns`` system on integer row keys: tall and
+    sparse or small, with duplicate and zero main columns, extra columns,
+    and a right-hand side that is consistent about half the time."""
+    if rng.random() < 0.4:
+        rows, cols = rng.randrange(12, 40), rng.randrange(1, 10)
+        m = _random_matrix(rng, field, rows, cols, rng.randrange(0, 2 * rows))
+    else:
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        m = _random_matrix(rng, field, rows, cols, rng.randrange(0, rows * cols + 1))
+    columns = [m.column(j) for j in range(cols)]
+    for _ in range(rng.randrange(3)):
+        columns.insert(rng.randrange(len(columns) + 1), dict(rng.choice(columns)))
+    if rng.random() < 0.3:
+        columns.insert(rng.randrange(len(columns) + 1), {})
+    extras = [{rng.randrange(rows): _random_nonzero(rng, field)} for _ in range(rng.randrange(3))]
+    if rng.random() < 0.5:
+        whole = SparseMatrix.from_columns(field, columns + extras, rows)
+        b = whole.apply({j: _random_nonzero(rng, field) for j in range(whole.cols)
+                         if rng.random() < 0.5})
+    else:
+        b = {i: _random_nonzero(rng, field) for i in range(rows) if rng.random() < 0.5}
+    if field.char == 0 and b and rng.random() < 0.5:
+        i = rng.choice(list(b))
+        b[i] /= rng.choice([2, 3, 7])
+    return rows, columns, extras, b
+
+
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=repr)
+def test_solve_columns_matches_reference_rref(field):
+    """The forward elimination with sparsest-row pivots and back
+    substitution returns the same ``(x, extra)`` as full RREF of the sorted
+    augmented matrix, in ``reference_rref`` and in ``rref``.  It differs from
+    ``rref(m).solve(b)`` on the unsorted matrix by the kernel vector that its
+    free coordinates fix."""
+    rng = random.Random(f"forward/{field!r}")
+    one, zero = field.one(), field.zero()
+    found = inconsistent = 0
+    for _ in range(200):
+        rows, columns, extras, b = _witness_system(rng, field)
+        got = solve_columns(field, columns, b, extra_columns=extras)
+        assert got == reference_solve_columns(field, columns, b, extras)
+        whole = columns + extras
+        order = sorted(range(len(whole)), key=lambda j: (len(whole[j]), j))
+        want = rref(SparseMatrix.from_columns(field, [whole[j] for j in order], rows)).solve(b)
+        m = SparseMatrix.from_columns(field, whole, rows)
+        ech = rref(m)
+        assert (want is None) == (got is None) == (ech.solve(b) is None)
+        if got is None:
+            inconsistent += 1
+            continue
+        found += 1
+        n_main = len(columns)
+        x = {order[k]: c for k, c in want.items()}
+        assert got == ({j: c for j, c in x.items() if j < n_main},
+                       {j - n_main: c for j, c in x.items() if j >= n_main})
+        diff = vec_combine(field, [(one, x), (field.neg(one), ech.solve(b))])
+        free = [j for j in range(m.cols) if j not in ech.pivots]
+        assert diff == vec_combine(field, [(diff.get(j, zero), v) for j, v in zip(free, ech.kernel())])
+    assert found > 50 and inconsistent > 30
+
+
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=repr)
+def test_solve_columns_ignores_row_key_order(field):
+    """Row ids follow first sight, so relabelling the rows, reordering the
+    entries of each column and using keys that cannot be compared with
+    each other leave ``(x, extra)`` unchanged."""
+    rng = random.Random(f"rowkeys/{field!r}")
+    for _ in range(60):
+        rows, columns, extras, b = _witness_system(rng, field)
+        want = solve_columns(field, columns, b, extra_columns=extras)
+        perm = rng.sample(range(rows), rows)
+        label = {i: perm[i] if perm[i] % 2 else str(perm[i]) for i in range(rows)}
+
+        def relabel(col):
+            items = list(col.items())
+            rng.shuffle(items)
+            return {label[i]: c for i, c in items}
+
+        got = solve_columns(field, [relabel(c) for c in columns], relabel(b),
+                            extra_columns=[relabel(c) for c in extras])
+        assert got == want
+
+
 class _WrongInverse(PrimeField):
     def inv(self, a):
         return 1
@@ -362,10 +452,10 @@ def exact_eliminations(monkeypatch):
     calls = []
     real = exactla._reduce
 
-    def spy(field, *args):
+    def spy(field, *args, **kwargs):
         if field.char == 0:
             calls.append(field)
-        return real(field, *args)
+        return real(field, *args, **kwargs)
 
     monkeypatch.setattr(exactla, "_reduce", spy)
     return calls

@@ -4,8 +4,8 @@ import pytest
 
 from hochcalc.ainf import AInfStructure, is_valid, stasheff_residual
 from hochcalc.cochain import bracket, brace, cochain_from_coords, hoch_d
-from hochcalc.cohomology import HHContext, induced_sq
-from hochcalc.errors import UnsupportedDepthError
+from hochcalc.cohomology import HHContext, HHSpace, induced_sq
+from hochcalc.errors import ConfigurationError, UnsupportedDepthError
 from hochcalc.exactla import vec_add, vec_scale
 from hochcalc.identities import random_cochain
 from hochcalc.obstruction import (
@@ -164,6 +164,33 @@ def test_page3_trivial_when_page2_dies(trunc_f2):
             assert status.b_prev.is_zero()
             return
     pytest.fail("no vanishing page-2 class found")
+
+
+@pytest.mark.parametrize("code, theta_zero", [(0b1, True), (0b101, False)])
+def test_page3_vanishes_rechecks_a_corrupted_witness(trunc_f2, monkeypatch, code, theta_zero):
+    """Every page-3 "vanishes" re-checks hoch_d(b_top) exactly, in the
+    theta = 0 branch and in the enumeration: a b_top off by a non-cocycle
+    raises instead of being reported."""
+    ctx = HHContext(trunc_f2)
+    m3 = cocycle_from_code(ctx.space(3, -1), code)
+    s = AInfStructure(trunc_f2, 4, {3: m3})
+    assert theta_page2(s, ctx).is_zero() == theta_zero
+    assert theta_page3_check(s, ctx).kind == "vanishes"
+    real = HHSpace.is_coboundary
+    rng = random.Random(code)
+
+    def corrupted(space, z):
+        b = real(space, z)
+        if b is None:
+            return None
+        while True:
+            c = random_cochain(rng, trunc_f2, *b.bidegree, density=2)
+            if not hoch_d(c).is_zero():
+                return b + c
+
+    monkeypatch.setattr(HHSpace, "is_coboundary", corrupted)
+    with pytest.raises(ConfigurationError):
+        theta_page3_check(s, ctx)
 
 
 def test_page3_quadratic_enumeration_always_finds_witness_at_k4(tower_f2):
