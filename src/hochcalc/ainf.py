@@ -29,6 +29,7 @@ class AInfStructure:
         self.algebra = algebra
         self.k = k
         self.maps = {}
+        self._obstruction = None  # SI(k+1), kept by obstruction_cocycle
         for n, f in (maps or {}).items():
             if not (3 <= n <= k):
                 raise DomainError(f"map index {n} outside 3..{k}")

@@ -1,8 +1,9 @@
 """Command-line interface: JSON in, deterministic JSON report out.
 
 Exit codes: 0 success or vanishing obstruction, 1 input or validation
-error, 2 certified nonzero obstruction or failed identity, 3 undecided
-(quadratic step over Q, or a witness search that came back inconclusive).
+error (a malformed command line included), 2 certified nonzero obstruction
+or failed identity, 3 undecided (quadratic step over Q, or a witness search
+that came back inconclusive).
 """
 
 from __future__ import annotations
@@ -448,8 +449,19 @@ def cmd_section8(args, report):
 # -- main -------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as an ``InputError`` at path ``argv``, so that it
+    becomes a JSON report with exit code 1; argparse would print plain text
+    and exit with 2, the code of a certified nonzero obstruction.  ``--help``
+    still prints and exits with 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message, "argv")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hochcalc",
         description="Exact Gerstenhaber calculus, Hochschild cohomology, and "
         "A_k obstruction theory on graded algebras.",
@@ -504,25 +516,42 @@ def build_parser():
 NEEDS_INPUT = {"validate", "hh", "props", "e-page", "obstruct", "extend", "collapse-check"}
 
 
+def _input_error(exc: InputError):
+    return {"kind": "input", "path": exc.path, "message": str(exc)}
+
+
+def _payload(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     t0 = time.time()
     report = {
         "tool": "hochcalc",
         "version": __version__,
-        "command": args.command,
-        "seed": args.seed,
+        "command": None,
+        "seed": None,
         "results": {},
         "timing_ms": None,
     }
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        report["error"] = _input_error(exc)
+        sys.stdout.write(_payload(report))
+        return 1
+    report["command"], report["seed"] = args.command, args.seed
     code = 0
     try:
         if args.command in NEEDS_INPUT:
             if not args.infile:
                 raise InputError("this command needs --in <document.json>")
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                docobj = parse_input(fh.read())
+            try:
+                with open(args.infile, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise InputError(f"cannot read the input document: {exc}", "--in")
+            docobj = parse_input(text)
             report["input"] = emit_document(docobj)
             if args.command == "validate":
                 code = cmd_validate(docobj, args, report)
@@ -541,14 +570,14 @@ def main(argv=None) -> int:
         elif args.command == "section8":
             code = cmd_section8(args, report)
     except InputError as exc:
-        report["error"] = {"kind": "input", "path": exc.path, "message": str(exc)}
+        report["error"] = _input_error(exc)
         code = 1
     except HochcalcError as exc:
         report["error"] = {"kind": type(exc).__name__, "message": str(exc)}
         code = 1
     if args.timing:
         report["timing_ms"] = int((time.time() - t0) * 1000)
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = _payload(report)
     outfile = args.outfile or getattr(args, "report", None)
     if outfile:
         with open(outfile, "w", encoding="utf-8") as fh:

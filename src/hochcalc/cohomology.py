@@ -274,10 +274,6 @@ def hh_space(a: GradedAlgebra, p: int, q: int, normalized: bool = True) -> HHSpa
     return CochainComplex(a, q, normalized).space(p)
 
 
-def hh_dim(a: GradedAlgebra, p: int, q: int, normalized: bool = True) -> int:
-    return hh_space(a, p, q, normalized).dim
-
-
 # -- induced maps on cohomology ------------------------------------------------
 
 

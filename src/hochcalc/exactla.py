@@ -1,7 +1,8 @@
 """Exact scalars over Q and prime fields, and sparse linear algebra.
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals
-and ints in ``[0, p)`` over a prime field.  A ``Field`` object supplies the
+Scalars are plain Python values.  Over the rationals a scalar is an ``int``
+when it is integral and a ``fractions.Fraction`` otherwise, never a float;
+over a prime field it is an int in ``[0, p)``.  A ``Field`` object supplies the
 arithmetic, so vectors and matrices stay lightweight dicts.
 
 All reduction routines pivot by column order first and row order second,
@@ -126,19 +127,25 @@ class Field:
 
 
 class Rationals(Field):
-    """The field Q; scalars are ``Fraction`` (always reduced, positive
-    denominator)."""
+    """The field Q; a scalar is an ``int`` when it is integral and a reduced
+    ``Fraction`` with positive denominator otherwise, never a float.
+
+    Ints keep the common integral case off the pure-Python ``Fraction``
+    methods.  ``+``, ``-`` and ``*`` need no conversion: on ints they give
+    ints, and on a ``Fraction`` an exact ``Fraction``, which may be integral
+    but compares, hashes and prints like the equal int.  Only dividing two
+    ints would give a float, so :meth:`inv` divides a ``Fraction``."""
 
     char = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -153,7 +160,8 @@ class Rationals(Field):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        r = Fraction(1) / a
+        return r.numerator if r.denominator == 1 else r
 
     def is_zero(self, a):
         return a == 0
@@ -162,7 +170,7 @@ class Rationals(Field):
         if isinstance(text, bool):
             raise InputError("expected a scalar, got a boolean")
         if isinstance(text, int):
-            return Fraction(text)
+            return int(text)
         if isinstance(text, str):
             exponent = _EXPONENT.search(text)
             try:
@@ -173,7 +181,7 @@ class Rationals(Field):
                 raise InputError(f"bad rational scalar {text!r}: {exc}")
             if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
                 raise InputError(f"bad rational scalar {text!r}: more than {MAX_DIGITS} digits")
-            return value
+            return value.numerator if value.denominator == 1 else value
         raise InputError(f"bad rational scalar {text!r}")
 
     def format(self, a):
@@ -248,9 +256,11 @@ MODULUS = 2**61 - 1
 _LIFT_BOUND = isqrt(MODULUS // 2)
 
 
-def _residue(c: Fraction) -> int:
+def _residue(c) -> int:
     """``c`` modulo ``MODULUS``; raises ``ZeroDivisionError`` if its
     denominator is divisible by ``MODULUS``."""
+    if isinstance(c, int):
+        return c % MODULUS
     den = c.denominator % MODULUS
     if den == 0:
         raise ZeroDivisionError(f"denominator of {c} is divisible by the modulus")
@@ -261,8 +271,9 @@ def _residue(c: Fraction) -> int:
 
 def _rational_lift(a: int):
     """The fraction r/s with |r|, s <= sqrt(MODULUS / 2) that is congruent to
-    ``a`` modulo ``MODULUS``, or ``None`` if there is none (Wang's rational
-    reconstruction: the extended Euclidean algorithm stopped halfway)."""
+    ``a`` modulo ``MODULUS``, as an int when s = 1, or ``None`` if there is
+    none (Wang's rational reconstruction: the extended Euclidean algorithm
+    stopped halfway)."""
     r0, r1 = MODULUS, a % MODULUS
     s0, s1 = 0, 1
     while r1 > _LIFT_BOUND:
@@ -271,6 +282,8 @@ def _rational_lift(a: int):
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > _LIFT_BOUND or gcd(r1, s1) != 1:
         return None
+    if s1 in (1, -1):
+        return r1 * s1
     return Fraction(r1, s1)
 
 

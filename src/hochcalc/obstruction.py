@@ -21,13 +21,16 @@ ENUMERATION_BOUND = 10**6
 
 
 def obstruction_cocycle(s: AInfStructure) -> Cochain:
-    """SI(k+1) for a valid structure; always a Hochschild cocycle."""
-    require_valid_structure(s)
-    z = stasheff_residual(s, s.k + 1)
-    dz = hoch_d(z)
-    if not dz.is_zero():
-        raise DomainError("obstruction cocycle failed the cocycle check", witness=dz)
-    return z
+    """SI(k+1) for a valid structure; always a Hochschild cocycle.  It is
+    computed and checked once per structure, then kept on it."""
+    if s._obstruction is None:
+        require_valid_structure(s)
+        z = stasheff_residual(s, s.k + 1)
+        dz = hoch_d(z)
+        if not dz.is_zero():
+            raise DomainError("obstruction cocycle failed the cocycle check", witness=dz)
+        s._obstruction = z
+    return s._obstruction
 
 
 def theta_page2(s: AInfStructure, ctx: HHContext = None) -> CohomClass:
@@ -76,8 +79,7 @@ class ObstructionReport:
 
 def _page3_equation_rhs(s: AInfStructure, b_prev: Cochain) -> Cochain:
     """-SI(k+1) - [m3, b_prev] - (b_prev{b_prev} in the quadratic case)."""
-    z = stasheff_residual(s, s.k + 1)
-    rhs = -(z + bracket(s.map(3), b_prev))
+    rhs = -(obstruction_cocycle(s) + bracket(s.map(3), b_prev))
     if 2 * (s.k - 1) == s.k + 2:  # k = 4: b_prev has the same arity as m3
         rhs = rhs - brace(b_prev, [b_prev])
     return rhs

@@ -13,8 +13,7 @@ spaces are reported as undefined rather than guessed.
 from __future__ import annotations
 
 from .ainf import AInfStructure, require_valid_structure
-from .algebra import GradedAlgebra
-from .cochain import Cochain, bracket, brace, cochain_from_coords, cup
+from .cochain import Cochain, bracket, cochain_from_coords, cup
 from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
 from .errors import DomainError, NotProvidedError, UndefinedCellError
 from .exactla import SparseMatrix, rref
@@ -50,20 +49,6 @@ class QuadraticMap:
         """Value on a (2,-1) cocycle, as a class in HH^{4,-2}."""
         w = -(cup(z, z) + bracket(self.m3, z))
         return normalized_class_of_full(self.ctx, w)
-
-    def additivity_defect(self, z1: Cochain, z2: Cochain):
-        """evaluate(z1+z2) - evaluate(z1) - evaluate(z2) = -{(z1+z2)^2 - z1^2 - z2^2};
-        returns the defect class."""
-        lhs = self.evaluate(z1 + z2)
-        d1 = self.evaluate(z1)
-        d2 = self.evaluate(z2)
-        space = self.ctx.space(4, -2)
-        field = self.ctx.algebra.field
-        minus_one = field.neg(field.one())
-        coords = dict(lhs.coords)
-        for other in (d1, d2):
-            field.add_into(coords, other.coords.items(), minus_one)
-        return space.class_from_coords(coords)
 
 
 def _sign_scale(m: SparseMatrix, negate: bool) -> SparseMatrix:
@@ -108,14 +93,6 @@ def e2_term(ctx: HHContext, s: int, t: int) -> PageCell:
             "membership: m{m} = 0",
         )
     return PageCell(2, s, t, "undefined")
-
-
-def multiplication_predicate(a: GradedAlgebra, m: Cochain) -> bool:
-    """Membership test of the origin cell: is m a shifted associative
-    multiplication?"""
-    if (m.arity, m.end_degree) != (2, -1):
-        raise DomainError("candidate must have arity 2 and map degree -1")
-    return brace(m, [m]).is_zero()
 
 
 def _require_k5(phi: AInfStructure):

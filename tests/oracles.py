@@ -6,14 +6,43 @@ scratch (``solve_columns`` too, which eliminates forward with sparsest-row
 pivots and back-substitutes), the cohomology basis solves every coboundary in the cocycle basis
 separately, sparse accumulation sums with plain Python arithmetic, the
 Hochschild differential is evaluated tuple by tuple from the product table
-or as the brace form of the bracket with m2, and a cochain basis filters
-every argument tuple by its degree.
+or as the brace form of the bracket with m2, a cochain basis filters
+every argument tuple by its degree, and the field Q keeps every scalar a
+``Fraction``.
+
+It also keeps small helpers that only the tests use: the dimension of one
+HH space, the associativity predicate of the origin cell of page 2, and the
+additivity defect of the quadratic page-2 differential.
 """
 
+from fractions import Fraction
 from itertools import product as iproduct
 
-from hochcalc.cochain import bracket
-from hochcalc.exactla import Echelon, SparseMatrix
+from hochcalc.cochain import brace, bracket
+from hochcalc.cohomology import hh_space
+from hochcalc.errors import DomainError
+from hochcalc.exactla import Echelon, Rationals, SparseMatrix
+
+
+class FractionRationals(Rationals):
+    """Q with every scalar a ``Fraction``, integral or not: the reference
+    that ``Rationals``, which keeps integral scalars as ints, must agree
+    with."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def inv(self, a):
+        return 1 / a
+
+    def parse(self, text):
+        return Fraction(super().parse(text))
 
 
 def reference_rref(m):
@@ -205,3 +234,28 @@ def reference_bracket_hoch_d(f):
     f{m2}, for a ``Cochain`` or a ``PolyCochain``: p + 2 compositions, each
     built as its own cochain and added in."""
     return bracket(f.multiplication(), f)
+
+
+def hh_dim(a, p, q, normalized=True):
+    """dim HH^{p,q}(a), from the normalized or the full bar complex."""
+    return hh_space(a, p, q, normalized).dim
+
+
+def multiplication_predicate(a, m):
+    """Membership test of the origin cell of page 2: is the (2, -1) cochain
+    m a shifted associative multiplication, m{m} = 0?"""
+    if (m.arity, m.end_degree) != (2, -1):
+        raise DomainError("candidate must have arity 2 and map degree -1")
+    return brace(m, [m]).is_zero()
+
+
+def additivity_defect(qm, z1, z2):
+    """The class qm(z1 + z2) - qm(z1) - qm(z2) in HH^{4,-2} of the quadratic
+    page-2 differential ``qm`` (a ``spectral.QuadraticMap``); it is
+    -[(z1 + z2)^2 - z1^2 - z2^2]."""
+    field = qm.ctx.algebra.field
+    minus_one = field.neg(field.one())
+    coords = dict(qm.evaluate(z1 + z2).coords)
+    for z in (z1, z2):
+        field.add_into(coords, qm.evaluate(z).coords.items(), minus_one)
+    return qm.ctx.space(4, -2).class_from_coords(coords)

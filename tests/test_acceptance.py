@@ -21,7 +21,7 @@ from hochcalc.cochain import (
     hoch_d,
     q_support,
 )
-from hochcalc.cohomology import HHContext, hh_dim, induced_sq
+from hochcalc.cohomology import HHContext, induced_sq
 from hochcalc.exactla import PrimeField, Rationals, rref, vec_add, vec_scale
 from hochcalc.identities import run_identity_suite
 from hochcalc.laurent import section8_report
@@ -33,6 +33,7 @@ from hochcalc.obstruction import (
 )
 from hochcalc.spectral import collapse_check, d1_matrix, d2_map, e1_term, e2_term
 from hochcalc.errors import NotProvidedError, UndefinedCellError
+from oracles import hh_dim
 
 
 def report(n, text):

@@ -121,6 +121,47 @@ def test_input_error_exit_code(tmp_path):
     assert report["error"]["path"] == "field.p"
 
 
+def test_missing_input_file_is_an_input_error(tmp_path):
+    code, report = run_cli(["--in", str(tmp_path / "absent.json"), "validate"], tmp_path)
+    assert code == 1
+    assert report["error"]["kind"] == "input" and report["error"]["path"] == "--in"
+    assert "No such file" in report["error"]["message"]
+
+
+def test_non_utf8_input_file_is_an_input_error(tmp_path):
+    f = tmp_path / "x.json"
+    f.write_bytes(b'{"field": {"type": "\xff"}}')
+    code, report = run_cli(["--in", str(f), "validate"], tmp_path)
+    assert code == 1
+    assert report["error"]["kind"] == "input" and report["error"]["path"] == "--in"
+    assert "utf-8" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("args, words", [
+    (["obstruct", "--page", "4"], "invalid choice"),
+    (["--no-such-option", "validate"], "unrecognized arguments"),
+    (["hh", "--p-max", "x"], "invalid int value"),
+    ([], "required"),
+], ids=["bad-choice", "unknown-option", "bad-int", "no-command"])
+def test_usage_errors_are_json_input_errors(capsys, args, words):
+    """A malformed command line exits 1 with a JSON input error on standard
+    output, not with argparse's exit code 2 (a certified obstruction)."""
+    code = main(["--in", str(FIXTURES / "dual_numbers_q.json")] + args)
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 1
+    assert report["error"]["kind"] == "input" and report["error"]["path"] == "argv"
+    assert words in report["error"]["message"]
+    assert err.startswith("usage:")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["obstruct", "--help"])
+    assert info.value.code == 0
+    assert "--page" in capsys.readouterr().out
+
+
 def _tower_doc(maps):
     return {
         "field": {"type": "F", "p": 2},

@@ -23,7 +23,6 @@ from hochcalc.cohomology import (
     CochainComplex,
     HHContext,
     cup_bijectivity_window,
-    hh_dim,
     hh_space,
     induced_bracket,
     induced_sq,
@@ -32,7 +31,7 @@ from hochcalc.cohomology import (
 from hochcalc.errors import DomainError
 from hochcalc.exactla import PrimeField, Rationals, SparseMatrix, rref
 from hochcalc.identities import random_cochain
-from oracles import reference_pivot_complement, reference_rref, reference_solve
+from oracles import hh_dim, reference_pivot_complement, reference_rref, reference_solve
 
 # dimensions frozen from the independent full-bar run (the classical values
 # for these algebras); both pipelines must keep reproducing them.

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hochcalc.exactla as exactla
+import hochcalc.laurent as laurent
+from hochcalc.algebra import truncated_skew_laurent
+from hochcalc.cochain import cochain_from_coords, hoch_d, q_support
+from hochcalc.cohomology import HHContext
 from hochcalc.errors import ConfigurationError, InputError
 from hochcalc.exactla import (
     MODULUS,
@@ -22,7 +27,9 @@ from hochcalc.exactla import (
     solve_columns,
     vec_combine,
 )
+from hochcalc.laurent import section8_report
 from oracles import (
+    FractionRationals,
     reference_add_into,
     reference_kernel,
     reference_rref,
@@ -312,7 +319,7 @@ def _witness_system(rng, field):
         b = {i: _random_nonzero(rng, field) for i in range(rows) if rng.random() < 0.5}
     if field.char == 0 and b and rng.random() < 0.5:
         i = rng.choice(list(b))
-        b[i] /= rng.choice([2, 3, 7])
+        b[i] = Fraction(b[i], rng.choice([2, 3, 7]))
     return rows, columns, extras, b
 
 
@@ -385,7 +392,7 @@ def test_solve_columns_raises_when_its_check_fails():
 
 def _random_scalar(rng, field):
     if field.char == 0:
-        return field.from_int(rng.randint(-3, 3)) / rng.choice([1, 2, 3])
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
     return field.from_int(rng.randrange(field.char))
 
 
@@ -411,6 +418,107 @@ def test_add_into_edge_cases():
     assert F2.add_into({}, [(5, 1), (5, 1)]) == {}
     assert F2.add_into({5: 1}, [(5, 1)], 1) == {}
     assert F3.add_into({2: 1}, [(2, 1)], 2) == {}
+
+
+# -- Q scalars: ints when integral, Fractions otherwise --------------------------
+
+
+def _int_or_fraction(rng):
+    """A random rational, as an int or as a (possibly integral) Fraction."""
+    v = Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 7]))
+    return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
+
+
+def _canonical_type(v):
+    return int if v.denominator == 1 else Fraction
+
+
+def test_rational_scalars_agree_with_fraction_arithmetic():
+    """On mixed int and Fraction operands, Rationals computes what plain
+    Fraction arithmetic does, never returns a float, and returns an int for
+    every integral parse, inverse and lift."""
+    Q = Rationals()
+    assert [type(x) for x in (Q.zero(), Q.one(), Q.from_int(-5))] == [int, int, int]
+    rng = random.Random("int-or-fraction")
+    for _ in range(3000):
+        a, b = _int_or_fraction(rng), _int_or_fraction(rng)
+        fa, fb = Fraction(a), Fraction(b)
+        pairs = [(Q.add(a, b), fa + fb), (Q.sub(a, b), fa - fb), (Q.mul(a, b), fa * fb),
+                 (Q.neg(a), -fa)]
+        if fa:
+            inv = Q.inv(a)
+            assert type(inv) is _canonical_type(1 / fa)
+            pairs.append((inv, 1 / fa))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                Q.inv(a)
+        for got, want in pairs:
+            assert isinstance(got, (int, Fraction)) and not isinstance(got, bool)
+            assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        for raw in (str(fa), f"{fa.numerator}/{fa.denominator}",
+                    f"{fa.numerator * 3}/{fa.denominator * 3}", str(float(fa.numerator))):
+            got = Q.parse(raw)
+            assert type(got) is _canonical_type(Fraction(raw)) and got == Fraction(raw)
+        if fa.denominator == 1:
+            assert type(Q.parse(fa.numerator)) is int and Q.parse(fa.numerator) == fa
+        lifted = _rational_lift(_residue(a))
+        assert type(lifted) is _canonical_type(fa) and lifted == fa
+    assert [type(Q.parse(x)) for x in ("2e3", "-4/2", "0/5", "1.5", "1E-3")] == [
+        int, int, int, Fraction, Fraction]
+    assert type(_residue(-7)) is int and _residue(-7) == MODULUS - 7
+
+
+def _all_scalars(cochains):
+    return [c for z in cochains for vec in z.table.values() for c in vec.values()]
+
+
+def test_hh_over_q_matches_the_fraction_field():
+    """With integral scalars as ints, HH bases, cocycle bases and class
+    coordinates of truncated_skew_laurent(Q, 3), in both pipelines, equal
+    those computed with every scalar a Fraction."""
+    fields = (Rationals(), FractionRationals())
+    ctxs = [(HHContext(truncated_skew_laurent(f, 3)), HHContext(truncated_skew_laurent(f, 3), False))
+            for f in fields]
+    rng = random.Random("hh-int-vs-fraction")
+    classes = ints = 0
+    for pipeline in (0, 1):
+        new, ref = ctxs[0][pipeline], ctxs[1][pipeline]
+        for p in range(4):
+            for q in q_support(new.algebra, p):
+                sn, sr = new.space(p, q), ref.space(p, q)
+                assert sn.cocycles == sr.cocycles and sn.hh_vectors == sr.hh_vectors
+                assert [z.table for z in sn.hh_reps] == [z.table for z in sr.hh_reps]
+                assert all(type(c) is Fraction for c in _all_scalars(sr.hh_reps))
+                assert all(type(c) in (int, Fraction) for c in _all_scalars(sn.hh_reps))
+                ints += sum(type(c) is int for c in _all_scalars(sn.hh_reps))
+                for _ in range(3 if sn.dim else 0):
+                    text = {j: f"{rng.randint(-4, 4)}/{rng.choice([1, 1, 2, 3])}"
+                            for j in range(sn.dim) if rng.random() < 0.7}
+                    bound = {i: rng.randint(-2, 2) for i in range(len(sn.basis_in))
+                             if rng.random() < 0.3}
+                    got = []
+                    for space, f in ((sn, fields[0]), (sr, fields[1])):
+                        coords = {j: f.parse(t) for j, t in text.items()}
+                        b = cochain_from_coords(space.algebra, p - 1, q, space.basis_in,
+                                                {i: f.from_int(c) for i, c in bound.items()})
+                        z = space.class_from_coords(coords).representative
+                        if p:
+                            z = z + hoch_d(b)
+                        got.append(space.class_of(z).coords)
+                        assert got[-1] == {j: c for j, c in coords.items() if c}
+                    classes += 1
+    assert classes > 20 and ints > 100
+
+
+def test_section8_over_q_matches_the_fraction_field(monkeypatch):
+    """section8_report(0, 2) is the same report when every scalar, the lifts
+    of the modular witness solve included, is a Fraction."""
+    want = section8_report(0, 2)
+    lift = exactla._rational_lift
+    monkeypatch.setattr(laurent, "Rationals", FractionRationals)
+    monkeypatch.setattr(exactla, "_rational_lift",
+                        lambda a: None if (r := lift(a)) is None else Fraction(r))
+    assert json.dumps(section8_report(0, 2), sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 # -- the modular front of solve_columns over Q ----------------------------------

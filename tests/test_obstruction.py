@@ -193,6 +193,37 @@ def test_page3_vanishes_rechecks_a_corrupted_witness(trunc_f2, monkeypatch, code
         theta_page3_check(s, ctx)
 
 
+@pytest.mark.parametrize("code", [0b1, 0b101])
+def test_page3_report_computes_the_residual_once(trunc_f2, monkeypatch, code):
+    """A page-3 report computes SI(k+1), and checks that it is a cocycle,
+    once per structure; the page-2 class, the page-2 witness and every
+    page-3 candidate reuse it."""
+    import hochcalc.ainf as ainf
+    import hochcalc.obstruction as obstruction
+
+    ctx = HHContext(trunc_f2)
+    s = AInfStructure(trunc_f2, 4, {3: cocycle_from_code(ctx.space(3, -1), code)})
+    calls = {"residual": 0, "check": 0}
+    residual, check = ainf.stasheff_residual, obstruction.hoch_d
+
+    def spy_residual(t, n):
+        calls["residual"] += n == t.k + 1
+        return residual(t, n)
+
+    def spy_check(f):
+        calls["check"] += f.arity == s.k + 1
+        return check(f)
+
+    monkeypatch.setattr(ainf, "stasheff_residual", spy_residual)
+    monkeypatch.setattr(obstruction, "stasheff_residual", spy_residual)
+    monkeypatch.setattr(obstruction, "hoch_d", spy_check)
+    rep = obstruction_report(s, ctx)
+    assert rep.page3.kind == "vanishes"
+    assert (rep.page2_witness is None) == (code == 0b101)
+    assert calls == {"residual": 1, "check": 1}
+    assert obstruction_cocycle(s) is rep.cocycle
+
+
 def test_page3_quadratic_enumeration_always_finds_witness_at_k4(tower_f2):
     # with the previous map free to change, the zero class is always in
     # reach, so the quadratic step must succeed over an enumerable field
