@@ -580,10 +580,15 @@ def main(argv=None) -> int:
     payload = _payload(report)
     outfile = args.outfile or getattr(args, "report", None)
     if outfile:
-        with open(outfile, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+        try:
+            with open(outfile, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            return code
+        except OSError as exc:
+            flag = "--out" if args.outfile else "--report"
+            report["error"] = _input_error(InputError(f"cannot write the report: {exc}", flag))
+            payload, code = _payload(report), 1
+    sys.stdout.write(payload)
     return code
 
 

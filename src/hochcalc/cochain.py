@@ -38,8 +38,21 @@ from .errors import ConfigurationError, DomainError
 
 def _add_at(field, table: dict, key, pairs, c=None):
     """``field.add_into`` on the sparse entry ``table[key]``, dropping the
-    key when the entry cancels."""
-    if not field.add_into(table.setdefault(key, {}), pairs, c):
+    key when the entry cancels.  ``pairs`` must be a sparse dict's items
+    (distinct keys, nonzero values) and ``c`` nonzero, so that a key not yet
+    in the table takes a copy, or a scaled copy, of them as it is."""
+    entry = table.get(key)
+    if entry is None:
+        if c is None:
+            entry = dict(pairs)
+        else:
+            entry = {}
+            mul = field.mul
+            for k, x in pairs:
+                entry[k] = mul(c, x)
+        if entry:
+            table[key] = entry
+    elif not field.add_into(entry, pairs, c):
         del table[key]
 
 

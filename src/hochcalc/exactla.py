@@ -5,8 +5,10 @@ when it is integral and a ``fractions.Fraction`` otherwise, never a float;
 over a prime field it is an int in ``[0, p)``.  A ``Field`` object supplies the
 arithmetic, so vectors and matrices stay lightweight dicts.
 
-All reduction routines pivot by column order first and row order second,
-which makes every derived basis deterministic.
+Elimination takes columns in order and, for each, the sparsest row with an
+entry there as pivot row.  The pivot columns, the reduced row-echelon form
+and every basis and solution read off it are unique, so none of them
+depends on the rows chosen or on their order.
 """
 
 from __future__ import annotations
@@ -361,20 +363,12 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows_list, cols: int) -> "SparseMatrix":
-        entries = {}
-        for i, row in enumerate(rows_list):
-            for j, c in row.items():
-                if not field.is_zero(c):
-                    entries[(i, j)] = c
+        entries = {(i, j): c for i, row in enumerate(rows_list) for j, c in row.items()}
         return cls(field, len(rows_list), cols, entries)
 
     @classmethod
     def from_columns(cls, field: Field, cols_list, rows: int) -> "SparseMatrix":
-        entries = {}
-        for j, col in enumerate(cols_list):
-            for i, c in col.items():
-                if not field.is_zero(c):
-                    entries[(i, j)] = c
+        entries = {(i, j): c for j, col in enumerate(cols_list) for i, c in col.items()}
         return cls(field, rows, len(cols_list), entries)
 
     @classmethod
@@ -426,11 +420,14 @@ class Echelon(namedtuple("Echelon", "rank pivots reduced")):
     reads the null space off ``reduced``, without eliminating again.
     """
 
-    def __new__(cls, pivots, reduced: SparseMatrix, ops):
+    def __new__(cls, pivots, reduced: SparseMatrix, forward, back):
         self = super().__new__(cls, len(pivots), pivots, reduced)
         self.field = reduced.field
-        # one (swapped-in row, scale or None, [(row, multiplier)]) per pivot
-        self._ops = ops
+        # per pivot, in pivot order: (its row, scale or None, rows,
+        # multipliers) of the forward pass, and (pivot indices, multipliers)
+        # of the back substitution, in parallel lists
+        self._forward = forward
+        self._back = back
         return self
 
     def kernel(self):
@@ -451,59 +448,72 @@ class Echelon(namedtuple("Echelon", "rank pivots reduced")):
         """Particular solution of ``m x = b`` with free variables set to zero,
         or ``None`` if the system is inconsistent."""
         field = self.field
+        sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
         rows = self.reduced.rows
-        y = [field.zero()] * rows
+        y = [zero] * rows
         for i, c in b.items():
             if not (0 <= i < rows):
                 raise ConfigurationError(f"rhs index {i} out of range for {rows} rows")
             y[i] = c
-        for r, (sel, inv, elim) in enumerate(self._ops):
-            y[r], y[sel] = y[sel], y[r]
-            v = y[r]
-            if field.is_zero(v):
-                continue
-            if inv is not None:
-                v = y[r] = field.mul(inv, v)
-            for i, c in elim:
-                y[i] = field.sub(y[i], field.mul(c, v))
-        if not all(field.is_zero(c) for c in y[self.rank:]):
+        z = []
+        for at, inv, targets, coefs in self._forward:
+            v = y[at]
+            y[at] = zero
+            if not is_zero(v):
+                if inv is not None:
+                    v = mul(inv, v)
+                for i, c in zip(targets, coefs):
+                    y[i] = sub(y[i], mul(c, v))
+            z.append(v)
+        if not all(is_zero(c) for c in y):
             return None
-        return {col: c for col, c in zip(self.pivots, y) if not field.is_zero(c)}
+        for r in range(len(z) - 1, -1, -1):
+            v = z[r]
+            if not is_zero(v):
+                targets, coefs = self._back[r]
+                for k, c in zip(targets, coefs):
+                    z[k] = sub(z[k], mul(c, v))
+        return {col: c for col, c in zip(self.pivots, z) if not is_zero(c)}
 
 
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row-echelon form, as an :class:`Echelon` that unpacks as
     ``(rank, pivots, reduced)`` where ``pivots`` lists pivot columns in
-    increasing order.  Pivoting is by column order, then row order, so the
-    output is unique and deterministic.
+    increasing order and ``reduced`` keeps the shape of ``m``, its zero rows
+    last.
+
+    :func:`_reduce` eliminates forward with sparsest-row pivots, and
+    :func:`_back_substitute` clears the entries above each pivot, from the
+    last pivot up.  The reduced row-echelon form is unique, so the output
+    depends neither on the pivot rows chosen nor on the order of the rows.
     """
+    field = m.field
     rows = m._row_list()
-    ops = []
-    pivots = _reduce(m.field, rows, m.cols, ops)
-    return Echelon(pivots, SparseMatrix.from_rows(m.field, rows, m.cols), ops)
+    forward = []
+    pivots = _reduce(field, rows, m.cols, forward)
+    back = _back_substitute(field, rows, pivots)
+    rows += [{} for _ in range(m.rows - len(pivots))]
+    return Echelon(pivots, SparseMatrix.from_rows(field, rows, m.cols), forward, back)
 
 
-def _reduce(field: Field, rows, ncols: int, ops=None, forward=False):
+def _reduce(field: Field, rows, ncols: int, ops=None):
     """Bring the row dicts ``rows`` (column index to nonzero scalar, over
-    ``ncols`` columns) to reduced row-echelon form in place, and return the
-    pivot columns, with ``rows[r]`` the pivot row of ``pivots[r]``.  If ``ops``
-    is a list, one ``(sel, inv, elim)`` record per pivot is appended to it,
-    for :meth:`Echelon.solve` to replay.  The one elimination loop.
+    ``ncols`` columns) to row-echelon form by forward elimination in place,
+    and return the pivot columns.  ``rows`` ends cut to the pivot rows, with
+    ``rows[r]`` the pivot row of ``pivots[r]``, scaled to 1 there.  If
+    ``ops`` is a list, one ``(row, scale or None, rows, multipliers)``
+    record per pivot is appended to it, for :meth:`Echelon.solve` to replay.
 
-    ``col_rows[j]`` holds the rows with a nonzero in column ``j``, so each
-    pivot search and elimination touches only those rows.  It is kept up to
-    date on swaps, fill-in and cancellation, and dropped once its column is
-    processed: rows at or below the pivot row are zero in every processed
-    column, so later pivot rows never write there.
-
-    ``forward`` stops at echelon form, eliminating below each pivot only:
-    the pivot row is the sparsest unused row with an entry in its column
-    (least index on ties), unswapped; it then leaves ``col_rows``, and
-    ``rows`` ends cut to the pivot rows.
+    Columns are taken in order.  The pivot row of a column is the sparsest
+    unused row with an entry in it (least index on ties); rows are never
+    swapped.  It is eliminated from the other unused rows and then is used.
+    ``col_rows[j]`` holds the unused rows with a nonzero in column ``j``, so
+    each pivot search and elimination touches only those rows.  It is kept
+    up to date on fill-in and cancellation, and dropped once its column is
+    processed: unused rows are zero in every processed column, so later
+    pivot rows never write there.
     """
-    add, mul, neg = field.add, field.mul, field.neg
-    one = field.one()
-    minus_one = neg(one)
+    mul, one = field.mul, field.one()
     col_rows = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
@@ -511,27 +521,15 @@ def _reduce(field: Field, rows, ncols: int, ops=None, forward=False):
     pivots = []
     used = []
     for col in range(ncols):
-        if len(pivots) == len(rows):
+        if len(used) == len(rows):
             break
         hits = col_rows[col]
-        if forward:
-            sel = at = min(hits, key=lambda i: (len(rows[i]), i), default=None)
-        else:
-            at = len(pivots)
-            sel = min((i for i in hits if i >= at), default=None)
-        if sel is None:
-            col_rows[col] = None
-            continue
-        if sel != at:
-            upper, lower = rows[at], rows[sel]
-            for j in upper.keys() - lower.keys():
-                col_rows[j].discard(at)
-                col_rows[j].add(sel)
-            for j in lower.keys() - upper.keys():
-                col_rows[j].discard(sel)
-                col_rows[j].add(at)
-            rows[at], rows[sel] = lower, upper
         col_rows[col] = None
+        if not hits:
+            continue
+        # the least (number of nonzeros, index) over the hits, compared in C
+        at = min(zip(map(len, map(rows.__getitem__, hits)), hits))[1]
+        hits.discard(at)
         prow = rows[at]
         head = prow[col]
         inv = None
@@ -539,23 +537,85 @@ def _reduce(field: Field, rows, ncols: int, ops=None, forward=False):
             inv = field.inv(head)
             prow = rows[at] = {j: mul(inv, c) for j, c in prow.items()}
         rest = [(j, c) for j, c in prow.items() if j != col]
-        negated = None
-        hits.discard(at)
-        elim = []
-        for i in sorted(hits):
-            row = rows[i]
-            c = row.pop(col)
-            elim.append((i, c))
+        for j, _ in rest:
+            col_rows[j].discard(at)
+        if ops is None:
+            _eliminate(field, rows, hits, col, rest, col_rows, False)
+        else:
+            targets = list(hits)
+            coefs = _eliminate(field, rows, targets, col, rest, col_rows, True)
+            ops.append((at, inv, targets, coefs))
+        pivots.append(col)
+        used.append(at)
+    rows[:] = [rows[i] for i in used]
+    return pivots
+
+
+def _back_substitute(field: Field, rows, pivots):
+    """Bring the echelon form left by :func:`_reduce` to reduced form in
+    place: from the last pivot up, clear the entries above each pivot.
+    Returns one ``(pivot indices, multipliers)`` pair per pivot, for
+    :meth:`Echelon.solve` to replay.
+
+    A pivot row, once its own turn has come, has entries only at its pivot
+    and in free columns, so clearing it from the rows above never fills in
+    a pivot column, and the rows above each pivot are read off the echelon
+    form once."""
+    index = {col: r for r, col in enumerate(pivots)}
+    above = [[] for _ in pivots]
+    for k, row in enumerate(rows):
+        for j in row:
+            r = index.get(j)
+            if r is not None and r != k:
+                above[r].append(k)
+    back = [None] * len(pivots)
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        rest = [(j, c) for j, c in rows[r].items() if j != col]
+        back[r] = (above[r], _eliminate(field, rows, above[r], col, rest, None, True))
+    return back
+
+
+def _eliminate(field: Field, rows, targets, col, rest, col_rows, record):
+    """Subtract from each row ``rows[i]``, ``i`` in ``targets``, its entry at
+    ``col`` times the pivot row whose entry at ``col`` is 1 and whose other
+    entries are ``rest``, so that the row loses that entry.  ``col_rows``,
+    unless None, is kept up to date on fill-in and cancellation.  Returns
+    the entries, in the order of ``targets``, if ``record``, else None.  The one elimination
+    loop, of the forward pass and of the back substitution."""
+    add, mul, neg = field.add, field.mul, field.neg
+    one = field.one()
+    minus_one = neg(one)
+    negated = None
+    coefs = [] if record else None
+    for i in targets:
+        row = rows[i]
+        c = row.pop(col)
+        if record:
+            coefs.append(c)
+        # entries of +-1 (every one over F_2 and F_3) need no products
+        if c == minus_one:
+            scaled = rest
+        elif c == one:
+            if negated is None:
+                negated = [(j, neg(pc)) for j, pc in rest]
+            scaled = negated
+        else:
             negc = neg(c)
-            # multipliers of +-1 (every one over F_2 and F_3) need no products
-            if negc == one:
-                scaled = rest
-            elif negc == minus_one:
-                if negated is None:
-                    negated = [(j, neg(pc)) for j, pc in rest]
-                scaled = negated
-            else:
-                scaled = [(j, mul(negc, pc)) for j, pc in rest]
+            scaled = [(j, mul(negc, pc)) for j, pc in rest]
+        # scalars are normalized, so only zero is falsy
+        if col_rows is None:
+            for j, x in scaled:
+                old = row.get(j)
+                if old is None:
+                    row[j] = x
+                else:
+                    s = add(old, x)
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+        else:
             for j, x in scaled:
                 old = row.get(j)
                 if old is None:
@@ -563,21 +623,12 @@ def _reduce(field: Field, rows, ncols: int, ops=None, forward=False):
                     col_rows[j].add(i)
                     continue
                 s = add(old, x)
-                if not s:  # scalars are normalized, so only zero is falsy
+                if s:
+                    row[j] = s
+                else:
                     del row[j]
                     col_rows[j].discard(i)
-                else:
-                    row[j] = s
-        if forward:
-            for j, _ in rest:
-                col_rows[j].discard(at)
-        pivots.append(col)
-        used.append(at)
-        if ops is not None:
-            ops.append((sel, inv, elim))
-    if forward:
-        rows[:] = [rows[i] for i in used]
-    return pivots
+    return coefs
 
 
 def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
@@ -587,8 +638,8 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     exact check.
 
     The augmented matrix, with the columns sorted by (number of nonzeros,
-    index) and the right-hand side last, is eliminated by :func:`_reduce`
-    in forward mode and back-substituted on its last column.  Free variables
+    index) and the right-hand side last, is eliminated forward by
+    :func:`_reduce` and back-substituted on its last column.  Free variables
     are zeroed in that order, which favours sparse witnesses on large
     systems.  The answer is unique: it depends neither on the pivot rows
     chosen nor on the row keys, which need only be hashable.
@@ -639,7 +690,7 @@ def _solve_reduced(field: Field, cols, order, rhs: dict, row_id: dict, load=None
                 c = load(c)
             if not field.is_zero(c):
                 rows[row_id[r]][k] = c
-    pivots = _reduce(field, rows, n + 1, forward=True)
+    pivots = _reduce(field, rows, n + 1)
     if pivots and pivots[-1] == n:
         return None
     x = {}

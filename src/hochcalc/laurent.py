@@ -387,7 +387,11 @@ class PolyCochain(LinearCochain):
                                 for a, b, m in _expansion(alg, e[i], k0)
                             ]
                         res = rf[:i] + (r1, r2) + rf[i + 1:]
-                        _add_at(field, acc, (res, bf[:i] + (b1, b2) + bf[i + 1:], of), pairs)
+                        key = (res, bf[:i] + (b1, b2) + bf[i + 1:], of)
+                        # substituted pairs may repeat keys or vanish mod p,
+                        # so they take add_into's general path, not _add_at
+                        if not field.add_into(acc.setdefault(key, {}), pairs):
+                            del acc[key]
                 negate ^= (degrees[bf[i]] + rf[i] * w) % 2 == 0
         out.table = {key: Poly._raw(field, nvars, t) for key, t in acc.items()}
         return out

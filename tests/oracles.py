@@ -1,27 +1,31 @@
 """Reference implementations the tests compare the library against.
 
-They redo each computation the direct way: row reduction scans every row
-for each pivot column, a solve reduces the augmented matrix [m | b] from
-scratch (``solve_columns`` too, which eliminates forward with sparsest-row
-pivots and back-substitutes), the cohomology basis solves every coboundary in the cocycle basis
-separately, sparse accumulation sums with plain Python arithmetic, the
-Hochschild differential is evaluated tuple by tuple from the product table
-or as the brace form of the bracket with m2, a cochain basis filters
-every argument tuple by its degree, and the field Q keeps every scalar a
-``Fraction``.
+They redo each computation the direct way: row reduction is Gauss-Jordan
+elimination that scans every row for each pivot column, where ``rref``
+eliminates forward with sparsest-row pivots and back-substitutes; a solve
+reduces the augmented matrix [m | b] from scratch (``solve_columns`` too,
+which eliminates forward and back-substitutes its last column only); the
+cohomology basis solves every coboundary in the cocycle basis separately;
+sparse accumulation sums with plain Python arithmetic; the Hochschild
+differential is evaluated tuple by tuple from the product table or as the
+brace form of the bracket with m2; a cochain basis filters every argument
+tuple by its degree; and the field Q keeps every scalar a ``Fraction``.
 
 It also keeps small helpers that only the tests use: the dimension of one
 HH space, the associativity predicate of the origin cell of page 2, and the
 additivity defect of the quadratic page-2 differential.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
 
 from hochcalc.cochain import brace, bracket
 from hochcalc.cohomology import hh_space
 from hochcalc.errors import DomainError
-from hochcalc.exactla import Echelon, Rationals, SparseMatrix
+from hochcalc.exactla import Rationals, SparseMatrix
+
+RREF = namedtuple("RREF", "rank pivots reduced")
 
 
 class FractionRationals(Rationals):
@@ -46,14 +50,17 @@ class FractionRationals(Rationals):
 
 
 def reference_rref(m):
-    """Reduced row-echelon form, pivoting by column order, then row order:
-    each pivot is found by scanning the remaining rows, and every row is
-    checked for an entry in the pivot column.  Returns the same
-    :class:`Echelon`, recorded operations included, as ``rref``."""
+    """Reduced row-echelon form by Gauss-Jordan elimination, pivoting by
+    column order, then row order: each pivot is found by scanning the
+    remaining rows, swapped into place, and cleared from every other row,
+    which is checked for an entry in the pivot column.  Returns ``(rank,
+    pivots, reduced)`` as an ``RREF``, which compares equal to the
+    :class:`Echelon` of ``rref`` on the same matrix; it records no row
+    operations, so it has no ``solve`` (``reference_solve`` reduces the
+    augmented matrix instead)."""
     field = m.field
     rows = m._row_list()
     pivots = []
-    ops = []
     pivot_row = 0
     for col in range(m.cols):
         sel = None
@@ -65,26 +72,22 @@ def reference_rref(m):
             continue
         rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
         head = rows[pivot_row][col]
-        inv = None
         if head != field.one():
             inv = field.inv(head)
             rows[pivot_row] = {j: field.mul(inv, c) for j, c in rows[pivot_row].items()}
         prow = rows[pivot_row]
-        elim = []
         for i in range(m.rows):
             if i == pivot_row:
                 continue
             c = rows[i].get(col)
             if c is None:
                 continue
-            elim.append((i, c))
             field.add_into(rows[i], prow.items(), field.neg(c))
         pivots.append(col)
-        ops.append((sel, inv, elim))
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    return Echelon(pivots, SparseMatrix.from_rows(field, rows, m.cols), ops)
+    return RREF(len(pivots), pivots, SparseMatrix.from_rows(field, rows, m.cols))
 
 
 def reference_solve(m, b):

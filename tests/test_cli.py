@@ -137,6 +137,23 @@ def test_non_utf8_input_file_is_an_input_error(tmp_path):
     assert "utf-8" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--in", str(FIXTURES / "dual_numbers_q.json"), "--out", "{out}", "validate"], "--out"),
+    (["section8", "--char", "2", "--max-poly-degree", "1", "--report", "{out}"], "--report"),
+], ids=["out", "report"])
+def test_unwritable_report_file_is_an_input_error(capsys, tmp_path, args, flag):
+    """A report file that cannot be opened exits 1 with the report, carrying
+    an input error at the flag that named it, on standard output."""
+    out = str(tmp_path / "no" / "such" / "dir" / "r.json")
+    code = main([out if a == "{out}" else a for a in args])
+    printed, err = capsys.readouterr()
+    report = json.loads(printed)
+    assert code == 1 and err == ""
+    assert report["error"]["kind"] == "input" and report["error"]["path"] == flag
+    assert "No such file" in report["error"]["message"]
+    assert report["results"]
+
+
 @pytest.mark.parametrize("args, words", [
     (["obstruct", "--page", "4"], "invalid choice"),
     (["--no-such-option", "validate"], "unrecognized arguments"),

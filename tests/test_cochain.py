@@ -5,6 +5,7 @@ import pytest
 from hochcalc.algebra import dual_numbers, exterior_line, square_zero_tower, truncated_skew_laurent
 from hochcalc.cochain import (
     Cochain,
+    _add_at,
     beta_cochain,
     brace,
     bracket,
@@ -238,6 +239,39 @@ def test_hoch_d_matches_bracket_form(field):
                     assert got.table == want.table
                     checked += len(f.table) > 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(7)],
+                         ids=repr)
+def test_add_at_matches_add_into(field):
+    """Writing sparse dicts' items into a table with ``_add_at``, which
+    copies them under a new key, gives the table of ``field.add_into`` on
+    every entry, keys dropped on cancellation included."""
+    rng = random.Random(f"add_at/{field!r}")
+    neg = field.neg
+
+    def scalar():
+        c = field.from_int(rng.randint(-3, 3))
+        return c if field.char or rng.random() < 0.5 else c / rng.choice([2, 3])
+
+    cancelled = 0
+    for _ in range(200):
+        fast, slow = {}, {}
+        for _ in range(rng.randrange(1, 12)):
+            key = rng.randrange(4)
+            vec = {k: x for k in range(5) if not field.is_zero(x := scalar())}
+            c = rng.choice([None, scalar()])
+            if c is not None and field.is_zero(c):
+                c = None
+            if key in fast and rng.random() < 0.3:
+                # a second write that cancels the entry
+                vec, c = {k: neg(x) for k, x in fast[key].items()}, None
+                cancelled += 1
+            _add_at(field, fast, key, vec.items(), c)
+            if not field.add_into(slow.setdefault(key, {}), vec.items(), c):
+                del slow[key]
+            assert fast == slow
+    assert cancelled > 50
 
 
 @pytest.mark.parametrize("make", [
