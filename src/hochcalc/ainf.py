@@ -30,6 +30,7 @@ class AInfStructure:
         self.k = k
         self.maps = {}
         self._obstruction = None  # SI(k+1), kept by obstruction_cocycle
+        self._report = None  # kept by obstruction_report
         for n, f in (maps or {}).items():
             if not (3 <= n <= k):
                 raise DomainError(f"map index {n} outside 3..{k}")

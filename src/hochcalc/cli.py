@@ -25,7 +25,7 @@ from .laurent import section8_report
 from .obstruction import (
     extend_to,
     obstruction_cocycle,
-    obstruction_report,
+    page2_witness,
     theta_page2,
     theta_page3_check,
 )
@@ -361,8 +361,7 @@ def cmd_obstruct(docobj, args, report):
         theta = theta_page2(s, ctx)
         report["results"]["class"] = class_json(theta)
         if theta.is_zero():
-            rep = obstruction_report(s, ctx)
-            report["results"]["witness"] = cochain_json(rep.page2_witness)
+            report["results"]["witness"] = cochain_json(page2_witness(s, ctx))
             return 0
         space = ctx.space(s.k + 1, 2 - s.k)
         report["results"]["certificate"] = {

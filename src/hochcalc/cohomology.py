@@ -8,8 +8,6 @@ cocycle-module cells of spectral pages; both produce deterministic bases.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .algebra import GradedAlgebra
 from .cochain import (
     Cochain,
@@ -22,7 +20,7 @@ from .cochain import (
     sq,
 )
 from .errors import ConfigurationError, DomainError
-from .exactla import Echelon, SparseMatrix, rref, vec_combine
+from .exactla import Echelon, SparseMatrix, rref, solve, vec_combine
 
 
 class CochainComplex:
@@ -61,7 +59,8 @@ class CochainComplex:
 
     def echelon(self, p: int) -> Echelon:
         """The factorization of d(p): the cocycles at (p, q) are its kernel,
-        and it decides which cocycles at (p + 1, q) bound."""
+        and the columns of d(p) at its pivots are the coboundary basis at
+        (p + 1, q)."""
         if p not in self._echelons:
             self._echelons[p] = rref(self.d(p))
         return self._echelons[p]
@@ -86,6 +85,13 @@ class HHSpace:
     the coboundary basis is the columns of d(p - 1) at its pivots, and the
     cohomology representatives are the cocycle basis vectors at
     pivot-complement positions.
+
+    Each cocycle basis vector is 1 at its own free column of d(p) (its
+    largest index) and 0 at the other free columns, so the coordinates of a
+    cocycle in that basis are its entries there.  The space factors one
+    matrix of its own, the coboundaries in those coordinates; its echelon
+    form gives the cohomology slots and answers :meth:`class_of` and
+    :meth:`is_coboundary`.
     """
 
     def __init__(self, column: CochainComplex, p: int):
@@ -103,44 +109,36 @@ class HHSpace:
             if j in pivot_columns:
                 pivot_columns[j][i] = c
         self.coboundaries = list(pivot_columns.values())
-        self.hh_vectors = self._pivot_complement()
+        self._slot = {max(v): j for j, v in enumerate(self.cocycles)}
+        self._cob_coords = [self._cocycle_coords(b) for b in self.coboundaries]
+        if None in self._cob_coords:
+            raise ConfigurationError("coboundary outside the cocycle space")
+        _, pivots, reduced = rref(
+            SparseMatrix.from_rows(self.algebra.field, self._cob_coords, len(self.cocycles))
+        )
+        # the rows of the reduced form by pivot slot; each is 1 there and
+        # otherwise lives on the cohomology slots, the slots without a pivot
+        self._reducers = dict(zip(pivots, reduced._row_list()))
+        hh_slots = [j for j in range(len(self.cocycles)) if j not in self._reducers]
+        self._hh_index = {j: n for n, j in enumerate(hh_slots)}
+        self.hh_vectors = [self.cocycles[j] for j in hh_slots]
         self.dim = len(self.hh_vectors)
         self.hh_reps = [
             cochain_from_coords(self.algebra, p, self.q, self.basis, v) for v in self.hh_vectors
         ]
 
-    def _pivot_complement(self):
-        """Cocycle basis vectors not needed to span the coboundaries.
-
-        Each cocycle basis vector is 1 at its own free column of ``d_out``
-        (its largest index) and 0 at the other free columns, so the
-        coordinates of a cocycle in that basis are its entries there.
-        """
-        field = self.algebra.field
-        slot = {max(v): j for j, v in enumerate(self.cocycles)}
-        cob_in_k = []
-        for b in self.coboundaries:
-            coords = {slot[i]: c for i, c in b.items() if i in slot}
-            back = vec_combine(field, ((c, self.cocycles[j]) for j, c in coords.items()))
-            if back != b:
-                raise ConfigurationError("coboundary outside the cocycle space")
-            cob_in_k.append(coords)
-        _, pivots, _ = rref(
-            SparseMatrix.from_rows(field, cob_in_k, len(self.cocycles))
-        )
-        pivot_set = set(pivots)
-        return [v for j, v in enumerate(self.cocycles) if j not in pivot_set]
-
-    @cached_property
-    def _class_echelon(self):
-        """Factorization of [coboundaries | cohomology basis vectors]."""
-        return rref(SparseMatrix.from_columns(
-            self.algebra.field, self.coboundaries + self.hh_vectors, len(self.basis)
-        ))
+    def _cocycle_coords(self, v: dict):
+        """Coordinates of the vector ``v`` of C^{p,q} in the cocycle basis,
+        or None if ``v`` is not in the span of that basis."""
+        u = {self._slot[i]: c for i, c in v.items() if i in self._slot}
+        back = vec_combine(self.algebra.field, ((c, self.cocycles[j]) for j, c in u.items()))
+        return u if back == v else None
 
     # -- classes -------------------------------------------------------------
 
-    def _require_cocycle(self, z: Cochain):
+    def _require_cocycle(self, z: Cochain) -> dict:
+        """The cocycle coordinates of ``z``, once it is checked to be a
+        cocycle of this bidegree."""
         if (z.arity, 1 - z.arity - z.end_degree) != (self.p, self.q):
             raise ConfigurationError(
                 f"cochain bidegree {z.bidegree} does not match space ({self.p},{self.q})"
@@ -148,17 +146,25 @@ class HHSpace:
         dz = hoch_d(z)
         if not dz.is_zero():
             raise DomainError("not a cocycle", witness=dz)
+        u = self._cocycle_coords(coords_of_cochain(z, self.basis, self.index))
+        if u is None:
+            raise DomainError("cocycle outside the computed cocycle space")
+        return u
+
+    def _class_coords(self, u: dict) -> dict:
+        """Reduce cocycle coordinates by the rows of the coboundary echelon
+        form; what is left sits on the cohomology slots, and is the class."""
+        field = self.algebra.field
+        rest = dict(u)
+        for j, c in u.items():
+            row = self._reducers.get(j)
+            if row is not None:
+                field.add_into(rest, row.items(), field.neg(c))
+        return {self._hh_index[j]: c for j, c in rest.items()}
 
     def class_of(self, z: Cochain) -> "CohomClass":
         """Coordinates of a cocycle in the cohomology basis."""
-        self._require_cocycle(z)
-        coords = coords_of_cochain(z, self.basis, self.index)
-        x = self._class_echelon.solve(coords)
-        if x is None:
-            raise DomainError("cocycle outside the computed cocycle space")
-        k = len(self.coboundaries)
-        cls_coords = {j - k: c for j, c in x.items() if j >= k}
-        return CohomClass(self, z, cls_coords)
+        return CohomClass(self, z, self._class_coords(self._require_cocycle(z)))
 
     def zero_class(self) -> "CohomClass":
         return CohomClass(self, Cochain.zero(self.algebra, self.p, 1 - self.p - self.q), {})
@@ -171,16 +177,20 @@ class HHSpace:
     def is_coboundary(self, z: Cochain):
         """Exact witness b with hoch_d(b) = z, or None.
 
+        The witness is the one supported on the pivot columns of d(p - 1):
+        its entries there are the coordinates of z on the coboundary basis.
         At arity 0 there are no bounding cochains, so the answer is None for
         every nonzero cocycle (and for zero, which bounds nothing).
         """
-        self._require_cocycle(z)
-        if self.p == 0:
+        u = self._require_cocycle(z)
+        if self.p == 0 or self._class_coords(u):
             return None
-        coords = coords_of_cochain(z, self.basis, self.index)
-        x = self._d_in_echelon.solve(coords)
-        if x is None:
-            return None
+        field = self.algebra.field
+        y = solve(SparseMatrix.from_columns(field, self._cob_coords, len(self.cocycles)), u)
+        if y is None:
+            raise ConfigurationError("cocycle of zero class outside the coboundary span")
+        pivots = self._d_in_echelon.pivots
+        x = {pivots[i]: c for i, c in y.items()}
         return cochain_from_coords(self.algebra, self.p - 1, self.q, self.basis_in, x)
 
     def cocycle_dim(self) -> int:
@@ -246,9 +256,9 @@ class HHContext:
             self._spaces[key] = self.column(q, normalized).space(p)
         return self._spaces[key]
 
-    def normalizer(self, p: int, q: int):
-        """Factorization of [full coboundaries | normalized cocycles], both
-        in the full cochain basis of bidegree (p, q)."""
+    def normalizer(self, p: int, q: int) -> SparseMatrix:
+        """The matrix [full coboundaries | normalized cocycles], both in the
+        full cochain basis of bidegree (p, q)."""
         key = (p, q)
         if key not in self._normalizers:
             full, norm = self.full_space(p, q), self.space(p, q)
@@ -258,7 +268,7 @@ class HHContext:
                 for i, c in vec.items():
                     entries[(full.index[norm.basis[i]], k + j)] = c
             m = SparseMatrix(self.algebra.field, len(full.basis), k + len(norm.cocycles), entries)
-            self._normalizers[key] = rref(m)
+            self._normalizers[key] = m
         return self._normalizers[key]
 
     def class_of(self, z: Cochain) -> CohomClass:
@@ -352,7 +362,7 @@ def normalized_class_of_full(ctx_norm: HHContext, z: Cochain) -> CohomClass:
     full = ctx_norm.full_space(p, q)
     coords = coords_of_cochain(z, full.basis, full.index)
     norm = ctx_norm.space(p, q)
-    x = ctx_norm.normalizer(p, q).solve(coords)
+    x = solve(ctx_norm.normalizer(p, q), coords)
     if x is None:
         raise ConfigurationError("full cocycle not homologous to a normalized one")
     k = full.d_in.cols

@@ -8,7 +8,9 @@ arithmetic, so vectors and matrices stay lightweight dicts.
 Elimination takes columns in order and, for each, the sparsest row with an
 entry there as pivot row.  The pivot columns, the reduced row-echelon form
 and every basis and solution read off it are unique, so none of them
-depends on the rows chosen or on their order.
+depends on the rows chosen or on their order.  A factorization (``rref``)
+is only that echelon form; a solve (``solve``, ``solve_columns``)
+eliminates the augmented matrix ``[m | b]`` once and keeps nothing.
 """
 
 from __future__ import annotations
@@ -318,16 +320,6 @@ def field_to_json(field: Field):
 # -- sparse vectors: dict[index] -> nonzero scalar ---------------------------
 
 
-def vec_add(field: Field, u: dict, v: dict) -> dict:
-    return field.add_into(dict(u), v.items())
-
-
-def vec_scale(field: Field, c, v: dict) -> dict:
-    if field.is_zero(c):
-        return {}
-    return {i: field.mul(c, x) for i, x in v.items()}
-
-
 def vec_combine(field: Field, terms) -> dict:
     """Sum of ``c * v`` over the pairs ``(c, v)`` in ``terms``."""
     out: dict = {}
@@ -412,30 +404,20 @@ class SparseMatrix:
 
 
 class Echelon(namedtuple("Echelon", "rank pivots reduced")):
-    """Reduced row-echelon form of a matrix, with the row operations that
-    produced it.
+    """Reduced row-echelon form of a matrix: its rank, its pivot columns in
+    increasing order and the reduced matrix, which keeps the shape of the
+    input with its zero rows last.  It records no row operations;
+    :meth:`kernel` reads the null space off ``reduced``, and systems are
+    solved by :func:`solve`."""
 
-    Unpacks as ``(rank, pivots, reduced)``.  The recorded operations let
-    :meth:`solve` answer any number of right-hand sides, and :meth:`kernel`
-    reads the null space off ``reduced``, without eliminating again.
-    """
-
-    def __new__(cls, pivots, reduced: SparseMatrix, forward, back):
-        self = super().__new__(cls, len(pivots), pivots, reduced)
-        self.field = reduced.field
-        # per pivot, in pivot order: (its row, scale or None, rows,
-        # multipliers) of the forward pass, and (pivot indices, multipliers)
-        # of the back substitution, in parallel lists
-        self._forward = forward
-        self._back = back
-        return self
+    __slots__ = ()
 
     def kernel(self):
         """Basis of the right null space, one vector per free column, in free
         column order.  Each vector has a 1 at its free column and 0 at the
         other free columns."""
-        field = self.field
         red = self.reduced
+        field = red.field
         pivot_set = set(self.pivots)
         basis = {j: {j: field.one()} for j in range(red.cols) if j not in pivot_set}
         for r, row in enumerate(red._row_list()[: self.rank]):
@@ -444,43 +426,10 @@ class Echelon(namedtuple("Echelon", "rank pivots reduced")):
                     basis[j][self.pivots[r]] = field.neg(c)
         return list(basis.values())
 
-    def solve(self, b: dict):
-        """Particular solution of ``m x = b`` with free variables set to zero,
-        or ``None`` if the system is inconsistent."""
-        field = self.field
-        sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
-        rows = self.reduced.rows
-        y = [zero] * rows
-        for i, c in b.items():
-            if not (0 <= i < rows):
-                raise ConfigurationError(f"rhs index {i} out of range for {rows} rows")
-            y[i] = c
-        z = []
-        for at, inv, targets, coefs in self._forward:
-            v = y[at]
-            y[at] = zero
-            if not is_zero(v):
-                if inv is not None:
-                    v = mul(inv, v)
-                for i, c in zip(targets, coefs):
-                    y[i] = sub(y[i], mul(c, v))
-            z.append(v)
-        if not all(is_zero(c) for c in y):
-            return None
-        for r in range(len(z) - 1, -1, -1):
-            v = z[r]
-            if not is_zero(v):
-                targets, coefs = self._back[r]
-                for k, c in zip(targets, coefs):
-                    z[k] = sub(z[k], mul(c, v))
-        return {col: c for col, c in zip(self.pivots, z) if not is_zero(c)}
-
 
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row-echelon form, as an :class:`Echelon` that unpacks as
-    ``(rank, pivots, reduced)`` where ``pivots`` lists pivot columns in
-    increasing order and ``reduced`` keeps the shape of ``m``, its zero rows
-    last.
+    ``(rank, pivots, reduced)``.
 
     :func:`_reduce` eliminates forward with sparsest-row pivots, and
     :func:`_back_substitute` clears the entries above each pivot, from the
@@ -489,20 +438,17 @@ def rref(m: SparseMatrix) -> Echelon:
     """
     field = m.field
     rows = m._row_list()
-    forward = []
-    pivots = _reduce(field, rows, m.cols, forward)
-    back = _back_substitute(field, rows, pivots)
+    pivots = _reduce(field, rows, m.cols)
+    _back_substitute(field, rows, pivots)
     rows += [{} for _ in range(m.rows - len(pivots))]
-    return Echelon(pivots, SparseMatrix.from_rows(field, rows, m.cols), forward, back)
+    return Echelon(len(pivots), pivots, SparseMatrix.from_rows(field, rows, m.cols))
 
 
-def _reduce(field: Field, rows, ncols: int, ops=None):
+def _reduce(field: Field, rows, ncols: int):
     """Bring the row dicts ``rows`` (column index to nonzero scalar, over
     ``ncols`` columns) to row-echelon form by forward elimination in place,
     and return the pivot columns.  ``rows`` ends cut to the pivot rows, with
-    ``rows[r]`` the pivot row of ``pivots[r]``, scaled to 1 there.  If
-    ``ops`` is a list, one ``(row, scale or None, rows, multipliers)``
-    record per pivot is appended to it, for :meth:`Echelon.solve` to replay.
+    ``rows[r]`` the pivot row of ``pivots[r]``, scaled to 1 there.
 
     Columns are taken in order.  The pivot row of a column is the sparsest
     unused row with an entry in it (least index on ties); rows are never
@@ -532,19 +478,13 @@ def _reduce(field: Field, rows, ncols: int, ops=None):
         hits.discard(at)
         prow = rows[at]
         head = prow[col]
-        inv = None
         if head != one:
             inv = field.inv(head)
             prow = rows[at] = {j: mul(inv, c) for j, c in prow.items()}
         rest = [(j, c) for j, c in prow.items() if j != col]
         for j, _ in rest:
             col_rows[j].discard(at)
-        if ops is None:
-            _eliminate(field, rows, hits, col, rest, col_rows, False)
-        else:
-            targets = list(hits)
-            coefs = _eliminate(field, rows, targets, col, rest, col_rows, True)
-            ops.append((at, inv, targets, coefs))
+        _eliminate(field, rows, hits, col, rest, col_rows)
         pivots.append(col)
         used.append(at)
     rows[:] = [rows[i] for i in used]
@@ -554,8 +494,6 @@ def _reduce(field: Field, rows, ncols: int, ops=None):
 def _back_substitute(field: Field, rows, pivots):
     """Bring the echelon form left by :func:`_reduce` to reduced form in
     place: from the last pivot up, clear the entries above each pivot.
-    Returns one ``(pivot indices, multipliers)`` pair per pivot, for
-    :meth:`Echelon.solve` to replay.
 
     A pivot row, once its own turn has come, has entries only at its pivot
     and in free columns, so clearing it from the rows above never fills in
@@ -568,31 +506,25 @@ def _back_substitute(field: Field, rows, pivots):
             r = index.get(j)
             if r is not None and r != k:
                 above[r].append(k)
-    back = [None] * len(pivots)
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
         rest = [(j, c) for j, c in rows[r].items() if j != col]
-        back[r] = (above[r], _eliminate(field, rows, above[r], col, rest, None, True))
-    return back
+        _eliminate(field, rows, above[r], col, rest, None)
 
 
-def _eliminate(field: Field, rows, targets, col, rest, col_rows, record):
+def _eliminate(field: Field, rows, targets, col, rest, col_rows):
     """Subtract from each row ``rows[i]``, ``i`` in ``targets``, its entry at
     ``col`` times the pivot row whose entry at ``col`` is 1 and whose other
     entries are ``rest``, so that the row loses that entry.  ``col_rows``,
-    unless None, is kept up to date on fill-in and cancellation.  Returns
-    the entries, in the order of ``targets``, if ``record``, else None.  The one elimination
-    loop, of the forward pass and of the back substitution."""
+    unless None, is kept up to date on fill-in and cancellation.  The one
+    elimination loop, of the forward pass and of the back substitution."""
     add, mul, neg = field.add, field.mul, field.neg
     one = field.one()
     minus_one = neg(one)
     negated = None
-    coefs = [] if record else None
     for i in targets:
         row = rows[i]
         c = row.pop(col)
-        if record:
-            coefs.append(c)
         # entries of +-1 (every one over F_2 and F_3) need no products
         if c == minus_one:
             scaled = rest
@@ -628,7 +560,24 @@ def _eliminate(field: Field, rows, targets, col, rest, col_rows, record):
                 else:
                     del row[j]
                     col_rows[j].discard(i)
-    return coefs
+
+
+def solve(m: SparseMatrix, b: dict):
+    """The solution of ``m x = b`` whose free variables are all zero, as a
+    sparse dict, or ``None`` if the system is inconsistent; raises
+    ``ConfigurationError`` if ``b`` has a row outside ``m``.
+
+    One forward elimination of ``[m | b]``, its columns in their natural
+    order, and a back substitution on the last column.  The answer is the
+    one that the reduced row-echelon form of ``[m | b]`` gives, so it does
+    not depend on the pivot rows chosen."""
+    for i in b:
+        if not (0 <= i < m.rows):
+            raise ConfigurationError(f"rhs index {i} out of range for {m.rows} rows")
+    cols = [{} for _ in range(m.cols)]
+    for (i, j), c in m.entries.items():
+        cols[j][i] = c
+    return _solve_reduced(m.field, cols, range(m.cols), b, range(m.rows))
 
 
 def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
@@ -677,11 +626,13 @@ def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
     return main, extra
 
 
-def _solve_reduced(field: Field, cols, order, rhs: dict, row_id: dict, load=None):
+def _solve_reduced(field: Field, cols, order, rhs: dict, row_id, load=None):
     """Eliminate ``[cols[order[0]] ... cols[order[-1]] | rhs]`` over ``field``
     and back-substitute, returning a sparse dict over the original column
     indices, or ``None`` if the system is inconsistent over ``field``.
-    ``load`` maps each input scalar into ``field`` as it is read."""
+    ``row_id`` maps each row key to its index in ``range(len(row_id))`` (a
+    ``range`` maps integer rows to themselves).  ``load`` maps each input
+    scalar into ``field`` as it is read."""
     n = len(order)
     rows = [{} for _ in row_id]
     for k, col in enumerate([cols[j] for j in order] + [rhs]):

@@ -797,6 +797,24 @@ def _report_entry(checks, check_id, name, status, **detail):
     return entry
 
 
+def _witness_entry(checks, check_id, name, detail_key, cases, d_search, skip=None):
+    """Append a check that passes when every case ``(label, lhs, rhs)``,
+    built lazily from ``cases`` in order, has a coboundary witness for
+    lhs - rhs; each label is marked "witness" or "NOT CERTIFIED" under
+    ``detail_key``.  With a ``skip`` reason the check is SKIPPED and no case
+    is built."""
+    if skip is not None:
+        return _report_entry(checks, check_id, name, "SKIPPED", reason=skip)
+    results = {}
+    all_ok = True
+    for label, lhs, rhs in cases:
+        found = find_witness(lhs, rhs, d_search)[0] is not None
+        results[label] = "witness" if found else "NOT CERTIFIED"
+        all_ok = all_ok and found
+    return _report_entry(checks, check_id, name, "PASS" if all_ok else "FAIL",
+                         **{detail_key: results})
+
+
 def section8_report(characteristic: int, d_search: int = 3):
     """Verify the worked-example identities on the sign-twisted Laurent
     algebra over the requested characteristic (0, 2, or an odd prime).
@@ -841,124 +859,80 @@ def section8_report(characteristic: int, d_search: int = 3):
                   solver=stats)
 
     M = lambda eps, xp, nd, ne: display_monomial(alg, eps, xp, nd, ne)
+    z1, z2 = M(0, 4, 0, 3), M(1, 3, 1, 2)
+    w1, w2 = M(0, 6, 1, 4), M(1, 7, 0, 5)
+    odd_only = "verified in odd/zero characteristic" if char2 else None
 
-    if not char2:
-        z1 = M(0, 4, 0, 3)
-        z2 = M(1, 3, 1, 2)
-        w1 = M(0, 6, 1, 4)
-        w2 = M(1, 7, 0, 5)
-        # (e) the quadratic formula for the square on the (3,-1) classes
-        pairs = [(0, 1), (1, 0), (1, 1)]
-        if field.char:
-            pairs.append((2, 3 % field.char))
-        results = {}
-        all_ok = True
-        for (a_, b_) in pairs:
-            lhs = sq(z1.scale_int(a_) + z2.scale_int(b_))
-            rhs = w1.scale_int(3 * a_ * b_) - w2.scale_int(a_ * b_)
-            ww, st = find_witness(lhs, rhs, d_search)
-            results[f"({a_},{b_})"] = "witness" if ww is not None else "NOT CERTIFIED"
-            all_ok = all_ok and ww is not None
-        _report_entry(checks, "e",
-                      "Sq(a z1 + b z2) = 3ab x^6{d}{e}^4 - ab eps x^7{e}^5",
-                      "PASS" if all_ok else "FAIL", samples=results)
-    else:
-        _report_entry(checks, "e", "quadratic square formula (odd/zero characteristic form)",
-                      "SKIPPED", reason="characteristic 2 uses the four-coefficient form")
+    # (e) the quadratic formula for the square on the (3,-1) classes
+    pairs = [(0, 1), (1, 0), (1, 1)] + ([(2, 3 % field.char)] if field.char else [])
+    _witness_entry(
+        checks, "e",
+        "quadratic square formula (odd/zero characteristic form)" if char2
+        else "Sq(a z1 + b z2) = 3ab x^6{d}{e}^4 - ab eps x^7{e}^5",
+        "samples",
+        ((f"({a_},{b_})", sq(z1.scale_int(a_) + z2.scale_int(b_)),
+          w1.scale_int(3 * a_ * b_) - w2.scale_int(a_ * b_)) for a_, b_ in pairs),
+        d_search, skip="characteristic 2 uses the four-coefficient form" if char2 else None,
+    )
 
-    if char2:
-        c1 = M(0, 4, 0, 3)
-        c2 = M(1, 4, 0, 3)
-        c3 = M(0, 3, 1, 2)
-        c4 = M(1, 3, 1, 2)
-        t1 = M(0, 6, 1, 4)
-        t2 = M(1, 6, 1, 4)
-        t3 = M(0, 7, 0, 5)
-        t4 = M(1, 7, 0, 5)
+    # (f) characteristic 2: the square on the four (3,-1) classes
+    def four_coefficient_cases():
+        c2, c3 = M(1, 4, 0, 3), M(0, 3, 1, 2)
+        t2, t3 = M(1, 6, 1, 4), M(0, 7, 0, 5)
         tuples = [
             (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
             (1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1),
         ]
-        results = {}
-        all_ok = True
         for (a1, a2, a3, a4) in tuples:
             lhs = sq(
-                c1.scale_int(a1) + c2.scale_int(a2) + c3.scale_int(a3) + c4.scale_int(a4)
+                z1.scale_int(a1) + c2.scale_int(a2) + c3.scale_int(a3) + z2.scale_int(a4)
             )
             rhs = (
-                t1.scale_int(a1 * a4)
+                w1.scale_int(a1 * a4)
                 + t2.scale_int(a2 * a4)
                 + t3.scale_int(a1 * a2 + a1 * a3)
-                + t4.scale_int(a2 * a2 + a2 * a3 + a1 * a4)
+                + w2.scale_int(a2 * a2 + a2 * a3 + a1 * a4)
             )
-            ww, st = find_witness(lhs, rhs, d_search)
-            results[str((a1, a2, a3, a4))] = "witness" if ww is not None else "NOT CERTIFIED"
-            all_ok = all_ok and ww is not None
-        _report_entry(checks, "f", "four-coefficient square formula",
-                      "PASS" if all_ok else "FAIL", samples=results)
-    else:
-        _report_entry(checks, "f", "four-coefficient square formula",
-                      "SKIPPED", reason="characteristic 2 only")
+            yield str((a1, a2, a3, a4)), lhs, rhs
 
-    if not char2:
-        # (g) bracket tables against the (3,-1) basis monomial z1
-        z1 = M(0, 4, 0, 3)
-        rows = [
-            ("(1,0) [z1, delta] = x^4{e}^3", bracket(z1, delta), M(0, 4, 0, 3)),
-            ("(1,0) [z1, eps x{e}] = 3 x^4{e}^3", bracket(z1, M(1, 1, 0, 1)),
-             M(0, 4, 0, 3).scale_int(3)),
-            ("(1,-1) [z1, x^2{e}] = 0", bracket(z1, M(0, 2, 0, 1)),
-             PolyCochain(alg, 3, 0)),
-            ("(1,-1) [z1, eps x{d}] = 3x^4{d}{e}^2 - eps x^5{e}^3",
-             bracket(z1, M(1, 1, 1, 0)), M(0, 4, 1, 2).scale_int(3) - M(1, 5, 0, 3)),
-            ("(2,0) [z1, x^2{e}^2] = 0", bracket(z1, M(0, 2, 0, 2)),
-             PolyCochain(alg, 4, -2)),
-            ("(2,0) [z1, eps x{d}{e}] = 3x^4{d}{e}^3 - eps x^5{e}^4",
-             bracket(z1, M(1, 1, 1, 1)), M(0, 4, 1, 3).scale_int(3) - M(1, 5, 0, 4)),
-            ("(2,1) [z1, {d}{e}] = x^4{e}^4", bracket(z1, M(0, 0, 1, 1)),
-             M(0, 4, 0, 4)),
-            ("(2,1) [z1, eps x{e}^2] = 3 x^4{e}^4", bracket(z1, M(1, 1, 0, 2)),
-             M(0, 4, 0, 4).scale_int(3)),
-        ]
-        results = {}
-        all_ok = True
-        for name, lhs, rhs in rows:
-            ww, st = find_witness(lhs, rhs, d_search)
-            results[name] = "witness" if ww is not None else "NOT CERTIFIED"
-            all_ok = all_ok and ww is not None
-        _report_entry(checks, "g", "bracket tables for [x^4{e}^3, -]",
-                      "PASS" if all_ok else "FAIL", rows=results)
-    else:
-        _report_entry(checks, "g", "bracket tables for [x^4{e}^3, -]",
-                      "SKIPPED", reason="verified in odd/zero characteristic")
+    _witness_entry(checks, "f", "four-coefficient square formula", "samples",
+                   four_coefficient_cases(), d_search,
+                   skip=None if char2 else "characteristic 2 only")
 
-    if not char2:
-        # (h) cup against odd-arity (n,-1) classes factors through the Euler class
-        ys = [("x^4{e}^3", M(0, 4, 0, 3)), ("eps x^3{d}{e}^2", M(1, 3, 1, 2))]
+    # (g) bracket tables against the (3,-1) basis monomial z1
+    def bracket_table_cases():
+        yield "(1,0) [z1, delta] = x^4{e}^3", bracket(z1, delta), z1
+        yield ("(1,0) [z1, eps x{e}] = 3 x^4{e}^3", bracket(z1, M(1, 1, 0, 1)),
+               z1.scale_int(3))
+        yield "(1,-1) [z1, x^2{e}] = 0", bracket(z1, M(0, 2, 0, 1)), PolyCochain(alg, 3, 0)
+        yield ("(1,-1) [z1, eps x{d}] = 3x^4{d}{e}^2 - eps x^5{e}^3",
+               bracket(z1, M(1, 1, 1, 0)), M(0, 4, 1, 2).scale_int(3) - M(1, 5, 0, 3))
+        yield "(2,0) [z1, x^2{e}^2] = 0", bracket(z1, M(0, 2, 0, 2)), PolyCochain(alg, 4, -2)
+        yield ("(2,0) [z1, eps x{d}{e}] = 3x^4{d}{e}^3 - eps x^5{e}^4",
+               bracket(z1, M(1, 1, 1, 1)), M(0, 4, 1, 3).scale_int(3) - M(1, 5, 0, 4))
+        yield "(2,1) [z1, {d}{e}] = x^4{e}^4", bracket(z1, M(0, 0, 1, 1)), M(0, 4, 0, 4)
+        yield ("(2,1) [z1, eps x{e}^2] = 3 x^4{e}^4", bracket(z1, M(1, 1, 0, 2)),
+               M(0, 4, 0, 4).scale_int(3))
+
+    _witness_entry(checks, "g", "bracket tables for [x^4{e}^3, -]", "rows",
+                   bracket_table_cases(), d_search, skip=odd_only)
+
+    # (h) cup against odd-arity (n,-1) classes factors through the Euler class
+    def euler_factor_cases():
         xs = [("e", e), ("x^2", constant_cochain(alg, alg.base.unit, 2))]
-        results = {}
-        all_ok = True
-        for yname, y in ys:
+        for yname, y in [("x^4{e}^3", z1), ("eps x^3{d}{e}^2", z2)]:
             for xname, x in xs:
-                lhs = cup(y, x)
                 rhs = bracket(y, cup(delta, x)) + cup(delta, bracket(y, x))
-                ww, st = find_witness(lhs, rhs, d_search)
-                key = f"y={yname}, x={xname}"
-                results[key] = "witness" if ww is not None else "NOT CERTIFIED"
-                all_ok = all_ok and ww is not None
-        _report_entry(checks, "h", "y cup x = [y, {d} cup x] + {d} cup [y, x]",
-                      "PASS" if all_ok else "FAIL", instances=results)
-    else:
-        _report_entry(checks, "h", "y cup x = [y, {d} cup x] + {d} cup [y, x]",
-                      "SKIPPED", reason="verified in odd/zero characteristic")
+                yield f"y={yname}, x={xname}", cup(y, x), rhs
+
+    _witness_entry(checks, "h", "y cup x = [y, {d} cup x] + {d} cup [y, x]", "instances",
+                   euler_factor_cases(), d_search, skip=odd_only)
 
     # informational: exhibited bases and claimed dimensions
     claimed = "2 per (p,q) with p>0, 1 at p=0" if not char2 else "4 per (p,q) with p>0, 2 at p=0"
     probe = {}
     if not char2:
         combos = {"z1": (1, 0), "z2": (0, 1), "z1+z2": (1, 1)}
-        z1 = M(0, 4, 0, 3)
-        z2 = M(1, 3, 1, 2)
         for name, (a_, b_) in combos.items():
             ww, st = find_witness(
                 z1.scale_int(a_) + z2.scale_int(b_), PolyCochain(alg, 3, -1), d_search

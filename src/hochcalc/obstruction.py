@@ -15,7 +15,7 @@ from .ainf import AInfStructure, perturb, require_valid_structure, stasheff_resi
 from .cochain import Cochain, bracket, brace, hoch_d
 from .cohomology import CohomClass, HHContext, induced_bracket
 from .errors import ConfigurationError, DomainError, UnsupportedDepthError
-from .exactla import rref
+from .exactla import rref, solve
 
 ENUMERATION_BOUND = 10**6
 
@@ -119,19 +119,14 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
         return _verify_page3_witnesses(top_space, b_prev, -obstruction_cocycle(s))
 
     field = s.algebra.field
+    m3_class = ctx.space(3, -1).class_of(s.map(3))
     if s.k >= 5:
-        m3_class = ctx.space(3, -1).class_of(s.map(3))
         mat = induced_bracket(ctx, m3_class, s.k - 1, 3 - s.k)
-        target = {j: field.neg(c) for j, c in theta.coords.items()}
-        ech = rref(mat)
-        x = ech.solve(target)
+        x = solve(mat, {j: field.neg(c) for j, c in theta.coords.items()})
         if x is None:
             # target outside the image, so appending it raises the rank by one
-            certificate = {
-                "kind": "rank",
-                "rank_image": ech.rank,
-                "rank_with_target": ech.rank + 1,
-            }
+            rank = rref(mat).rank
+            certificate = {"kind": "rank", "rank_image": rank, "rank_with_target": rank + 1}
             return Page3Status("nonzero", certificate=certificate)
         b_prev = space_prev.class_from_coords(x).representative
         status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
@@ -139,28 +134,24 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
             raise DomainError("page-3 class solve succeeded but the lift failed")
         return status
 
-    # k = 4: the equation is Sq({m3 + b}) = 0 over cocycles b.
+    # k = 4: the equation is Sq({m3 + b}) = 0 over cocycles b, tried class by
+    # class; both candidate lists start with b = 0
     dim = space_prev.dim
-    if field.char > 0 and field.char**dim <= ENUMERATION_BOUND:
-        tried = 0
-        for coords in _iterate_coordinate_vectors(field, dim):
-            tried += 1
-            b_prev = space_prev.class_from_coords(coords).representative
-            status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
-            if status is not None:
-                return status
-        certificate = {"kind": "enumeration", "classes_checked": tried, "dim": dim}
-        return Page3Status("nonzero", certificate=certificate)
-
-    candidates = [Cochain.zero(s.algebra, 3, -1)]
-    m3_class = ctx.space(3, -1).class_of(s.map(3))
-    mat = induced_bracket(ctx, m3_class, 3, -1)
-    for v in rref(mat).kernel():
-        candidates.append(space_prev.class_from_coords(v).representative)
-    for b_prev in candidates:
+    enumerate_all = field.char > 0 and field.char**dim <= ENUMERATION_BOUND
+    if enumerate_all:
+        candidates = _iterate_coordinate_vectors(field, dim)
+    else:
+        candidates = [{}] + rref(induced_bracket(ctx, m3_class, 3, -1)).kernel()
+    tried = 0
+    for coords in candidates:
+        tried += 1
+        b_prev = space_prev.class_from_coords(coords).representative
         status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
         if status is not None:
             return status
+    if enumerate_all:
+        certificate = {"kind": "enumeration", "classes_checked": tried, "dim": dim}
+        return Page3Status("nonzero", certificate=certificate)
     return Page3Status(
         "undecided",
         reason=(
@@ -189,13 +180,18 @@ def _iterate_coordinate_vectors(field, dim):
 
 
 def obstruction_report(s: AInfStructure, ctx: HHContext = None) -> ObstructionReport:
-    if ctx is None:
-        ctx = HHContext(s.algebra)
-    cocycle = obstruction_cocycle(s)
-    theta = theta_page2(s, ctx)
-    witness = page2_witness(s, ctx) if theta.is_zero() else None
-    page3 = theta_page3_check(s, ctx) if s.k >= 4 else None
-    return ObstructionReport(s.k, cocycle, theta, witness, page3)
+    """Pages 1-3 of the obstruction at k, computed once per structure and
+    then kept on it; its classes belong to the ``HHContext`` of the first
+    call."""
+    if s._report is None:
+        if ctx is None:
+            ctx = HHContext(s.algebra)
+        cocycle = obstruction_cocycle(s)
+        theta = theta_page2(s, ctx)
+        witness = page2_witness(s, ctx) if theta.is_zero() else None
+        page3 = theta_page3_check(s, ctx) if s.k >= 4 else None
+        s._report = ObstructionReport(s.k, cocycle, theta, witness, page3)
+    return s._report
 
 
 # -- extension solver -----------------------------------------------------------
@@ -239,37 +235,22 @@ def extend_once(s: AInfStructure, l: int, ctx: HHContext = None) -> ExtensionRes
             f"depth {l} below the implemented range (k-2 = {k - 2})"
         )
     require_valid_structure(s)
-    if ctx is None:
-        ctx = HHContext(s.algebra)
-
-    if l == k:
-        z = obstruction_cocycle(s)
-        if z.is_zero():
-            out = s.with_k(k + 1)
-            return ExtensionResult(True, structure=out, steps=[ExtensionStep(k, l, [])])
-        report = obstruction_report(s, ctx)
-        return ExtensionResult(False, report=report)
-
-    if l == k - 1:
-        theta = theta_page2(s, ctx)
-        if theta.is_zero():
-            b_k = page2_witness(s, ctx)
-            out = perturb(s, k, b_k).with_k(k + 1)
-            require_valid_structure(out)
-            return ExtensionResult(
-                True, structure=out, steps=[ExtensionStep(k, l, [k] if not b_k.is_zero() else [])]
-            )
-        report = obstruction_report(s, ctx)
-        return ExtensionResult(False, report=report)
-
-    status = theta_page3_check(s, ctx)
-    if status.kind == "vanishes":
-        out = perturb(perturb(s, k - 1, status.b_prev), k, status.b_top).with_k(k + 1)
-        require_valid_structure(out)
-        perturbed = [j for j, b in ((k - 1, status.b_prev), (k, status.b_top)) if not b.is_zero()]
-        return ExtensionResult(True, structure=out, steps=[ExtensionStep(k, l, perturbed)])
+    if l == k and obstruction_cocycle(s).is_zero():
+        return ExtensionResult(True, structure=s.with_k(k + 1), steps=[ExtensionStep(k, l, [])])
     report = obstruction_report(s, ctx)
-    return ExtensionResult(False, report=report)
+    if l == k - 1 and report.page2_vanishes:
+        perturbations = [(k, report.page2_witness)]
+    elif l == k - 2 and report.page3.kind == "vanishes":
+        perturbations = [(k - 1, report.page3.b_prev), (k, report.page3.b_top)]
+    else:
+        return ExtensionResult(False, report=report)
+    out = s
+    for j, b in perturbations:
+        out = perturb(out, j, b)
+    out = out.with_k(k + 1)
+    require_valid_structure(out)
+    perturbed = [j for j, b in perturbations if not b.is_zero()]
+    return ExtensionResult(True, structure=out, steps=[ExtensionStep(k, l, perturbed)])
 
 
 def extend_to(s: AInfStructure, K: int, ctx: HHContext = None) -> ExtensionResult:

@@ -55,9 +55,7 @@ def reference_rref(m):
     remaining rows, swapped into place, and cleared from every other row,
     which is checked for an entry in the pivot column.  Returns ``(rank,
     pivots, reduced)`` as an ``RREF``, which compares equal to the
-    :class:`Echelon` of ``rref`` on the same matrix; it records no row
-    operations, so it has no ``solve`` (``reference_solve`` reduces the
-    augmented matrix instead)."""
+    :class:`Echelon` of ``rref`` on the same matrix."""
     field = m.field
     rows = m._row_list()
     pivots = []

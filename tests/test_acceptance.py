@@ -22,7 +22,7 @@ from hochcalc.cochain import (
     q_support,
 )
 from hochcalc.cohomology import HHContext, induced_sq
-from hochcalc.exactla import PrimeField, Rationals, rref, vec_add, vec_scale
+from hochcalc.exactla import PrimeField, Rationals, rref, vec_combine
 from hochcalc.identities import run_identity_suite
 from hochcalc.laurent import section8_report
 from hochcalc.obstruction import (
@@ -107,11 +107,9 @@ def test_acceptance_3_oracle_equivalence():
 
 def _random_cocycle(rng, space):
     field = space.algebra.field
-    coords = {}
-    for v in space.cocycles:
-        c = rng.randrange(field.char)
-        if c:
-            coords = vec_add(field, coords, vec_scale(field, field.from_int(c), v))
+    coords = vec_combine(
+        field, [(field.from_int(rng.randrange(field.char)), v) for v in space.cocycles]
+    )
     return cochain_from_coords(space.algebra, space.p, space.q, space.basis, coords)
 
 

@@ -12,17 +12,15 @@ from hochcalc.ainf import (
 from hochcalc.cochain import Cochain, bracket, cochain_from_coords, hoch_d
 from hochcalc.cohomology import HHContext, induced_sq
 from hochcalc.errors import DomainError, ValidationError
-from hochcalc.exactla import vec_add, vec_scale
+from hochcalc.exactla import vec_combine
 from hochcalc.identities import random_cochain
 
 
 def random_cocycle(rng, space):
     field = space.algebra.field
-    coords = {}
-    for v in space.cocycles:
-        c = rng.randrange(field.char)
-        if c:
-            coords = vec_add(field, coords, vec_scale(field, field.from_int(c), v))
+    coords = vec_combine(
+        field, [(field.from_int(rng.randrange(field.char)), v) for v in space.cocycles]
+    )
     return cochain_from_coords(space.algebra, space.p, space.q, space.basis, coords)
 
 

@@ -115,6 +115,42 @@ def test_hh_bases_and_solves_match_reference(field, normalized):
                     assert coords_of_cochain(w, sp.basis_in, index_in) == x
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), Rationals()], ids=repr)
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "full"])
+def test_classes_and_witnesses_of_shifted_cocycles(field, normalized):
+    """On every cell, for a seeded cochain b one arity down, hoch_d(b) is a
+    coboundary whose witness is the one a fresh reduction of [d_in | z]
+    gives, and a class representative shifted by hoch_d(b) keeps its
+    class."""
+    a = truncated_skew_laurent(field, 3 if field.char else 2)
+    rng = random.Random(f"shifted/{field!r}/{normalized}")
+
+    def scalar():
+        return field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+
+    bounded = 0
+    for p in range(4):
+        for q in q_support(a, p):
+            sp = hh_space(a, p, q, normalized=normalized)
+            index_in = {pair: n for n, pair in enumerate(sp.basis_in)}
+            for _ in range(3):
+                picks = rng.sample(range(len(sp.basis_in)), min(3, len(sp.basis_in)))
+                b = cochain_from_coords(a, p - 1, q, sp.basis_in, {n: scalar() for n in picks})
+                z = hoch_d(b)
+                cls = sp.class_from_coords({j: scalar() for j in range(sp.dim) if rng.random() < 0.6})
+                assert sp.class_of(cls.representative + z).coords == cls.coords
+                if p == 0:
+                    continue
+                w = sp.is_coboundary(z)
+                want = reference_solve(sp.d_in, coords_of_cochain(z, sp.basis, sp.index))
+                assert coords_of_cochain(w, sp.basis_in, index_in) == want
+                assert (hoch_d(w) - z).is_zero()
+                bounded += not z.is_zero()
+                if cls.coords:
+                    assert sp.is_coboundary(cls.representative + z) is None
+    assert bounded > 10
+
+
 def test_class_of_coboundary_is_zero(ext_q):
     ctx = HHContext(ext_q)
     rng = random.Random(7)

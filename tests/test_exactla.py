@@ -24,6 +24,7 @@ from hochcalc.exactla import (
     _residue,
     field_from_json,
     rref,
+    solve,
     solve_columns,
     vec_combine,
 )
@@ -138,15 +139,15 @@ def test_solve_identity_and_inconsistent():
     Q = Rationals()
     ident = SparseMatrix.from_dense(Q, [[1, 0], [0, 1]])
     b = {0: Q.from_int(7)}
-    assert rref(ident).solve(b) == b
+    assert solve(ident, b) == b
     zero = SparseMatrix(Q, 2, 2)
-    assert rref(zero).solve(b) is None
+    assert solve(zero, b) is None
 
 
 def test_solve_free_variable_zeroed_f3():
     F = PrimeField(3)
     m = SparseMatrix.from_dense(F, [[1, 1], [0, 0]])
-    x = rref(m).solve({0: 2})
+    x = solve(m, {0: 2})
     assert x == {0: 2}
 
 
@@ -177,7 +178,7 @@ def test_rank_nullity_and_solutions(seed, field):
     # a consistent rhs: image of a random vector
     x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(cols) if rng.random() < 0.5}
     b = m.apply(x0)
-    x = rref(m).solve(b)
+    x = solve(m, b)
     assert x is not None
     assert m.apply(x) == b
 
@@ -201,7 +202,7 @@ def test_solve_columns_matches_solve(seed, field):
         b2 = dict(b)
         fresh = SparseMatrix(field, rows + 1, cols, {(i, j): c for (i, j), c in m.entries.items()})
         b2[rows] = field.one()
-        assert (rref(fresh).solve(b2) is None) == (
+        assert (solve(fresh, b2) is None) == (
             solve_columns(field, [fresh.column(j) for j in range(cols)], b2) is None
         )
     # extra columns with one nonzero each, sparser than most main columns, so
@@ -231,19 +232,19 @@ def test_solve_in_a_basis():
     matrix whose columns are the basis vectors."""
     Q = Rationals()
     basis = [{0: Q.one(), 1: Q.one()}, {1: Q.one()}]
-    ech = rref(SparseMatrix.from_columns(Q, basis, 2))
-    assert ech.solve({0: Q.from_int(2), 1: Q.from_int(5)}) == {0: Q.from_int(2), 1: Q.from_int(3)}
-    assert rref(SparseMatrix.from_columns(Q, [basis[1]], 2)).solve({0: Q.one()}) is None
+    m = SparseMatrix.from_columns(Q, basis, 2)
+    assert solve(m, {0: Q.from_int(2), 1: Q.from_int(5)}) == {0: Q.from_int(2), 1: Q.from_int(3)}
+    assert solve(SparseMatrix.from_columns(Q, [basis[1]], 2), {0: Q.one()}) is None
 
 
 def test_solve_rejects_rhs_out_of_range():
     Q = Rationals()
-    # past the end, negative, and past the zero rows of a rank-1 reduced form
+    # past the end, negative, and past the zero rows of a rank-1 matrix
     for dense, row in ([[1, 0]], 1), ([[1, 0]], -1), ([[1, 1], [2, 2], [0, 0]], 3):
-        ech = rref(SparseMatrix.from_dense(Q, dense))
-        assert ech.solve({len(dense) - 1: Q.zero()}) == {}
+        m = SparseMatrix.from_dense(Q, dense)
+        assert solve(m, {len(dense) - 1: Q.zero()}) == {}
         with pytest.raises(ConfigurationError):
-            ech.solve({row: Q.one()})
+            solve(m, {row: Q.one()})
 
 
 def _index_cases(field):
@@ -266,8 +267,8 @@ def _index_cases(field):
 def test_factorization_matches_reference(field):
     """The forward elimination with back substitution returns the pivots and
     the reduced matrix of the Gauss-Jordan ``reference_rref``, and the
-    kernel read off it.  One factorization answers several right-hand
-    sides, consistent and inconsistent, exactly as a fresh reduction of
+    kernel read off it.  ``solve`` answers several right-hand sides,
+    consistent and inconsistent, exactly as a Gauss-Jordan reduction of
     [m | b] does."""
     rng = random.Random(f"echelon/{field!r}")
 
@@ -286,7 +287,7 @@ def test_factorization_matches_reference(field):
         for _ in range(4):
             b = _random_rhs(rng, m)
             want = reference_solve(m, b)
-            assert ech.solve(b) == want
+            assert solve(m, b) == want
             if want is None:
                 inconsistent += 1
             else:
@@ -323,7 +324,7 @@ def test_rref_invariant_under_row_permutations(field):
         assert ech.kernel() == pech.kernel()
         for _ in range(3):
             b = _random_rhs(rng, m)
-            assert ech.solve(b) == pech.solve({perm[i]: c for i, c in b.items()})
+            assert solve(m, b) == solve(pm, {perm[i]: c for i, c in b.items()})
 
 
 def _witness_system(rng, field):
@@ -358,8 +359,8 @@ def _witness_system(rng, field):
 def test_solve_columns_matches_reference_rref(field):
     """The forward elimination with sparsest-row pivots and back
     substitution returns the same ``(x, extra)`` as full RREF of the sorted
-    augmented matrix, in ``reference_rref`` and in ``rref``.  It differs from
-    ``rref(m).solve(b)`` on the unsorted matrix by the kernel vector that its
+    augmented matrix, in ``reference_rref`` and in ``solve``.  It differs from
+    ``solve(m, b)`` on the unsorted matrix by the kernel vector that its
     free coordinates fix."""
     rng = random.Random(f"forward/{field!r}")
     one, zero = field.one(), field.zero()
@@ -370,10 +371,11 @@ def test_solve_columns_matches_reference_rref(field):
         assert got == reference_solve_columns(field, columns, b, extras)
         whole = columns + extras
         order = sorted(range(len(whole)), key=lambda j: (len(whole[j]), j))
-        want = rref(SparseMatrix.from_columns(field, [whole[j] for j in order], rows)).solve(b)
+        want = solve(SparseMatrix.from_columns(field, [whole[j] for j in order], rows), b)
         m = SparseMatrix.from_columns(field, whole, rows)
         ech = rref(m)
-        assert (want is None) == (got is None) == (ech.solve(b) is None)
+        plain = solve(m, b)
+        assert (want is None) == (got is None) == (plain is None)
         if got is None:
             inconsistent += 1
             continue
@@ -382,7 +384,7 @@ def test_solve_columns_matches_reference_rref(field):
         x = {order[k]: c for k, c in want.items()}
         assert got == ({j: c for j, c in x.items() if j < n_main},
                        {j - n_main: c for j, c in x.items() if j >= n_main})
-        diff = vec_combine(field, [(one, x), (field.neg(one), ech.solve(b))])
+        diff = vec_combine(field, [(one, x), (field.neg(one), plain)])
         free = [j for j in range(m.cols) if j not in ech.pivots]
         assert diff == vec_combine(field, [(diff.get(j, zero), v) for j, v in zip(free, ech.kernel())])
     assert found > 50 and inconsistent > 30
@@ -655,7 +657,7 @@ def test_solve_columns_over_q_agrees_with_exact_elimination():
         # keys that are not integers, as in the witness search
         columns = [{("r", i): c for i, c in m.column(j).items()} for j in range(m.cols)]
         got = solve_columns(m.field, columns, {("r", i): c for i, c in b.items()})
-        want = rref(m).solve(b)
+        want = solve(m, b)
         assert (got is None) == (want is None)
         if got is None:
             missing += 1

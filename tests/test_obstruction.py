@@ -6,7 +6,7 @@ from hochcalc.ainf import AInfStructure, is_valid, stasheff_residual
 from hochcalc.cochain import bracket, brace, cochain_from_coords, hoch_d
 from hochcalc.cohomology import HHContext, HHSpace, induced_sq
 from hochcalc.errors import ConfigurationError, UnsupportedDepthError
-from hochcalc.exactla import vec_add, vec_scale
+from hochcalc.exactla import vec_combine
 from hochcalc.identities import random_cochain
 from hochcalc.obstruction import (
     allowed_depths,
@@ -60,11 +60,9 @@ def test_theta_page2_is_square_of_massey(trunc_f2, trunc_f3):
         rng = random.Random(5)
         field = a.field
         for _ in range(4):
-            coords = {}
-            for v in sp.cocycles:
-                c = rng.randrange(field.char)
-                if c:
-                    coords = vec_add(field, coords, vec_scale(field, field.from_int(c), v))
+            coords = vec_combine(
+                field, [(field.from_int(rng.randrange(field.char)), v) for v in sp.cocycles]
+            )
             m3 = cochain_from_coords(a, 3, -1, sp.basis, coords)
             m4 = random_cochain(rng, a, 4, -2, density=2)
             s = AInfStructure(a, 4, {n: f for n, f in ((3, m3), (4, m4)) if not f.is_zero()})
@@ -331,3 +329,28 @@ def test_extend_to_failure_trace_points_at_the_step(tower_f2):
         assert not res.report.page2_vanishes
         return
     pytest.fail("no obstructed class")
+
+
+def test_extend_to_runs_page3_once_per_structure(trunc_f2, monkeypatch):
+    """extend_to reads every depth of one k off one obstruction report, so
+    it runs the page-3 check at most once per structure, whether the
+    structure then extends at a lower depth or is obstructed."""
+    import hochcalc.obstruction as obstruction
+
+    ctx = HHContext(trunc_f2)
+    sp = ctx.space(3, -1)
+    real = obstruction.theta_page3_check
+    outcomes = set()
+    for code in range(1, 2**sp.dim):
+        seen = []
+
+        def spy(s, ctx=None):
+            seen.append(s)
+            return real(s, ctx)
+
+        monkeypatch.setattr(obstruction, "theta_page3_check", spy)
+        res = extend_to(AInfStructure(trunc_f2, 4, {3: cocycle_from_code(sp, code)}), 6, ctx)
+        assert all(sum(t is s for t in seen) == 1 for s in seen)
+        if seen:
+            outcomes.add(res.ok)
+    assert outcomes == {True, False}
