@@ -435,6 +435,8 @@ def cmd_collapse_check(docobj, args, report):
 
 
 def cmd_section8(args, report):
+    if args.max_poly_degree < 0:
+        raise InputError("max-poly-degree must be >= 0", "--max-poly-degree")
     rep = section8_report(args.char, args.max_poly_degree)
     report["results"] = rep
     if rep["all_passed"]:

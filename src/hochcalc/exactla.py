@@ -577,81 +577,96 @@ def solve(m: SparseMatrix, b: dict):
     cols = [{} for _ in range(m.cols)]
     for (i, j), c in m.entries.items():
         cols[j][i] = c
-    return _solve_reduced(m.field, cols, range(m.cols), b, range(m.rows))
+    return _solve_reduced(m.field, cols, range(m.cols), [b], range(m.rows))[0]
 
 
 def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
-    """One solution of ``sum_j x_j col_j (+ sum_k y_k extra_k) = rhs``.
-    Returns ``(x, y)`` as sparse dicts, or ``None`` if the system is
-    inconsistent; raises ``ConfigurationError`` if the solution fails its
-    exact check.
+    """One solution of ``sum_j x_j col_j (+ sum_k y_k extra_k) = rhs``, as
+    ``(x, y)`` in sparse dicts, or ``None`` if the system is inconsistent:
+    :func:`solve_columns_many` with the one right-hand side ``rhs``."""
+    return solve_columns_many(field, columns, [rhs], extra_columns)[0]
+
+
+def solve_columns_many(field: Field, columns, rhss, extra_columns=()):
+    """:func:`solve_columns` for each right-hand side in ``rhss``, by one
+    elimination: a list with ``(x, y)`` or ``None`` per right-hand side.
+    Raises ``ConfigurationError`` if a solution fails its exact check.
 
     The augmented matrix, with the columns sorted by (number of nonzeros,
-    index) and the right-hand side last, is eliminated forward by
-    :func:`_reduce` and back-substituted on its last column.  Free variables
-    are zeroed in that order, which favours sparse witnesses on large
-    systems.  The answer is unique: it depends neither on the pivot rows
-    chosen nor on the row keys, which need only be hashable.
+    index) and the right-hand sides last, is eliminated forward by
+    :func:`_reduce` and back-substituted on each right-hand side.  Free
+    variables are zeroed in that order, which favours sparse witnesses on
+    large systems.  Each answer is unique: it depends neither on the pivot
+    rows chosen, nor on the row keys (which need only be hashable), nor on
+    the other right-hand sides.
 
-    Over Q the elimination runs modulo ``MODULUS`` first, and each
-    coordinate is lifted by rational reconstruction.  The lift is returned
-    only if it passes the exact check over Q.  If a denominator is divisible
-    by ``MODULUS``, the reduced system is inconsistent, or a lift or the
-    check fails, the system is eliminated exactly, so inconsistency over Q
-    is decided only by exact elimination.
+    Over Q the elimination runs modulo ``MODULUS`` first, and a lift of each
+    solution by rational reconstruction is kept if it passes the exact
+    check.  The right-hand sides this leaves unsettled (a denominator
+    divisible by ``MODULUS``, no solution modulo ``MODULUS``, a failed lift
+    or check) are eliminated exactly, in one elimination, so inconsistency
+    over Q is decided only by exact elimination.
     """
-    cols = list(columns) + list(extra_columns)
+    cols, rhss = list(columns) + list(extra_columns), list(rhss)
     n_main = len(columns)
     # integer row ids in first-seen order
-    row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + [rhs] for r in col))}
+    row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + rhss for r in col))}
     order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
-    x = None
+    xs = [None] * len(rhss)
     if field.char == 0:
         try:
-            x = _solve_reduced(PrimeField(MODULUS), cols, order, rhs, row_id, _residue)
+            xs = _solve_reduced(PrimeField(MODULUS), cols, order, rhss, row_id, _residue)
         except ZeroDivisionError:
             pass
-        if x is not None:
-            x = {j: _rational_lift(v) for j, v in x.items()}
-            if None in x.values() or not _satisfies(field, cols, rhs, x):
-                x = None
-    if x is None:
-        x = _solve_reduced(field, cols, order, rhs, row_id)
-        if x is None:
-            return None
-        if not _satisfies(field, cols, rhs, x):
-            raise ConfigurationError("solve_columns: solution failed its exact check")
-    main = {j: c for j, c in x.items() if j < n_main}
-    extra = {j - n_main: c for j, c in x.items() if j >= n_main}
-    return main, extra
+        xs = [None if x is None else {j: _rational_lift(v) for j, v in x.items()} for x in xs]
+        xs = [x if x is not None and None not in x.values() and _satisfies(field, cols, b, x)
+              else None for x, b in zip(xs, rhss)]
+    todo = [k for k, x in enumerate(xs) if x is None]
+    if todo:
+        for k, x in zip(todo, _solve_reduced(field, cols, order, [rhss[k] for k in todo], row_id)):
+            if x is not None and not _satisfies(field, cols, rhss[k], x):
+                raise ConfigurationError("solve_columns: solution failed its exact check")
+            xs[k] = x
+    return [None if x is None else ({j: c for j, c in x.items() if j < n_main},
+                                    {j - n_main: c for j, c in x.items() if j >= n_main})
+            for x in xs]
 
 
-def _solve_reduced(field: Field, cols, order, rhs: dict, row_id, load=None):
-    """Eliminate ``[cols[order[0]] ... cols[order[-1]] | rhs]`` over ``field``
-    and back-substitute, returning a sparse dict over the original column
-    indices, or ``None`` if the system is inconsistent over ``field``.
-    ``row_id`` maps each row key to its index in ``range(len(row_id))`` (a
-    ``range`` maps integer rows to themselves).  ``load`` maps each input
-    scalar into ``field`` as it is read."""
+def _solve_reduced(field: Field, cols, order, rhss, row_id, load=None):
+    """Eliminate ``[cols[order[0]] ... cols[order[-1]] | rhss[0] ...]`` over
+    ``field`` once: per right-hand side, a sparse dict over the original
+    column indices, or ``None`` if it is inconsistent over ``field``.
+    ``row_id`` maps each row key to its index in ``range(len(row_id))``;
+    ``load`` maps each scalar into ``field``.
+
+    Right-hand side ``k`` is consistent iff its column ``n + k`` is no pivot
+    and no pivot row of an earlier right-hand side has an entry there; then
+    back substitution on the pivot rows of the columns gives its solution
+    with free variables zero, the one it has alone."""
     n = len(order)
     rows = [{} for _ in row_id]
-    for k, col in enumerate([cols[j] for j in order] + [rhs]):
+    for k, col in enumerate([cols[j] for j in order] + rhss):
         for r, c in col.items():
             if load is not None:
                 c = load(c)
             if not field.is_zero(c):
                 rows[row_id[r]][k] = c
-    pivots = _reduce(field, rows, n + 1)
-    if pivots and pivots[-1] == n:
-        return None
-    x = {}
-    for k, row in zip(reversed(pivots), reversed(rows)):
-        v = row.get(n, field.zero())
-        for j in row.keys() & x.keys():
-            v = field.sub(v, field.mul(row[j], x[j]))
-        if not field.is_zero(v):
-            x[k] = v
-    return {order[k]: x[k] for k in pivots if k in x}
+    pivots = _reduce(field, rows, n + len(rhss))
+    rank = sum(1 for k in pivots if k < n)
+    out = []
+    for col in range(n, n + len(rhss)):
+        if any(col in row for row in rows[rank:]):
+            out.append(None)
+            continue
+        x = {}
+        for k, row in zip(reversed(pivots[:rank]), reversed(rows[:rank])):
+            v = row.get(col, field.zero())
+            for j in row.keys() & x.keys():
+                v = field.sub(v, field.mul(row[j], x[j]))
+            if not field.is_zero(v):
+                x[k] = v
+        out.append({order[k]: x[k] for k in pivots[:rank] if k in x})
+    return out
 
 
 def _satisfies(field: Field, cols, rhs: dict, x: dict) -> bool:

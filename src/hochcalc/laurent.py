@@ -31,7 +31,7 @@ from .exactla import (
     Rationals,
     SparseMatrix,
     rref,
-    solve_columns,
+    solve_columns_many,
     vec_eq,
 )
 
@@ -219,8 +219,8 @@ class TwistedLaurent:
         self._m2_lookups = None
         self._expansions = {}
         self._weights = None
-        # find_combination's coboundary columns, keyed by witness shape; every
-        # later search shares them, and solve_columns only reads them
+        # find_combinations' coboundary columns, keyed by witness shape;
+        # every later search shares them, and no solve changes them
         self._columns = {}
 
     def _apply_sigma(self, v: dict) -> dict:
@@ -649,70 +649,76 @@ def find_combination(target: PolyCochain, generators, d_search: int):
     """Solve target = sum_i a_i gen_i + hoch_d(b) exactly, with b in the
     residue-split class of polynomial total degree <= d_search.
 
-    The image of each basis monomial of b is built once per algebra and
-    kept on it, so later searches at the same shape reuse it.
-
-    Returns ``(coeffs, witness, stats)`` or ``(None, None, stats)``; a
-    found solution is verified exactly, absence is one-sided.
+    Returns ``(coeffs, witness, stats)`` or ``(None, None, stats)``, by
+    :func:`find_combinations`; a found solution is verified exactly, absence
+    is one-sided.
     """
-    alg = target.algebra
-    field = alg.field
-    for g in generators:
-        if (g.arity, g.end_degree) != (target.arity, target.end_degree):
+    return find_combinations([target], generators, d_search)[0]
+
+
+def find_combinations(targets, generators, d_search: int):
+    """:func:`find_combination` for each of ``targets``, which share
+    ``generators``: a list with ``(coeffs, witness, stats)`` per target.
+
+    The targets of one algebra and shape share one elimination, of the
+    coboundary columns whose weight is one of theirs, with a right-hand side
+    each.  ``hoch_d`` preserves weight, so that system is block diagonal by
+    weight with the column order of each block unchanged: a target's witness
+    and ``unknowns`` are those of a search over its own weights alone.
+    Each column is built once per algebra and kept on it for later searches.
+    """
+    out = [None] * len(targets)
+    groups = {}
+    for t, target in enumerate(targets):
+        if any((g.arity, g.end_degree) != (target.arity, target.end_degree) for g in generators):
             raise DomainError("generator bidegree mismatch")
-    if target.is_zero() and not generators:
-        return {}, PolyCochain(alg, target.arity - 1, target.end_degree + 1), {
-            "unknowns": 0
-        }
-    arity_b = target.arity - 1
-    deg_b = target.end_degree + 1
-    wvecs = _weight_vectors(alg)
-    tcoords = _coordinates(target)
+        if target.is_zero() and not generators:
+            out[t] = {}, target.zero_like(target.arity - 1, target.end_degree + 1), {"unknowns": 0}
+        else:
+            groups.setdefault((target.algebra, target.arity, target.end_degree), []).append(t)
     gen_cols = [_coordinates(g) for g in generators]
-    weights = {_key_weight(wvecs, ckey) for (ckey, _) in tcoords}
-    for col in gen_cols:
-        weights |= {_key_weight(wvecs, ckey) for (ckey, _) in col}
-    columns = []
-    unknowns = []
-    if arity_b >= 0:
-        keys = [
-            k
-            for k in _witness_basis_keys(alg, arity_b, deg_b)
-            if _key_weight(wvecs, k) in weights
-        ]
-        monos = _monomials(arity_b, d_search, field.char)
-        one = field.one()
-        cache = alg._columns
-        for key in keys:
-            for mono in monos:
-                shape = (arity_b, deg_b, key, mono)
-                if shape in cache:
-                    col = cache[shape]
-                else:
-                    img = hoch_d(PolyCochain(
-                        alg, arity_b, deg_b, {key: Poly(field, arity_b, {mono: one})}
-                    ))
-                    col = cache[shape] = None if img.is_zero() else _coordinates(img)
-                if col is None:
+    for (alg, arity, end_degree), group in groups.items():
+        field = alg.field
+        arity_b, deg_b = arity - 1, end_degree + 1
+        wvecs = _weight_vectors(alg)
+        tcoords = [_coordinates(targets[t]) for t in group]
+        gen_weights = {_key_weight(wvecs, ckey) for col in gen_cols for (ckey, _) in col}
+        weights = [gen_weights | {_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
+        columns, unknowns = [], []
+        if arity_b >= 0:
+            monos = _monomials(arity_b, d_search, field.char)
+            cache = alg._columns
+            for key in _witness_basis_keys(alg, arity_b, deg_b):
+                weight = _key_weight(wvecs, key)
+                if not any(weight in ws for ws in weights):
                     continue
-                columns.append(col)
-                unknowns.append((key, mono))
-    stats = {"unknowns": len(columns), "generators": len(generators)}
-    sol = solve_columns(field, columns, tcoords, extra_columns=gen_cols)
-    if sol is None:
-        return None, None, stats
-    x, coeffs = sol
-    witness = PolyCochain(alg, arity_b, deg_b)._accumulate(
-        (unknowns[nj][0], Poly(field, arity_b, {unknowns[nj][1]: c})) for nj, c in x.items()
-    )
-    combo = target
-    for j, g in enumerate(generators):
-        c = coeffs.get(j)
-        if c is not None:
-            combo = combo - g.scale(c)
-    if not (hoch_d(witness) - combo).is_zero():
-        raise DomainError("witness verification failed")
-    return {j: c for j, c in coeffs.items()}, witness, stats
+                for mono in monos:
+                    shape = (arity_b, deg_b, key, mono)
+                    if shape not in cache:
+                        img = hoch_d(PolyCochain(
+                            alg, arity_b, deg_b, {key: Poly(field, arity_b, {mono: field.one()})}
+                        ))
+                        cache[shape] = None if img.is_zero() else _coordinates(img)
+                    if cache[shape] is not None:
+                        columns.append(cache[shape])
+                        unknowns.append((key, mono, weight))
+        sols = solve_columns_many(field, columns, tcoords, extra_columns=gen_cols)
+        for t, ws, sol in zip(group, weights, sols):
+            stats = {"unknowns": sum(u[2] in ws for u in unknowns), "generators": len(generators)}
+            out[t] = None, None, stats
+            if sol is not None:
+                x, coeffs = sol
+                witness = PolyCochain(alg, arity_b, deg_b)._accumulate(
+                    (unknowns[j][0], Poly(field, arity_b, {unknowns[j][1]: c}))
+                    for j, c in x.items()
+                )
+                combo = targets[t]
+                for j, c in coeffs.items():
+                    combo = combo - generators[j].scale(c)
+                if not (hoch_d(witness) - combo).is_zero():
+                    raise DomainError("witness verification failed")
+                out[t] = coeffs, witness, stats
+    return out
 
 
 def find_witness(lhs: PolyCochain, rhs: PolyCochain, d_search: int):
@@ -721,17 +727,23 @@ def find_witness(lhs: PolyCochain, rhs: PolyCochain, d_search: int):
 
     A found witness proves the cohomology identity; absence only means the
     identity is not certified inside this class at this degree.
-    Returns (witness or None, stats dict).
+    Returns (witness or None, stats dict), by :func:`find_witnesses`.
     """
-    if (lhs.arity, lhs.end_degree) != (rhs.arity, rhs.end_degree):
-        raise DomainError("bidegree mismatch between the two sides")
-    if lhs.arity == 0:
-        empty = PolyCochain(lhs.algebra, -1, lhs.end_degree + 1)
-        return (empty, {"unknowns": 0}) if (lhs - rhs).is_zero() else (None, {"unknowns": 0})
-    coeffs, witness, stats = find_combination(lhs - rhs, [], d_search)
-    if witness is None:
-        return None, stats
-    return witness, stats
+    return find_witnesses([(lhs, rhs)], d_search)[0]
+
+
+def find_witnesses(pairs, d_search: int):
+    """:func:`find_witness` for each ``(lhs, rhs)`` of ``pairs``: a list with
+    ``(witness or None, stats)`` per pair, all searched together by
+    :func:`find_combinations`."""
+    diffs = []
+    for lhs, rhs in pairs:
+        if (lhs.arity, lhs.end_degree) != (rhs.arity, rhs.end_degree):
+            raise DomainError("bidegree mismatch between the two sides")
+        diffs.append(lhs - rhs)
+    # an arity-0 difference has no witness unless it is zero
+    return [(w, st) if z.arity or w is not None else (None, {"unknowns": 0})
+            for z, (_, w, st) in zip(diffs, find_combinations(diffs, [], d_search))]
 
 
 # -- the sign-twisted Laurent example ------------------------------------------
@@ -798,20 +810,16 @@ def _report_entry(checks, check_id, name, status, **detail):
 
 
 def _witness_entry(checks, check_id, name, detail_key, cases, d_search, skip=None):
-    """Append a check that passes when every case ``(label, lhs, rhs)``,
-    built lazily from ``cases`` in order, has a coboundary witness for
-    lhs - rhs; each label is marked "witness" or "NOT CERTIFIED" under
-    ``detail_key``.  With a ``skip`` reason the check is SKIPPED and no case
-    is built."""
+    """Append a check that passes when every case ``(label, lhs, rhs)`` of
+    ``cases`` has a coboundary witness for lhs - rhs (one batch of
+    :func:`find_witnesses`), each label marked "witness" or "NOT CERTIFIED"
+    under ``detail_key``.  A ``skip`` reason makes it SKIPPED, with no case built."""
     if skip is not None:
         return _report_entry(checks, check_id, name, "SKIPPED", reason=skip)
-    results = {}
-    all_ok = True
-    for label, lhs, rhs in cases:
-        found = find_witness(lhs, rhs, d_search)[0] is not None
-        results[label] = "witness" if found else "NOT CERTIFIED"
-        all_ok = all_ok and found
-    return _report_entry(checks, check_id, name, "PASS" if all_ok else "FAIL",
+    cases = list(cases)
+    found = [w is not None for w, _ in find_witnesses([c[1:] for c in cases], d_search)]
+    results = {c[0]: "witness" if ok else "NOT CERTIFIED" for c, ok in zip(cases, found)}
+    return _report_entry(checks, check_id, name, "PASS" if all(found) else "FAIL",
                          **{detail_key: results})
 
 
@@ -933,10 +941,9 @@ def section8_report(characteristic: int, d_search: int = 3):
     probe = {}
     if not char2:
         combos = {"z1": (1, 0), "z2": (0, 1), "z1+z2": (1, 1)}
-        for name, (a_, b_) in combos.items():
-            ww, st = find_witness(
-                z1.scale_int(a_) + z2.scale_int(b_), PolyCochain(alg, 3, -1), d_search
-            )
+        found = find_witnesses([(z1.scale_int(a_) + z2.scale_int(b_), PolyCochain(alg, 3, -1))
+                                for a_, b_ in combos.values()], d_search)
+        for name, (ww, _) in zip(combos, found):
             probe[name] = "bounds (unexpected)" if ww is not None else "no witness at this degree"
     _report_entry(checks, "dims", "exhibited generator count vs stated dimensions",
                   "INFO", claimed=claimed, independence_probe=probe,

@@ -448,6 +448,15 @@ def test_negative_arity_max_is_an_input_error(tmp_path):
     assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "arity-max"
 
 
+
+@pytest.mark.parametrize("degree", ["-1", "-7"])
+def test_negative_max_poly_degree_is_an_input_error(tmp_path, degree):
+    """A negative degree bound is an input error, not a report of checks
+    that fail for want of a search space."""
+    code, rep = run_cli(["section8", "--char", "3", "--max-poly-degree", degree], tmp_path)
+    assert code == 1 and rep["results"] == {}
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "--max-poly-degree"
+
 FUZZ_DOCUMENTS = [
     json.loads(fx.read_text())
     for fx in sorted(FIXTURES.glob("*.json"))

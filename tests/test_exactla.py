@@ -26,6 +26,7 @@ from hochcalc.exactla import (
     rref,
     solve,
     solve_columns,
+    solve_columns_many,
     vec_combine,
 )
 from hochcalc.laurent import section8_report
@@ -412,6 +413,41 @@ def test_solve_columns_ignores_row_key_order(field):
         assert got == want
 
 
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=repr)
+def test_solve_columns_many_matches_reference_rref(field):
+    """One elimination of ``[A | b_1 ... b_m]`` gives each right-hand side
+    the answer that ``reference_solve_columns`` gives it alone, with the
+    inconsistent right-hand sides placed before the consistent ones, empty
+    right-hand sides, zero and duplicate columns and extra columns."""
+    rng = random.Random(f"many/{field!r}")
+    seen = {"inconsistent first": 0, "empty": 0, "zero column": 0, "extra": 0}
+    for _ in range(150):
+        rows, columns, extras, _ = _witness_system(rng, field)
+        whole = SparseMatrix.from_columns(field, columns + extras, rows)
+        rhss = []
+        for _ in range(rng.randrange(1, 6)):
+            kind = rng.random()
+            if kind < 0.15:
+                rhss.append({})
+            elif kind < 0.55:
+                rhss.append(whole.apply({j: _random_nonzero(rng, field) for j in range(whole.cols)
+                                         if rng.random() < 0.5}))
+            else:
+                rhss.append({i: _random_nonzero(rng, field) for i in range(rows)
+                             if rng.random() < 0.5})
+        wants = [reference_solve_columns(field, columns, b, extras) for b in rhss]
+        first = sorted(range(len(rhss)), key=lambda k: wants[k] is not None)
+        rhss, wants = [rhss[k] for k in first], [wants[k] for k in first]
+        assert solve_columns_many(field, columns, rhss, extra_columns=extras) == wants
+        assert [solve_columns(field, columns, b, extras) for b in rhss] == wants
+        seen["inconsistent first"] += wants[0] is None and wants[-1] is not None
+        seen["empty"] += {} in rhss
+        seen["zero column"] += {} in columns
+        seen["extra"] += bool(extras)
+    assert solve_columns_many(field, [{0: field.one()}], []) == []
+    assert min(seen.values()) > 10, seen
+
+
 class _WrongInverse(PrimeField):
     def inv(self, a):
         return 1
@@ -421,6 +457,9 @@ def test_solve_columns_raises_when_its_check_fails():
     field = _WrongInverse(5)
     with pytest.raises(ConfigurationError):
         solve_columns(field, [{"r": 2}], {"r": 1})
+    # a batch checks every answer too, the consistent one after the others
+    with pytest.raises(ConfigurationError):
+        solve_columns_many(field, [{"r": 2}], [{"s": 1}, {}, {"r": 1}])
 
 
 def _random_scalar(rng, field):
@@ -633,6 +672,21 @@ def test_solve_columns_decides_inconsistency_exactly(exact_eliminations):
     assert len(exact_eliminations) == 1
 
 
+
+def test_dims_probes_share_one_exact_elimination(exact_eliminations):
+    """The three dims probes of ``section8_report(0, 2)`` have no witness,
+    which over Q only exact elimination may decide: batched, they need one
+    exact elimination instead of three."""
+    alg = laurent.sign_twisted_laurent(Rationals())
+    z1, z2 = (laurent.display_monomial(alg, *args) for args in [(0, 4, 0, 3), (1, 3, 1, 2)])
+    pairs = [(z, laurent.PolyCochain(alg, 3, -1)) for z in (z1, z2, z1 + z2)]
+    laurent._weight_vectors(alg)
+    exact_eliminations.clear()  # the rref of the weight grading is no witness search
+    assert [w for w, _ in laurent.find_witnesses(pairs, 2)] == [None, None, None]
+    assert len(exact_eliminations) == 1
+    assert [laurent.find_witness(lhs, rhs, 2)[0] for lhs, rhs in pairs] == [None, None, None]
+    assert len(exact_eliminations) == 1 + 3
+
 def _random_q_system(rng, rows, cols):
     Q = Rationals()
     entries = {}
@@ -667,3 +721,65 @@ def test_solve_columns_over_q_agrees_with_exact_elimination():
         assert extra == {}
         assert m.apply(x) == b
     assert found > 50 and missing > 50
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The field and column count of every elimination, over any field."""
+    calls = []
+    real = exactla._reduce
+
+    def spy(field, rows, ncols):
+        calls.append((field.char, ncols))
+        return real(field, rows, ncols)
+
+    monkeypatch.setattr(exactla, "_reduce", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(7)], ids=repr)
+def test_solve_columns_many_over_a_prime_field_eliminates_once(eliminations, field):
+    one = field.one()
+    cols = [{0: one, 1: one}, {1: one}, {}]
+    rhss = [{2: one}, {0: one}, {}, {0: one, 1: field.neg(one)}]
+    got = solve_columns_many(field, cols, rhss)
+    assert got[0] is None and got[1] == ({0: one, 1: field.neg(one)}, {}) and got[2] == ({}, {})
+    assert eliminations == [(field.char, 3 + 4)]
+    assert got == [reference_solve_columns(field, cols, b) for b in rhss]
+
+
+def test_solve_columns_many_over_q_eliminates_the_unsettled_exactly_in_one(eliminations):
+    """The modular front settles what it can; the rest (here a lift beyond
+    the bound, an inconsistent system and a failed exact check) is
+    eliminated exactly once, together, and every answer is the one of
+    ``reference_solve_columns``."""
+    Q = Rationals()
+    cols = [{0: Fraction(3**40)}, {1: Fraction(1)}, {2: Fraction(1)}]
+    rhss = [{3: Fraction(1)}, {1: Fraction(5, 2)}, {0: Fraction(1), 1: Fraction(2)},
+            {}, {2: Fraction(MODULUS + 1)}, {0: Fraction(3**40)}]
+    got = solve_columns_many(Q, cols, rhss)
+    assert got == [reference_solve_columns(Q, cols, b) for b in rhss]
+    assert got[0] is None and got[2] == ({0: Fraction(1, 3**40), 1: 2}, {})
+    assert eliminations == [(MODULUS, 3 + 6), (0, 3 + 3)]
+
+
+def test_solve_columns_many_over_q_falls_back_as_a_whole(eliminations):
+    """A denominator divisible by the modulus settles nothing modulo it: all
+    right-hand sides go to the one exact elimination."""
+    Q = Rationals()
+    cols = [{0: Fraction(1, MODULUS)}, {1: Fraction(2)}]
+    rhss = [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
+    got = solve_columns_many(Q, cols, rhss)
+    assert got == [({0: MODULUS}, {}), ({1: Fraction(1, 2)}, {}), None]
+    assert got == [reference_solve_columns(Q, cols, b) for b in rhss]
+    assert eliminations == [(0, 2 + 3)]
+
+
+@pytest.mark.parametrize("char", [3, 0])
+def test_section8_eliminates_its_largest_witness_block_once(eliminations, char):
+    """Check (e)'s searches at witness shape (4, -1) share one elimination
+    of their 2,640 coboundary columns instead of eliminating the common
+    2,400 twice."""
+    section8_report(char, 2)
+    large = [c for c in eliminations if c[1] >= 2000]
+    assert len(large) == 1 and large[0][0] == (char or MODULUS)

@@ -16,10 +16,13 @@ from hochcalc.laurent import (
     _monomials,
     _witness_basis_keys,
     binomial_half_cochain,
+    constant_cochain,
     display_monomial,
     euler_cochain,
     find_combination,
+    find_combinations,
     find_witness,
+    find_witnesses,
     section8_report,
     sign_twisted_laurent,
     skew_derivation_cochain,
@@ -327,6 +330,49 @@ def test_find_combination_reads_off_coefficients():
     y = display_monomial(alg, 1, 1, 0, 1)
     coeffs, witness, _ = find_combination(bracket(z1, y), [z1], 2)
     assert coeffs == {0: 3}
+
+
+WITNESS_FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)]
+
+
+@pytest.mark.parametrize("field", WITNESS_FIELDS, ids=repr)
+def test_find_witnesses_matches_one_at_a_time(field):
+    """One batch of mixed shapes (arity 0 to 3) with coboundaries, zero
+    targets and non-coboundaries, some of them in the same weight blocks,
+    gives every pair the witness and the stats of its own search."""
+    rng = random.Random(f"batch/{field!r}")
+    alg = sign_twisted_laurent(field)
+    e = skew_derivation_cochain(alg)
+    z1 = display_monomial(alg, 0, 4, 0, 3)
+    bounding = [hoch_d(random_poly_cochain(rng, alg, arity, end, density=3))
+                for arity, end in [(1, 0), (1, -1), (2, -1), (2, 0), (2, -1)]]
+    x2 = constant_cochain(alg, alg.base.unit, 2)
+    zero = lambda z: z.zero_like(z.arity, z.end_degree)
+    pairs = [(e, zero(e)), (bounding[0], zero(bounding[0])), (zero(z1), zero(z1)),
+             (z1, zero(z1)), (bounding[2], bounding[4]), (bounding[1], zero(bounding[1])),
+             (x2, zero(x2)), (zero(x2), zero(x2)), (z1 + bounding[3], zero(z1)),
+             (bounding[3], zero(z1)), (e, e)]
+    got = find_witnesses(pairs, 2)
+    assert got == [find_witness(lhs, rhs, 2) for lhs, rhs in pairs]
+    assert [w is not None for w, _ in got] == [False, True, True, False, True, True,
+                                                False, True, False, True, True]
+    assert find_witnesses([], 2) == []
+
+
+@pytest.mark.parametrize("field", WITNESS_FIELDS, ids=repr)
+def test_find_combinations_matches_one_at_a_time(field):
+    rng = random.Random(f"combos/{field!r}")
+    alg = sign_twisted_laurent(field)
+    z1, z2 = display_monomial(alg, 0, 4, 0, 3), display_monomial(alg, 1, 3, 1, 2)
+    b = hoch_d(random_poly_cochain(rng, alg, 2, 0, density=3))
+    targets = [bracket(z1, display_monomial(alg, 1, 1, 0, 1)), z1.scale_int(2) + b,
+               PolyCochain(alg, 3, -1), z2, b, z2 + z1]
+    got = find_combinations(targets, [z1], 2)
+    assert got == [find_combination(t, [z1], 2) for t in targets]
+    assert [c is not None for c, _, _ in got] == [True, True, True, False, True, False]
+    assert find_combinations(targets, [], 2) == [find_combination(t, [], 2) for t in targets]
+    with pytest.raises(DomainError):
+        find_combinations([b, z1], [skew_derivation_cochain(alg)], 2)
 
 
 def test_display_monomial_bidegrees():
