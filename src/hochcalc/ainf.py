@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .algebra import GradedAlgebra, require_valid
 from .cochain import Cochain, brace, shifted_m2
-from .cohomology import HHContext
 from .errors import DomainError, ValidationError
 
 
@@ -111,9 +110,12 @@ def require_valid_structure(s: AInfStructure):
         raise ValidationError("Stasheff residuals do not vanish", report)
 
 
-def universal_massey(s: AInfStructure, ctx: HHContext = None):
-    """The class of m_3 in HH^{3,-1}; defined for valid structures with
-    k >= 4 (then SI(4) = [m2, m3] = 0, so m_3 is a cocycle)."""
+def universal_massey(s: AInfStructure, ctx=None):
+    """The class of m_3 in HH^{3,-1}, read in ``ctx`` (an ``HHContext``,
+    made here when omitted); defined for valid structures with k >= 4
+    (then SI(4) = [m2, m3] = 0, so m_3 is a cocycle)."""
+    from .cohomology import HHContext
+
     if s.k < 4:
         raise DomainError(f"universal Massey product needs k >= 4, got k={s.k}")
     require_valid_structure(s)

@@ -14,28 +14,13 @@ import sys
 import time
 
 from . import __version__
-from .ainf import AInfStructure, is_valid
 from .algebra import GradedAlgebra, validate_algebra
 from .cochain import Cochain, q_support
-from .cohomology import CochainComplex, HHContext
 from .errors import HochcalcError, InputError
 from .exactla import field_from_json, field_to_json, rref
-from .identities import run_identity_suite
-from .laurent import section8_report
-from .obstruction import (
-    extend_to,
-    obstruction_cocycle,
-    page2_witness,
-    theta_page2,
-    theta_page3_check,
-)
-from .spectral import (
-    collapse_check,
-    d1_matrix,
-    d2_map,
-    page_report,
-    render_grid,
-)
+
+# Each command imports the modules it runs when it runs: a job started
+# without cached byte code compiles every module it imports.
 
 
 # -- input documents -----------------------------------------------------------
@@ -228,6 +213,8 @@ def class_json(cls):
 
 
 def build_structure(docobj: InputDocument, required=True):
+    from .ainf import AInfStructure
+
     if docobj.structure is None:
         if required:
             raise InputError("this command needs a structure block", "structure")
@@ -237,6 +224,8 @@ def build_structure(docobj: InputDocument, required=True):
 
 
 def cmd_validate(docobj, args, report):
+    from .ainf import is_valid
+
     alg_report = validate_algebra(docobj.algebra)
     report["results"]["algebra_violations"] = alg_report
     code = 0 if not alg_report else 1
@@ -262,11 +251,15 @@ def hh_item(space, bases: bool) -> dict:
 
 
 def cmd_hh(docobj, args, report):
+    from .cohomology import CochainComplex
+
     a = docobj.algebra
     if args.p is not None:
         qs = [args.q] if args.q is not None else q_support(a, args.p)
         cells = [(q, args.p) for q in qs]
     else:
+        if args.p_max < 0:
+            raise InputError("p-max must be >= 0", "--p-max")
         cells = [(q, p) for p in range(args.p_max + 1) for q in q_support(a, p)]
 
     # one column C^{*,q} at a time, in increasing p: its cells share their
@@ -284,6 +277,10 @@ def cmd_hh(docobj, args, report):
 
 
 def cmd_props(docobj, args, report):
+    from .identities import run_identity_suite
+
+    if args.trials < 0:
+        raise InputError("trials must be >= 0", "trials")
     if args.arity_max < 0:
         raise InputError("arity-max must be >= 0", "arity-max")
     try:
@@ -302,10 +299,15 @@ def parse_window(text):
         t0, t1 = (int(x) for x in t_part.split(":"))
     except ValueError:
         raise InputError("window must look like s0:s1,t0:t1", "window")
+    if s0 > s1 or t0 > t1:
+        raise InputError("window bounds must satisfy s0 <= s1 and t0 <= t1", "window")
     return (s0, s1), (t0, t1)
 
 
 def cmd_e_page(docobj, args, report):
+    from .cohomology import HHContext
+    from .spectral import d1_matrix, d2_map, page_report, render_grid
+
     window = parse_window(args.window)
     ctx = HHContext(docobj.algebra)
     phi = None
@@ -350,6 +352,9 @@ def cmd_e_page(docobj, args, report):
 
 
 def cmd_obstruct(docobj, args, report):
+    from .cohomology import HHContext
+    from .obstruction import obstruction_cocycle, page2_witness, theta_page2, theta_page3_check
+
     s = build_structure(docobj)
     ctx = HHContext(docobj.algebra)
     if args.page == 1:
@@ -387,6 +392,9 @@ def cmd_obstruct(docobj, args, report):
 
 
 def cmd_extend(docobj, args, report):
+    from .ainf import is_valid
+    from .obstruction import extend_to
+
     s = build_structure(docobj)
     result = extend_to(s, args.to)
     report["results"]["steps"] = [
@@ -415,6 +423,9 @@ def cmd_extend(docobj, args, report):
 
 
 def cmd_collapse_check(docobj, args, report):
+    from .cohomology import HHContext
+    from .spectral import collapse_check
+
     s = build_structure(docobj)
     ctx = HHContext(docobj.algebra)
     window = parse_window(args.window)
@@ -435,6 +446,8 @@ def cmd_collapse_check(docobj, args, report):
 
 
 def cmd_section8(args, report):
+    from .laurent import section8_report
+
     if args.max_poly_degree < 0:
         raise InputError("max-poly-degree must be >= 0", "--max-poly-degree")
     rep = section8_report(args.char, args.max_poly_degree)

@@ -446,6 +446,33 @@ def test_negative_arity_max_is_an_input_error(tmp_path):
     )
     assert code == 1
     assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "arity-max"
+    code, rep = run_cli(
+        ["--in", str(FIXTURES / "dual_numbers_q.json"), "props", "--trials", "-1"], tmp_path
+    )
+    assert code == 1 and rep["results"] == {}
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "trials"
+
+
+def test_negative_p_max_is_an_input_error(tmp_path):
+    code, rep = run_cli(
+        ["--in", str(FIXTURES / "dual_numbers_q.json"), "hh", "--p-max", "-1"], tmp_path
+    )
+    assert code == 1 and rep["results"] == {}
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "--p-max"
+
+
+@pytest.mark.parametrize("command", [["e-page", "--page", "2"], ["collapse-check"]],
+                         ids=["e-page", "collapse-check"])
+@pytest.mark.parametrize("window", ["0:3,3:0", "3:0,0:3"])
+def test_reversed_window_is_an_input_error(tmp_path, command, window):
+    """A reversed window is empty: it would give no cells, and a vacuous
+    collapse certificate."""
+    code, rep = run_cli(
+        ["--in", str(FIXTURES / "tower_f2_a5_valid.json")] + command + ["--window", window],
+        tmp_path,
+    )
+    assert code == 1 and rep["results"] == {}
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "window"
 
 
 
