@@ -14,10 +14,12 @@ insertion positions; all further signs arise from this single convention.
 
 The bidegree of an arity-p cochain of map degree d is (p, q) with
 q = 1 - p - d; the Hochschild differential [m2, -] moves (p, q) to
-(p+1, q).  It is the bracket [m2, f] = m2{f} - (-1)^{|f|} f{m2}, and
-:func:`hoch_d` evaluates it in one pass over the entries of f, reading
-m2 (of degree -1) off lookups of the shifted product.  Its three families
-of terms carry the signs
+(p+1, q).  It is the bracket [m2, f] = m2{f} - (-1)^{|f|} f{m2}.  One walk,
+``Cochain.d_walk``, adds its terms entry by entry of f straight into flat
+coordinates keyed by (tuple, output), reading m2 (of degree -1) off lookups
+of the shifted product: :func:`hoch_d` groups them back into a table, and
+a differential matrix maps them to its rows.  The three families of terms
+carry the signs
 
     m2 o_1 f:   +1,
     m2 o_2 f:   (-1)^{|f| |u_1|},
@@ -61,8 +63,8 @@ class LinearCochain:
     which is all the brace calculus below needs besides ``compose_at``.
 
     ``table`` maps keys to nonzero entries.  A subclass says how two entries
-    add (``_add_entries``, returning None for a zero sum) and how an entry
-    scales (``_scale_entry``).
+    add (``_add_entries``, None for a zero sum), how an entry scales
+    (``_scale_entry``) and which entry a dict of terms is (``_entry``).
     """
 
     __slots__ = ("algebra", "arity", "end_degree", "table")
@@ -201,31 +203,31 @@ class Cochain(LinearCochain):
     def evaluate(self, tuple_indices) -> dict:
         return dict(self.table.get(tuple(tuple_indices), {}))
 
-    def _hoch_d(self) -> "Cochain":
-        """[m2, self], term by term as in the module docstring."""
-        a = self.algebra
-        p, d = self.arity, self.end_degree
-        out = self.zero_like(p + 1, d - 1)
-        if self.is_zero():
-            return out
-        field = a.field
-        odd_f = d % 2 == 1
-        by_first, by_second, by_product = _m2_lookups(a)
-        table: dict = {}
-        for t, vec in self.table.items():
+    @staticmethod
+    def d_walk(a: GradedAlgebra, arity: int, end_degree: int, entries, acc: dict) -> dict:
+        """Add [m2, f] into ``acc``, flat coordinates ``{(tuple, output): c}``
+        of arity ``arity + 1``, for the cochain f of that shape whose table
+        entries are ``entries``; term by term as in the module docstring."""
+        one = a.field.one()
+        add_into = a.field.add_into
+        odd_f = end_degree % 2 == 1
+        by_first, by_second, by_product, odd = _m2_lookups(a)
+        for t, vec in entries:
             for k, c in vec.items():
-                for y, prod in by_first.get(k, ()):
-                    _add_at(field, table, t + (y,), prod.items(), c)
-                for x, prod, signed in by_second.get(k, ()):
-                    _add_at(field, table, (x,) + t, (signed if odd_f else prod).items(), c)
-            negate = not odd_f
-            for i, l in enumerate(t):
-                for x, y, e, minus_e in by_product.get(l, ()):
-                    _add_at(field, table, t[:i] + (x, y) + t[i + 1:], vec.items(),
-                            minus_e if negate else e)
-                negate ^= a.suspended_degree(l) % 2 == 1
-        out.table = table
-        return out
+                pairs = [((t + (y,), l), e) for y, l, e in by_first.get(k, ())]
+                pairs += [(((x,) + t, l), s if odd_f else e) for x, l, e, s in by_second.get(k, ())]
+                negate = not odd_f
+                for i, l in enumerate(t):
+                    hits = by_product.get(l)
+                    if hits:
+                        u, v = t[:i], t[i + 1:]
+                        pairs += [((u + xy + v, k), m if negate else e) for xy, e, m in hits]
+                    negate ^= odd[l]
+                add_into(acc, pairs, None if c == one else c)
+        return acc
+
+    def _entry(self, terms: dict) -> dict:
+        return terms
 
     def compose_at(self, g: "Cochain", i: int) -> "Cochain":
         """Operadic composition at slot i (1-based)."""
@@ -315,11 +317,15 @@ def sq(f):
 
 
 def hoch_d(f):
-    """Hochschild differential [m2, f] of a ``Cochain`` or ``PolyCochain``,
-    in one pass over the entries of f: each entry meets the entries of m2
-    whose first factor, second factor or product it matches, with the signs
-    of the module docstring."""
-    return f._hoch_d()
+    """Hochschild differential [m2, f] of a ``Cochain`` or ``PolyCochain``:
+    the class's ``d_walk`` over all entries of f, its flat coordinates
+    grouped back into a table."""
+    out = f.zero_like(f.arity + 1, f.end_degree - 1)
+    groups: dict = {}
+    for (key, sub), c in f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items(), {}).items():
+        groups.setdefault(key, {})[sub] = c
+    out.table = {key: out._entry(terms) for key, terms in groups.items()}
+    return out
 
 
 # -- distinguished cochains ---------------------------------------------------
@@ -350,23 +356,23 @@ def shifted_m2(a: GradedAlgebra) -> Cochain:
 
 
 def _m2_lookups(a: GradedAlgebra):
-    """The entries of the shifted m2 by first factor, ``x -> [(y, m2(x, y),
-    (-1)^{|sx|} m2(x, y))]``, by second factor, ``y -> [(x, m2(x, y),
-    (-1)^{|sx|} m2(x, y))]``, and by product basis element, ``l -> [(x, y,
-    e, -e)]`` with e the coefficient of l in m2(x, y).  Cached on the
+    """The terms of the shifted m2 by first factor, ``x -> [(y, l, e)]``, by
+    second factor, ``y -> [(x, l, e, (-1)^{|sx|} e)]``, and by product basis
+    element, ``l -> [((x, y), e, -e)]``, with e the coefficient of l in
+    m2(x, y); and the parity of each suspended degree.  Cached on the
     algebra."""
     if a._m2_lookups is None:
         neg = a.field.neg
         by_first: dict = {}
         by_second: dict = {}
         by_product: dict = {}
+        odd = [a.suspended_degree(i) % 2 == 1 for i in range(a.dim)]
         for (x, y), vec in shifted_m2(a).table.items():
-            by_first.setdefault(x, []).append((y, vec))
-            signed = {l: neg(e) for l, e in vec.items()} if a.suspended_degree(x) % 2 else vec
-            by_second.setdefault(y, []).append((x, vec, signed))
             for l, e in vec.items():
-                by_product.setdefault(l, []).append((x, y, e, neg(e)))
-        a._m2_lookups = (by_first, by_second, by_product)
+                by_first.setdefault(x, []).append((y, l, e))
+                by_second.setdefault(y, []).append((x, l, e, neg(e) if odd[x] else e))
+                by_product.setdefault(l, []).append(((x, y), e, neg(e)))
+        a._m2_lookups = (by_first, by_second, by_product, odd)
     return a._m2_lookups
 
 
@@ -395,24 +401,15 @@ def beta_cochain(a: GradedAlgebra) -> Cochain:
     return Cochain(a, 1, 0, table)
 
 
-def identity_cochain(a: GradedAlgebra) -> Cochain:
-    field = a.field
-    return Cochain(a, 1, 0, {(i,): {i: field.one()} for i in range(a.dim)})
-
-
 # -- homogeneous cochain bases -------------------------------------------------
 
 
-def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
-    """Ordered basis of the (p, q) cochain space: pairs (tuple, output index)
-    in lexicographic order.  ``normalized`` restricts to tuples avoiding the
-    unit.
-
-    The suspended degree sums that prefixes of each length can reach are
-    counted first, slot by slot as bit sets, and then cut back to those from
-    which the remaining slots can end at an output degree.  Tuples are
-    emitted depth first in index order through such prefixes only, so every
-    prefix visited ends in at least one basis element."""
+def _live_prefixes(a: GradedAlgebra, p: int, q: int, normalized: bool):
+    """``(live, steps, lo, out_by_degree)``: bit b of live[k] says that a
+    k-letter prefix of degree sum k * lo + b ends in a (p, q) basis element,
+    so the basis is empty iff live[0] is.  Reachable sums are counted slot
+    by slot as bit sets, then cut back to those that can end at an output
+    degree; ``steps`` are the letters ``(index, suspended degree - lo)``."""
     if p < 0:
         raise DomainError("Hochschild degree must be >= 0")
     d = 1 - p - q
@@ -423,13 +420,24 @@ def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
     lo = min((e for _, e in letters), default=0)
     steps = [(i, e - lo) for i, e in letters]
     shifts = {s for _, s in steps}
-    # bit b of live[k]: some k-letter prefix has degree sum k * lo + b
     live = [1]
     for _ in range(p):
         live.append(_bit_union(live[-1] << s for s in shifts))
     live[p] &= _bit_union(1 << (x - d - p * lo) for x in out_by_degree if x - d >= p * lo)
     for k in range(p - 1, -1, -1):
         live[k] &= _bit_union(live[k + 1] >> s for s in shifts)
+    return live, steps, lo, out_by_degree
+
+
+def cochain_basis(a: GradedAlgebra, p: int, q: int, normalized: bool = True):
+    """Ordered basis of the (p, q) cochain space: pairs (tuple, output index)
+    in lexicographic order.  ``normalized`` restricts to tuples avoiding the
+    unit.
+
+    Tuples are emitted depth first in index order through live prefixes
+    only, so every prefix visited ends in at least one basis element."""
+    live, steps, lo, out_by_degree = _live_prefixes(a, p, q, normalized)
+    d = 1 - p - q
     if not live[0]:
         return []
     if p == 0:
@@ -469,22 +477,13 @@ def _bit_union(ints) -> int:
 
 
 def q_support(a: GradedAlgebra, p: int):
-    """Internal degrees q with a nonzero (p, q) cochain space, from the
-    degree span of the algebra."""
+    """Internal degrees q with a nonzero (p, q) cochain space: those from
+    p lo - hi to p hi - lo, for degrees in [lo, hi], whose full live-prefix
+    pass leaves ``live[0]`` nonzero."""
     if p < 0:
         raise DomainError("Hochschild degree must be >= 0")
     lo, hi = a.degree_span()
-    slo, shi = lo + 1, hi + 1
-    qs = []
-    if p == 0:
-        lo_d, hi_d = slo, shi
-    else:
-        lo_d, hi_d = slo - p * shi, shi - p * slo
-    for d in range(lo_d, hi_d + 1):
-        q = 1 - p - d
-        if cochain_basis(a, p, q, normalized=False):
-            qs.append(q)
-    return sorted(qs)
+    return [q for q in range(p * lo - hi, p * hi - lo + 1) if _live_prefixes(a, p, q, False)[0][0]]
 
 
 def cochain_from_coords(a: GradedAlgebra, p: int, q: int, basis, coords: dict) -> Cochain:

@@ -45,16 +45,24 @@ class CochainComplex:
         return self._bases[p]
 
     def d(self, p: int) -> SparseMatrix:
-        """The matrix of [m2, -]: C^{p,q} -> C^{p+1,q}."""
+        """The matrix of [m2, -]: C^{p,q} -> C^{p+1,q}, column j the walk of
+        [m2, -] on basis element j, its flat coordinates mapped to rows."""
         if p not in self._ds:
             a = self.algebra
-            one = a.field.one()
-            index = self.basis(p + 1)[1]
-            cols = []
-            for t, k in self.basis(p)[0]:
-                elem = Cochain(a, p, 1 - p - self.q, {t: {k: one}})
-                cols.append(coords_of_cochain(hoch_d(elem), None, index))
-            self._ds[p] = SparseMatrix.from_columns(a.field, cols, len(index))
+            one, d = a.field.one(), 1 - p - self.q
+            basis, (_, index) = self.basis(p)[0], self.basis(p + 1)
+            entries = {}
+            for j, (t, k) in enumerate(basis):
+                for pair, c in Cochain.d_walk(a, p, d, ((t, {k: one}),), {}).items():
+                    i = index.get(pair)
+                    if i is None:
+                        raise DomainError(
+                            f"cochain entry {pair} outside the enumerated basis", witness=pair
+                        )
+                    entries[i, j] = c
+            # every entry is in range and nonzero already
+            m = self._ds[p] = SparseMatrix(a.field, len(index), len(basis))
+            m.entries = entries
         return self._ds[p]
 
     def echelon(self, p: int) -> Echelon:
@@ -165,9 +173,6 @@ class HHSpace:
     def class_of(self, z: Cochain) -> "CohomClass":
         """Coordinates of a cocycle in the cohomology basis."""
         return CohomClass(self, z, self._class_coords(self._require_cocycle(z)))
-
-    def zero_class(self) -> "CohomClass":
-        return CohomClass(self, Cochain.zero(self.algebra, self.p, 1 - self.p - self.q), {})
 
     def class_from_coords(self, coords: dict) -> "CohomClass":
         rep = vec_combine(self.algebra.field, ((c, self.hh_vectors[j]) for j, c in coords.items()))

@@ -363,18 +363,6 @@ class SparseMatrix:
         entries = {(i, j): c for j, col in enumerate(cols_list) for i, c in col.items()}
         return cls(field, rows, len(cols_list), entries)
 
-    @classmethod
-    def from_dense(cls, field: Field, data) -> "SparseMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            for j, c in enumerate(row):
-                c = field.from_int(c) if isinstance(c, int) else c
-                if not field.is_zero(c):
-                    entries[(i, j)] = c
-        return cls(field, rows, cols, entries)
-
     def column(self, j: int) -> dict:
         return {i: c for (i, c2), c in self.entries.items() if c2 == j}
 

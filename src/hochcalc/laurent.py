@@ -19,7 +19,7 @@ from itertools import product as iproduct
 from math import comb, gcd
 
 from .algebra import GradedAlgebra, dual_numbers, require_valid
-from .cochain import LinearCochain, _add_at, brace, bracket, cup, hoch_d, sq
+from .cochain import LinearCochain, brace, bracket, cup, hoch_d, sq
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -340,61 +340,60 @@ class PolyCochain(LinearCochain):
 
     # -- composition -------------------------------------------------------------
 
-    def _hoch_d(self) -> "PolyCochain":
-        """[m2, self] in one pass over the entries, with the signs of the
-        finite case (see :mod:`hochcalc.cochain`); m2 is constant, so an
-        m2 o_j f term moves the exponents of an entry, and an f o_i m2 term
-        replaces s_i by s_i + s_{i+1} + k0."""
-        alg = self.algebra
-        p, d = self.arity, self.end_degree
-        nvars = p + 1
-        out = self.zero_like(nvars, d - 1)
-        if self.is_zero():
-            return out
+    @staticmethod
+    def d_walk(alg: TwistedLaurent, arity: int, end_degree: int, entries, acc: dict) -> dict:
+        """Add [m2, f] into ``acc``, flat coordinates ``{(key, exponents): c}``
+        in arity + 1 parameters, for the cochain f of that shape whose table
+        entries are ``entries``, with the signs of the finite case (see
+        :mod:`hochcalc.cochain`).  m2 is constant, so an m2 o_j f term moves
+        the exponents of an entry, and an f o_i m2 term replaces s_i by
+        s_i + s_{i+1} + k0."""
         field = alg.field
-        mul = field.mul
+        mul, add_into = field.mul, field.add_into
         R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
-        odd_f = d % 2 == 1
+        odd_f = end_degree % 2 == 1
         by_first, by_second, by_product = _m2_lookups(alg)
-        acc: dict = {}
-        for (rf, bf, of), poly in self.table.items():
+        for (rf, bf, of), poly in entries:
             terms = poly.terms
-            r_out = (sum(rf) + self._exponent_const(bf, of)) % R
+            # the output exponent of f, as in _exponent_const
+            const = (sum(degrees[b] for b in bf) - degrees[of] + arity + end_degree - 1) // w
+            r_out = (sum(rf) + const) % R
+            pairs = []
             hits = by_first.get((of, r_out))
             if hits:
                 moved = [(e + (0,), x) for e, x in terms.items()]
                 for r2, b2, o, c in hits:
-                    _add_at(field, acc, (rf + (r2,), bf + (b2,), o), moved, c)
+                    key = (rf + (r2,), bf + (b2,), o)
+                    pairs += [((key, e), mul(c, x)) for e, x in moved]
             hits = by_second.get((of, r_out))
             if hits:
                 moved = [((0,) + e, x) for e, x in terms.items()]
                 for r1, b1, o, c, signed in hits:
-                    _add_at(field, acc, ((r1,) + rf, (b1,) + bf, o), moved,
-                            signed if odd_f else c)
+                    key, c = ((r1,) + rf, (b1,) + bf, o), signed if odd_f else c
+                    pairs += [((key, e), mul(c, x)) for e, x in moved]
             negate = not odd_f
-            for i in range(p):
+            for i in range(arity):
                 hits = by_product.get((bf[i], rf[i]))
                 if hits:
                     # the substituted entry, signed and scaled, once per (k0, factor)
                     substituted: dict = {}
                     for r1, r2, b1, b2, c, minus_c, k0 in hits:
                         c = minus_c if negate else c
-                        pairs = substituted.get((k0, c))
-                        if pairs is None:
-                            pairs = substituted[k0, c] = [
+                        subs = substituted.get((k0, c))
+                        if subs is None:
+                            subs = substituted[k0, c] = [
                                 (e[:i] + (a, b) + e[i + 1:], mul(mul(c, m), x))
                                 for e, x in terms.items()
                                 for a, b, m in _expansion(alg, e[i], k0)
                             ]
-                        res = rf[:i] + (r1, r2) + rf[i + 1:]
-                        key = (res, bf[:i] + (b1, b2) + bf[i + 1:], of)
-                        # substituted pairs may repeat keys or vanish mod p,
-                        # so they take add_into's general path, not _add_at
-                        if not field.add_into(acc.setdefault(key, {}), pairs):
-                            del acc[key]
+                        key = (rf[:i] + (r1, r2) + rf[i + 1:], bf[:i] + (b1, b2) + bf[i + 1:], of)
+                        pairs += [((key, e), x) for e, x in subs]
                 negate ^= (degrees[bf[i]] + rf[i] * w) % 2 == 0
-        out.table = {key: Poly._raw(field, nvars, t) for key, t in acc.items()}
-        return out
+            add_into(acc, pairs)
+        return acc
+
+    def _entry(self, terms: dict) -> Poly:
+        return Poly._raw(self.algebra.field, self.arity, terms)
 
     def compose_at(self, g: "PolyCochain", i: int) -> "PolyCochain":
         """Operadic composition at slot i (1-based), with the same Koszul
@@ -687,7 +686,7 @@ def find_combinations(targets, generators, d_search: int):
         columns, unknowns = [], []
         if arity_b >= 0:
             monos = _monomials(arity_b, d_search, field.char)
-            cache = alg._columns
+            cache, shared = alg._columns, {}
             for key in _witness_basis_keys(alg, arity_b, deg_b):
                 weight = _key_weight(wvecs, key)
                 if not any(weight in ws for ws in weights):
@@ -695,10 +694,10 @@ def find_combinations(targets, generators, d_search: int):
                 for mono in monos:
                     shape = (arity_b, deg_b, key, mono)
                     if shape not in cache:
-                        img = hoch_d(PolyCochain(
-                            alg, arity_b, deg_b, {key: Poly(field, arity_b, {mono: field.one()})}
-                        ))
-                        cache[shape] = None if img.is_zero() else _coordinates(img)
+                        entry = ((key, Poly._raw(field, arity_b, {mono: field.one()})),)
+                        col = PolyCochain.d_walk(alg, arity_b, deg_b, entry, {})
+                        # kept as a compact copy whose equal keys are one object
+                        cache[shape] = {shared.setdefault(k, k): c for k, c in col.items()} or None
                     if cache[shape] is not None:
                         columns.append(cache[shape])
                         unknowns.append((key, mono, weight))

@@ -12,16 +12,17 @@ brace form of the bracket with m2; a cochain basis filters every argument
 tuple by its degree; and the field Q keeps every scalar a ``Fraction``.
 
 It also keeps small helpers that only the tests use: the dimension of one
-HH space, the associativity predicate of the origin cell of page 2, and the
-additivity defect of the quadratic page-2 differential.
+HH space, the associativity predicate of the origin cell of page 2, the
+additivity defect of the quadratic page-2 differential, a matrix from a
+dense list of rows, the identity cochain and the zero class of an HH space.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
 
-from hochcalc.cochain import brace, bracket
-from hochcalc.cohomology import hh_space
+from hochcalc.cochain import Cochain, brace, bracket
+from hochcalc.cohomology import CohomClass, hh_space
 from hochcalc.errors import DomainError
 from hochcalc.exactla import Rationals, SparseMatrix
 
@@ -260,3 +261,24 @@ def additivity_defect(qm, z1, z2):
     for z in (z1, z2):
         field.add_into(coords, qm.evaluate(z).coords.items(), minus_one)
     return qm.ctx.space(4, -2).class_from_coords(coords)
+
+
+def from_dense(field, data):
+    """The ``SparseMatrix`` with the given rows, lists of scalars or ints."""
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    entries = {}
+    for i, row in enumerate(data):
+        for j, c in enumerate(row):
+            entries[(i, j)] = field.from_int(c) if isinstance(c, int) else c
+    return SparseMatrix(field, rows, cols, entries)
+
+
+def identity_cochain(a):
+    """The identity map of the suspended algebra, of bidegree (1, 0)."""
+    return Cochain(a, 1, 0, {(i,): {i: a.field.one()} for i in range(a.dim)})
+
+
+def zero_class(space):
+    """The zero class of an ``HHSpace``."""
+    return CohomClass(space, Cochain(space.algebra, space.p, 1 - space.p - space.q), {})

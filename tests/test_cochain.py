@@ -6,6 +6,7 @@ from hochcalc.algebra import dual_numbers, exterior_line, square_zero_tower, tru
 from hochcalc.cochain import (
     Cochain,
     _add_at,
+    _live_prefixes,
     beta_cochain,
     brace,
     bracket,
@@ -14,7 +15,6 @@ from hochcalc.cochain import (
     cup,
     euler_delta,
     hoch_d,
-    identity_cochain,
     q_support,
     shifted_m2,
     sq,
@@ -31,8 +31,13 @@ from hochcalc.identities import (
     random_cochain,
     run_identity_suite,
 )
-from oracles import reference_bracket_hoch_d, reference_cochain_basis, reference_hoch_d
-from test_cohomology import small_algebras
+from oracles import (
+    identity_cochain,
+    reference_bracket_hoch_d,
+    reference_cochain_basis,
+    reference_hoch_d,
+)
+from test_cohomology import fixture_algebras, small_algebras
 
 
 def test_shifted_m2_squares_to_zero(dual_q, ext_q):
@@ -305,3 +310,24 @@ def test_cochain_basis_at_arity_1500(ext_q):
     want = [((u,) * i + (unit,) + (u,) * (1500 - i), unit) for i in range(1501)]
     want.append(((u,) * 1501, u))
     assert cochain_basis(ext_q, 1501, 1500, normalized=False) == want
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3)], ids=repr)
+def test_q_support_matches_basis_enumeration(field):
+    """q_support reads emptiness off the live-prefix pass; it lists exactly
+    the q with a nonempty full (p, q) basis, and live[0] is nonzero exactly
+    when the basis of either pipeline is nonempty."""
+    algebras = small_algebras(field, field.char + 3) + [truncated_skew_laurent(field, 3)]
+    if field.char == 0:
+        algebras += fixture_algebras()
+    for a in algebras:
+        lo, hi = a.degree_span()
+        reach = max(abs(lo), abs(hi)) + 2
+        for p in range(5):
+            window = range(-(p + 1) * reach, (p + 1) * reach + 1)
+            nonempty = [q for q in window if cochain_basis(a, p, q, normalized=False)]
+            assert q_support(a, p) == nonempty
+            for q in window:
+                for normalized in (True, False):
+                    live = _live_prefixes(a, p, q, normalized)[0]
+                    assert bool(live[0]) == bool(cochain_basis(a, p, q, normalized))

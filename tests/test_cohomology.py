@@ -7,7 +7,7 @@ import pytest
 import hochcalc.cohomology as cohomology
 
 from hochcalc.algebra import GradedAlgebra, dual_numbers, square_zero_tower, truncated_skew_laurent
-from hochcalc.cli import main
+from hochcalc.cli import main, parse_input
 from hochcalc.cochain import (
     Cochain,
     beta_cochain,
@@ -31,7 +31,14 @@ from hochcalc.cohomology import (
 from hochcalc.errors import DomainError
 from hochcalc.exactla import PrimeField, Rationals, SparseMatrix, rref
 from hochcalc.identities import random_cochain
-from oracles import hh_dim, reference_pivot_complement, reference_rref, reference_solve
+from oracles import (
+    hh_dim,
+    reference_bracket_hoch_d,
+    reference_pivot_complement,
+    reference_rref,
+    reference_solve,
+    zero_class,
+)
 
 # dimensions frozen from the independent full-bar run (the classical values
 # for these algebras); both pipelines must keep reproducing them.
@@ -197,7 +204,7 @@ def test_euler_cup_square_witness_is_minus_beta(ext_q):
 
 def test_induced_bracket_of_zero_class(tower_f2):
     ctx = HHContext(tower_f2)
-    z = ctx.space(3, -1).zero_class()
+    z = zero_class(ctx.space(3, -1))
     m = induced_bracket(ctx, z, 3, -1)
     assert m.entries == {}
 
@@ -236,7 +243,7 @@ def test_induced_sq_zero_and_distributivity(tower_f2):
     ctx = HHContext(tower_f2)
     sp = ctx.space(3, -1)
     F = tower_f2.field
-    assert induced_sq(ctx, sp.zero_class()).is_zero()
+    assert induced_sq(ctx, zero_class(sp)).is_zero()
     x = sp.class_from_coords({0: F.one()})
     y = sp.class_from_coords({1: F.one()})
     lhs = induced_sq(ctx, sp.class_of(x.representative + y.representative))
@@ -276,21 +283,21 @@ def test_euler_class_kills_invertible_degrees():
 
 def test_cup_bijectivity_window_verdicts(tower_f2, trunc_f2):
     ctx = HHContext(trunc_f2)
-    zero = ctx.space(3, -1).zero_class()
+    zero = zero_class(ctx.space(3, -1))
     # both spaces nonzero on the truncated skew algebra: the zero class is
     # neither injective nor surjective
     rep = cup_bijectivity_window(ctx, zero, [2], [0])
     assert rep[(2, 0)]["verdict"] == "neither"
     # source nonzero, target zero: surjective only
     ctx2 = HHContext(tower_f2)
-    zero2 = ctx2.space(3, -1).zero_class()
+    zero2 = zero_class(ctx2.space(3, -1))
     rep2 = cup_bijectivity_window(ctx2, zero2, [2], [-2])
     assert rep2[(2, -2)]["verdict"] == "surjective-only"
     # both spaces zero: vacuously bijective
     rep3 = cup_bijectivity_window(ctx2, zero2, [2], [-9])
     assert rep3[(2, -9)]["verdict"] == "bijective"
     with pytest.raises(DomainError):
-        cup_bijectivity_window(ctx2, ctx2.space(1, 0).zero_class(), [2], [0])
+        cup_bijectivity_window(ctx2, zero_class(ctx2.space(1, 0)), [2], [0])
 
 
 def test_normalized_class_of_full_agrees(ext_q):
@@ -443,3 +450,51 @@ def test_random_small_algebras_agree_across_pipelines_and_fields(seed):
         # only raise dimensions
         rational = dims[0, n, normalized]
         assert all(got[cell] >= rational[cell] for cell in rational)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_algebras():
+    """The algebra of every CLI input document in fixtures/ (the section8
+    generators file is not one)."""
+    return [parse_input(path.read_text()).algebra for path in sorted(FIXTURES.glob("*.json"))
+            if "field" in json.loads(path.read_text())]
+
+
+def assert_d_matches_bracket_form(a, p_max: int = 3):
+    """Every d(p), p <= p_max, of both pipelines equals the matrix whose
+    column j is the brace form [m2, -] of basis element j, in coordinates."""
+    one = a.field.one()
+    for q in sorted({q for p in range(p_max + 1) for q in q_support(a, p)}):
+        for normalized in (True, False):
+            column = CochainComplex(a, q, normalized)
+            for p in range(p_max + 1):
+                basis, target = column.basis(p)[0], column.basis(p + 1)
+                elems = [Cochain(a, p, 1 - p - q, {t: {k: one}}) for t, k in basis]
+                cols = [coords_of_cochain(reference_bracket_hoch_d(f), *target) for f in elems]
+                assert column.d(p) == SparseMatrix.from_columns(a.field, cols, len(target[0]))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=repr)
+def test_assembled_d_matches_bracket_form(field):
+    for a in small_algebras(field, field.char) + [truncated_skew_laurent(field, 3)]:
+        assert_d_matches_bracket_form(a)
+
+
+def test_assembled_d_matches_bracket_form_on_fixtures():
+    algebras = fixture_algebras()
+    assert {a.field.char for a in algebras} == {0, 2, 3}
+    for a in algebras:
+        assert_d_matches_bracket_form(a)
+
+
+def test_assembled_key_outside_the_basis_raises(ext_q):
+    # a column of the normalized pipeline fed the full basis at p = 1: the
+    # walk of [m2, -] on a cochain that does not vanish on the unit has
+    # entries on the unit, which the normalized basis at p = 2 lacks
+    column = CochainComplex(ext_q, 0, True)
+    column._bases[1] = CochainComplex(ext_q, 0, False).basis(1)
+    with pytest.raises(DomainError, match="outside the enumerated basis"):
+        column.d(1)

@@ -32,6 +32,7 @@ from hochcalc.exactla import (
 from hochcalc.laurent import section8_report
 from oracles import (
     FractionRationals,
+    from_dense,
     reference_add_into,
     reference_kernel,
     reference_rref,
@@ -92,7 +93,7 @@ def test_rational_exponent_bound():
 
 def test_rref_proportional_rows():
     Q = Rationals()
-    m = SparseMatrix.from_dense(Q, [[1, 2], [2, 4]])
+    m = from_dense(Q, [[1, 2], [2, 4]])
     rank, pivots, red = rref(m)
     assert rank == 1 and pivots == [0]
 
@@ -105,14 +106,14 @@ def test_rref_zero_matrix():
 
 def test_rref_f2_dependent_rows():
     F = PrimeField(2)
-    m = SparseMatrix.from_dense(F, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    m = from_dense(F, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     rank, _, _ = rref(m)
     assert rank == 2  # row1 + row2 = row3
 
 
 def test_rref_idempotent():
     F = PrimeField(5)
-    m = SparseMatrix.from_dense(F, [[1, 2, 3], [4, 0, 1], [2, 4, 1]])
+    m = from_dense(F, [[1, 2, 3], [4, 0, 1], [2, 4, 1]])
     _, _, red = rref(m)
     _, _, red2 = rref(red)
     assert red2 == red
@@ -120,7 +121,7 @@ def test_rref_idempotent():
 
 def test_kernel_identity_and_zero():
     Q = Rationals()
-    ident = SparseMatrix.from_dense(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    ident = from_dense(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert rref(ident).kernel() == []
     zero = SparseMatrix(Q, 1, 3)
     basis = rref(zero).kernel()
@@ -129,7 +130,7 @@ def test_kernel_identity_and_zero():
 
 def test_kernel_rank_one():
     Q = Rationals()
-    m = SparseMatrix.from_dense(Q, [[1, 2], [2, 4]])
+    m = from_dense(Q, [[1, 2], [2, 4]])
     (v,) = rref(m).kernel()
     # proportional to (-2, 1)
     assert v[1] * (-2) == v[0] * 1 * -2 or True
@@ -138,7 +139,7 @@ def test_kernel_rank_one():
 
 def test_solve_identity_and_inconsistent():
     Q = Rationals()
-    ident = SparseMatrix.from_dense(Q, [[1, 0], [0, 1]])
+    ident = from_dense(Q, [[1, 0], [0, 1]])
     b = {0: Q.from_int(7)}
     assert solve(ident, b) == b
     zero = SparseMatrix(Q, 2, 2)
@@ -147,7 +148,7 @@ def test_solve_identity_and_inconsistent():
 
 def test_solve_free_variable_zeroed_f3():
     F = PrimeField(3)
-    m = SparseMatrix.from_dense(F, [[1, 1], [0, 0]])
+    m = from_dense(F, [[1, 1], [0, 0]])
     x = solve(m, {0: 2})
     assert x == {0: 2}
 
@@ -242,7 +243,7 @@ def test_solve_rejects_rhs_out_of_range():
     Q = Rationals()
     # past the end, negative, and past the zero rows of a rank-1 matrix
     for dense, row in ([[1, 0]], 1), ([[1, 0]], -1), ([[1, 1], [2, 2], [0, 0]], 3):
-        m = SparseMatrix.from_dense(Q, dense)
+        m = from_dense(Q, dense)
         assert solve(m, {len(dense) - 1: Q.zero()}) == {}
         with pytest.raises(ConfigurationError):
             solve(m, {row: Q.one()})
@@ -255,13 +256,13 @@ def _index_cases(field):
     yield SparseMatrix(field, 0, 4)
     yield SparseMatrix(field, 4, 0)
     yield SparseMatrix(field, 0, 0)
-    yield SparseMatrix.from_dense(field, [[0, 2, 0, 1]])
-    yield SparseMatrix.from_dense(field, [[0], [3], [1]])
+    yield from_dense(field, [[0, 2, 0, 1]])
+    yield from_dense(field, [[0], [3], [1]])
     # row 0 shares columns 1, 2 with row 2, which holds the first pivot
-    yield SparseMatrix.from_dense(field, [[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 2, 0]])
+    yield from_dense(field, [[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 2, 0]])
     # a swap at every step, with fill-in and cancellation in later columns
-    yield SparseMatrix.from_dense(field, [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 0, 1]])
-    yield SparseMatrix.from_dense(field, [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    yield from_dense(field, [[0, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 0, 1]])
+    yield from_dense(field, [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
 
 
 @pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=repr)

@@ -13,6 +13,7 @@ from hochcalc.laurent import (
     Poly,
     PolyCochain,
     TwistedLaurent,
+    _coordinates,
     _monomials,
     _witness_basis_keys,
     binomial_half_cochain,
@@ -304,13 +305,14 @@ def test_witness_columns_are_built_once_per_algebra(monkeypatch):
     d = euler_cochain(alg)
     lhs, rhs = cup(d, d), PolyCochain(alg, 2, -1)
     calls = []
-    real = laurent.hoch_d
+    real = PolyCochain.d_walk
 
-    def counting(f):
-        calls.append(f)
-        return real(f)
+    def counting(alg, arity, end_degree, entries, acc):
+        calls.append(list(entries))
+        return real(alg, arity, end_degree, calls[-1], acc)
 
-    monkeypatch.setattr(laurent, "hoch_d", counting)
+    # every column and every hoch_d is one walk
+    monkeypatch.setattr(PolyCochain, "d_walk", staticmethod(counting))
     w1, stats1 = find_witness(lhs, rhs, 2)
     first = len(calls)
     calls.clear()
@@ -319,7 +321,7 @@ def test_witness_columns_are_built_once_per_algebra(monkeypatch):
     assert stats1["unknowns"] == stats2["unknowns"] > 0
     # the first search builds its columns; the second only checks its witness
     assert first > stats1["unknowns"]
-    assert len(calls) == 1 and calls[0] is w2
+    assert len(calls) == 1 and calls[0] == list(w2.table.items())
     assert alg._columns
     assert sign_twisted_laurent(Rationals())._columns == {}
 
@@ -398,3 +400,23 @@ def test_section8_char2_report():
     assert status["e"] == "SKIPPED" and status["g"] == "SKIPPED"
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
     assert digest == "8b05aa6deb2639720c1c4a4e830201b74463fec99c24a783f3637f840b6efe2c"
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=repr)
+def test_witness_columns_match_bracket_form(monkeypatch, field):
+    """Every coboundary column that the section8 searches build (d_search
+    2) is the coordinate dict of the brace form [m2, b] of its unknown b,
+    or None when that is zero."""
+    algebras = []
+
+    def keep(f):
+        algebras.append(sign_twisted_laurent(f))
+        return algebras[-1]
+
+    monkeypatch.setattr(laurent, "sign_twisted_laurent", keep)
+    section8_report(field.char, 2)
+    (alg,) = algebras
+    assert len(alg._columns) > 1000
+    for (arity, end_degree, key, mono), col in alg._columns.items():
+        b = PolyCochain(alg, arity, end_degree, {key: Poly(field, arity, {mono: field.one()})})
+        assert col == (_coordinates(reference_bracket_hoch_d(b)) or None)

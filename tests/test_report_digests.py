@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from hochcalc.cli import main
+from hochcalc.algebra import truncated_skew_laurent
+from hochcalc.cli import InputDocument, emit_document, main
+from hochcalc.exactla import PrimeField, Rationals
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "fixtures"
@@ -70,6 +72,32 @@ def _load():
 @pytest.mark.parametrize("run", RUNS, ids=[" ".join(r) for r in RUNS])
 def test_report_digest(run, tmp_path):
     assert run_digest(run, tmp_path / "report.json") == _load()[" ".join(run)]
+
+
+# hh reports on two of the benchmark's algebras, written with emit_document;
+# the same pin as above, kept here so that report_digests.json stays the
+# record of the fixture runs
+BENCH_ALGEBRAS = {"tsl_f3_4": (PrimeField(3), 4), "tsl_q_3": (Rationals(), 3)}
+BENCH_DIGESTS = {
+    "tsl_f3_4 hh --p-max 3 --bases": "ee365ff63589e6e70ea8b504e09430a90084f4b60f29cdd6860ce66c3519ab91",
+    "tsl_f3_4 hh --p-max 3 --bases --full": "0508654f2c1d3b1dce26e033f471320647ee19e41a8d797a6ee7a04436a4145a",
+    "tsl_q_3 hh --p-max 3 --bases": "e036bcbeb696cf2021271f2e337004b40b11fc89de3b728965f515fd8aa782e7",
+    "tsl_q_3 hh --p-max 3 --bases --full": "8d3f12126689d48a37c45191a520142458f046490e801e549c3c445aa501dfdc",
+}
+
+
+@pytest.mark.parametrize("run", list(BENCH_DIGESTS))
+def test_bench_algebra_hh_digest(run, tmp_path):
+    name, *cmd = run.split()
+    field, n = BENCH_ALGEBRAS[name]
+    doc = tmp_path / f"{name}.json"
+    a = truncated_skew_laurent(field, n)
+    doc.write_text(json.dumps(emit_document(InputDocument(field, a))))
+    assert run_digest([str(doc)] + cmd, tmp_path / "report.json") == {
+        "code": 0,
+        "results": BENCH_DIGESTS[run],
+        "error": _sha(None),
+    }
 
 
 if __name__ == "__main__":
