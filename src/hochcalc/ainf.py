@@ -28,6 +28,7 @@ class AInfStructure:
         self.algebra = algebra
         self.k = k
         self.maps = {}
+        self._violations = None  # kept by is_valid
         self._obstruction = None  # SI(k+1), kept by obstruction_cocycle
         self._report = None  # kept by obstruction_report
         for n, f in (maps or {}).items():
@@ -80,12 +81,15 @@ def stasheff_residual(s: AInfStructure, n: int) -> Cochain:
         mp, mq = s.map(p), s.map(q)
         if mp.is_zero() or mq.is_zero():
             continue
-        total = total + brace(mp, [mq])
+        total._accumulate(brace(mp, [mq]))
     return total
 
 
 def is_valid(s: AInfStructure):
-    """All violated residual indices n <= k, each with a witness entry."""
+    """All violated residual indices n <= k, each with a witness entry;
+    computed once per structure, then kept on it."""
+    if s._violations is not None:
+        return s._violations
     report = []
     for n in range(3, s.k + 1):
         r = stasheff_residual(s, n)
@@ -101,6 +105,7 @@ def is_valid(s: AInfStructure):
                     "witness_value": s.algebra.field.format(c),
                 }
             )
+    s._violations = report
     return report
 
 

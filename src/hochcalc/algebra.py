@@ -50,6 +50,7 @@ class GradedAlgebra:
                 continue
             if sparse:
                 self.products[(i, j)] = sparse
+        self._violations = None  # kept by require_valid
         self._m2 = None
         self._m2_lookups = None
 
@@ -134,9 +135,12 @@ def validate_algebra(a: GradedAlgebra):
 
 
 def require_valid(a: GradedAlgebra):
-    report = validate_algebra(a)
-    if report:
-        raise ValidationError("algebra axioms fail", report)
+    """Raise unless ``a`` is valid; :func:`validate_algebra` runs once per
+    algebra, and its report is kept on it."""
+    if a._violations is None:
+        a._violations = validate_algebra(a)
+    if a._violations:
+        raise ValidationError("algebra axioms fail", a._violations)
 
 
 def dual_numbers(field: Field, eps_degree: int = 0) -> GradedAlgebra:

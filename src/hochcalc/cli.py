@@ -114,11 +114,14 @@ def parse_input(text: str) -> InputDocument:
         maps = {}
         for mname, entries in raw_maps.items():
             path = f"structure.maps.{mname}"
-            if not (mname.startswith("m") and mname[1:].isdecimal()):
+            # only the spelling m<n>: "m03" or a non-ASCII digit would name m_n twice
+            digits = mname[1:]
+            if not (mname[:1] == "m" and digits.isascii() and digits.isdigit()
+                    and digits[:1] != "0"):
                 raise InputError("map keys look like 'm3', 'm4', ...", path)
-            n = int(mname[1:])
-            if not (3 <= n <= k):
+            if len(digits) > len(str(k)) or not (3 <= int(digits) <= k):
                 raise InputError(f"map index outside 3..{k}", path)
+            n = int(digits)
             if not isinstance(entries, list):
                 raise InputError("expected a list of entries", path)
             table = {}

@@ -2,7 +2,9 @@
 
 A cochain of arity p is a sparse homogeneous p-multilinear map on the
 suspended algebra, stored as a table from basis tuples to sparse output
-vectors.  Compositions evaluate with the Koszul sign
+vectors.  ``LinearCochain`` adds and scales such tables, and those of the
+``PolyCochain`` of :mod:`hochcalc.laurent` (term dicts), by one in-place
+accumulation.  Compositions evaluate with the Koszul sign
 
     (f o_i g)(u_1, ..., u_{p+q-1})
         = (-1)^{|g| (|u_1| + ... + |u_{i-1}|)}
@@ -39,10 +41,10 @@ from .errors import ConfigurationError, DomainError
 
 
 def _add_at(field, table: dict, key, pairs, c=None):
-    """``field.add_into`` on the sparse entry ``table[key]``, dropping the
-    key when the entry cancels.  ``pairs`` must be a sparse dict's items
-    (distinct keys, nonzero values) and ``c`` nonzero, so that a key not yet
-    in the table takes a copy, or a scaled copy, of them as it is."""
+    """``field.add_into`` in place on the sparse entry ``table[key]``,
+    dropping the key when the entry cancels.  ``pairs`` must be a sparse
+    dict's items (distinct keys, nonzero values) and ``c`` nonzero, so that
+    a key not yet in the table takes a copy, or a scaled copy, of them."""
     entry = table.get(key)
     if entry is None:
         if c is None:
@@ -62,9 +64,10 @@ class LinearCochain:
     """Linear structure shared by finite and polynomially-indexed cochains,
     which is all the brace calculus below needs besides ``compose_at``.
 
-    ``table`` maps keys to nonzero entries.  A subclass says how two entries
-    add (``_add_entries``, None for a zero sum), how an entry scales
-    (``_scale_entry``) and which entry a dict of terms is (``_entry``).
+    ``table`` maps keys to nonzero entries, each a sparse dict of its own
+    (a ``Cochain`` output vector, a ``PolyCochain`` polynomial's terms), so
+    every sum and scaling is one accumulation, :func:`_add_at`, into a table
+    the result owns.  No two cochains share an entry.
     """
 
     __slots__ = ("algebra", "arity", "end_degree", "table")
@@ -94,41 +97,29 @@ class LinearCochain:
                 f"{(other.arity, other.end_degree)}"
             )
 
-    def _with_table(self, table):
-        out = self.zero_like(self.arity, self.end_degree)
-        out.table = table
-        return out
-
-    def _accumulate(self, items):
-        """Add ``(key, nonzero entry)`` pairs into this cochain's own table,
-        dropping keys whose entries cancel."""
-        table = self.table
-        for key, entry in items:
-            old = table.get(key)
-            if old is None:
-                table[key] = entry
-                continue
-            s = self._add_entries(old, entry)
-            if s is None:
-                del table[key]
-            else:
-                table[key] = s
+    def _accumulate(self, other, c=None):
+        """Add ``c`` times (once when None) the entries of ``other`` into
+        this cochain's own table, in place; returns this cochain."""
+        field, table = self.algebra.field, self.table
+        for key, entry in other.table.items():
+            _add_at(field, table, key, entry.items(), c)
         return self
 
     def __add__(self, other):
         self._check_compatible(other)
-        return self._with_table(dict(self.table))._accumulate(other.table.items())
+        return self.zero_like(self.arity, self.end_degree)._accumulate(self)._accumulate(other)
 
     def __neg__(self):
-        return self.scale(self.algebra.field.neg(self.algebra.field.one()))
+        return self.scale_int(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
+        out = self.zero_like(self.arity, self.end_degree)
         if self.algebra.field.is_zero(c):
-            return self.zero_like(self.arity, self.end_degree)
-        return self._with_table({k: self._scale_entry(c, e) for k, e in self.table.items()})
+            return out
+        return out._accumulate(self, c)
 
     def scale_int(self, n: int):
         return self.scale(self.algebra.field.from_int(n))
@@ -170,13 +161,6 @@ class Cochain(LinearCochain):
     @classmethod
     def zero(cls, algebra, arity, end_degree):
         return cls(algebra, arity, end_degree)
-
-    def _add_entries(self, u: dict, v: dict):
-        return self.algebra.field.add_into(dict(u), v.items()) or None
-
-    def _scale_entry(self, c, vec: dict) -> dict:
-        mul = self.algebra.field.mul
-        return {k: mul(c, x) for k, x in vec.items()}
 
     def is_normalized(self) -> bool:
         """True if the cochain vanishes whenever an input is the unit."""
@@ -226,9 +210,6 @@ class Cochain(LinearCochain):
                 add_into(acc, pairs, None if c == one else c)
         return acc
 
-    def _entry(self, terms: dict) -> dict:
-        return terms
-
     def compose_at(self, g: "Cochain", i: int) -> "Cochain":
         """Operadic composition at slot i (1-based)."""
         if self.algebra is not g.algebra:
@@ -267,8 +248,8 @@ class Cochain(LinearCochain):
 
 def brace(f, args):
     """f{args}: sum over order-preserving insertions of the arguments into
-    the slots of f.  Empty argument list returns f; more arguments than
-    slots gives zero."""
+    the slots of f, each added into the one table of the result.  Empty
+    argument list returns f; more arguments than slots gives zero."""
     args = list(args)
     n = len(args)
     if n == 0:
@@ -285,17 +266,15 @@ def brace(f, args):
         for pos, g in zip(positions, args):
             cur = cur.compose_at(g, pos + shift)
             shift += g.arity - 1
-        total = total + cur
+        total._accumulate(cur)
     return total
 
 
 def bracket(f, g):
     """Gerstenhaber bracket f{g} - (-1)^{|f||g|} g{f}."""
-    sign = (f.end_degree * g.end_degree) % 2
-    second = brace(g, [f])
-    if sign == 0:
-        second = second.scale(f.algebra.field.neg(f.algebra.field.one()))
-    return brace(f, [g]) + second
+    field = f.algebra.field
+    c = field.neg(field.one()) if (f.end_degree * g.end_degree) % 2 == 0 else None
+    return brace(f, [g])._accumulate(brace(g, [f]), c)
 
 
 def cup(f, g):
@@ -321,10 +300,8 @@ def hoch_d(f):
     the class's ``d_walk`` over all entries of f, its flat coordinates
     grouped back into a table."""
     out = f.zero_like(f.arity + 1, f.end_degree - 1)
-    groups: dict = {}
     for (key, sub), c in f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items(), {}).items():
-        groups.setdefault(key, {})[sub] = c
-    out.table = {key: out._entry(terms) for key, terms in groups.items()}
+        out.table.setdefault(key, {})[sub] = c
     return out
 
 

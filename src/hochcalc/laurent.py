@@ -5,9 +5,10 @@ Basis elements are b x^n with b in a finite-dimensional graded base B and
 n ranging over the integers, with x b = sigma(b) x.  A cochain component
 is keyed by the residues of the input exponents modulo R = lcm(2, order of
 sigma), the input and output B-basis labels; its coefficient is an exact
-polynomial in the per-slot parameters s_j defined by n_j = r_j + R s_j.
-Signs and sigma powers only see residues; the output exponent is forced by
-degree homogeneity, so it is never stored.
+polynomial in the per-slot parameters s_j defined by n_j = r_j + R s_j,
+stored as its terms {exponents: c}.  Signs and sigma powers only see
+residues; the output exponent is forced by degree homogeneity, so it is
+never stored.  ``Poly`` is the arithmetic of composition on such terms.
 
 Over F_p polynomials are reduced by s^p = s per variable, which makes
 equality of table entries equality of the underlying multilinear maps.
@@ -19,7 +20,7 @@ from itertools import product as iproduct
 from math import comb, gcd
 
 from .algebra import GradedAlgebra, dual_numbers, require_valid
-from .cochain import LinearCochain, brace, bracket, cup, hoch_d, sq
+from .cochain import LinearCochain, _add_at, brace, bracket, cup, hoch_d, sq
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -43,30 +44,29 @@ def _reduce_exp(e: int, char: int) -> int:
     return ((e - 1) % (char - 1)) + 1
 
 
+def _reduced_terms(field: Field, nvars: int, terms) -> dict:
+    """The terms ``{exponents: c}`` of a polynomial in ``nvars`` variables,
+    exponents reduced by s^p = s and zero coefficients dropped."""
+    if any(len(e) != nvars and not field.is_zero(c) for e, c in terms.items()):
+        raise ConfigurationError("monomial arity mismatch")
+    char = field.char
+    return field.add_into({}, (
+        (tuple(_reduce_exp(e, char) for e in exps), c) for exps, c in terms.items()
+    ))
+
+
 class Poly:
     """Exact polynomial in a fixed number of integer variables, canonical
-    under the function semantics of the coefficient field."""
+    under the function semantics of the coefficient field: the arithmetic
+    that ``PolyCochain.compose_at`` and ``PolyCochain.evaluate`` run on the
+    term dicts of a cochain's entries."""
 
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int, terms=None):
         self.field = field
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            if any(len(e) != nvars and not field.is_zero(c) for e, c in terms.items()):
-                raise ConfigurationError("monomial arity mismatch")
-            char = field.char
-            field.add_into(self.terms, (
-                (tuple(_reduce_exp(e, char) for e in exps), c) for exps, c in terms.items()
-            ))
-
-    @classmethod
-    def constant(cls, field, nvars, value):
-        return cls(field, nvars, {tuple([0] * nvars): value})
-
-    def is_zero(self):
-        return not self.terms
+        self.terms = _reduced_terms(field, nvars, terms) if terms else {}
 
     @classmethod
     def _raw(cls, field, nvars, terms) -> "Poly":
@@ -74,23 +74,6 @@ class Poly:
         p = cls(field, nvars)
         p.terms = terms
         return p
-
-    def __add__(self, other):
-        return Poly._raw(
-            self.field, self.nvars, self.field.add_into(dict(self.terms), other.terms.items())
-        )
-
-    def scale(self, c):
-        field = self.field
-        if field.is_zero(c):
-            return Poly(field, self.nvars)
-        return Poly._raw(field, self.nvars, {e: field.mul(c, x) for e, x in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one()))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         field = self.field
@@ -132,7 +115,7 @@ class Poly:
             exps[pos] = 1
             units.append((tuple(exps), one))
         affine = Poly._raw(field, nvars, field.add_into({}, units))
-        powers = [Poly.constant(field, nvars, one)]
+        powers = [Poly._raw(field, nvars, {(0,) * nvars: one})]
         char = field.char
         acc: dict = {}
         for exps, c in self.terms.items():
@@ -242,7 +225,6 @@ class TwistedLaurent:
         field = self.field
         R = self.residue_modulus
         comps = {}
-        one = field.one()
         for r1 in range(R):
             sig = self.sigma_power(r1)
             for r2 in range(R):
@@ -253,8 +235,8 @@ class TwistedLaurent:
                         for c, coef in sig[b2].items():
                             field.add_into(acc, self.base.product(b1, c).items(), coef)
                         for d, coef in acc.items():
-                            val = field.neg(coef) if flip else coef
-                            comps[((r1, r2), (b1, b2), d)] = Poly.constant(field, 2, val)
+                            coef = field.neg(coef) if flip else coef
+                            comps[((r1, r2), (b1, b2), d)] = {(0, 0): coef}
         m2 = PolyCochain(self, 2, -1, comps)
         self._m2 = m2
         return m2
@@ -271,9 +253,10 @@ class PolyCochain(LinearCochain):
     algebra.
 
     ``table`` maps ``(residues, input basis labels, output basis label)``
-    to a Poly in the arity many parameters s_j; the output x-exponent is
-    forced by homogeneity.  Keys whose forced exponent is not an integer are
-    rejected.
+    to the terms ``{exponents: c}`` of a polynomial in the arity many
+    parameters s_j, reduced by s^p = s over F_p, with no zero coefficient
+    and no empty entry; the output x-exponent is forced by homogeneity.
+    Keys whose forced exponent is not an integer are rejected.
     """
 
     __slots__ = ()
@@ -281,36 +264,24 @@ class PolyCochain(LinearCochain):
     def __init__(self, algebra: TwistedLaurent, arity: int, end_degree: int, table=None):
         super().__init__(algebra, arity, end_degree)
         if table:
-            for key, poly in table.items():
+            for key, terms in table.items():
                 res, bas, out = key
                 if len(res) != arity or len(bas) != arity:
                     raise ConfigurationError("component arity mismatch")
-                if poly.is_zero():
-                    continue
-                self._exponent_const(bas, out)  # raises if not integral
-                self.table[(tuple(res), tuple(bas), out)] = poly
+                if not isinstance(terms, dict):
+                    raise ConfigurationError("an entry is a dict {exponents: c}")
+                terms = _reduced_terms(algebra.field, arity, terms)
+                if terms:
+                    self._exponent_const(bas, out)  # raises if not integral
+                    self.table[(tuple(res), tuple(bas), out)] = terms
 
     def _exponent_const(self, bas, out) -> int:
         """c with output exponent m = sum(n_j) * 1 + c; integrality is the
         degree constraint for weight > 1."""
-        alg = self.algebra
-        num = (
-            sum(alg.base.degrees[b] for b in bas)
-            - alg.base.degrees[out]
-            + self.arity
-            + self.end_degree
-            - 1
-        )
-        if num % alg.weight != 0:
+        num = _exponent_num(self.algebra, self.arity, self.end_degree, bas, out)
+        if num % self.algebra.weight != 0:
             raise ConfigurationError("component violates degree homogeneity")
-        return num // alg.weight
-
-    def _add_entries(self, p: Poly, q: Poly):
-        s = p + q
-        return None if s.is_zero() else s
-
-    def _scale_entry(self, c, p: Poly) -> Poly:
-        return p.scale(c)
+        return num // self.algebra.weight
 
     def multiplication(self):
         return self.algebra.multiplication_cochain()
@@ -333,8 +304,9 @@ class PolyCochain(LinearCochain):
         svals = [field.from_int((n - (n % R)) // R) for _, n in inputs]
         total = sum(n for _, n in inputs)
         return field.add_into({}, (
-            ((o, total + self._exponent_const(bas, o)), poly.evaluate(svals))
-            for (r, bb, o), poly in self.table.items()
+            ((o, total + self._exponent_const(bas, o)),
+             Poly._raw(field, self.arity, terms).evaluate(svals))
+            for (r, bb, o), terms in self.table.items()
             if r == res and bb == bas
         ))
 
@@ -353,10 +325,8 @@ class PolyCochain(LinearCochain):
         R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
         odd_f = end_degree % 2 == 1
         by_first, by_second, by_product = _m2_lookups(alg)
-        for (rf, bf, of), poly in entries:
-            terms = poly.terms
-            # the output exponent of f, as in _exponent_const
-            const = (sum(degrees[b] for b in bf) - degrees[of] + arity + end_degree - 1) // w
+        for (rf, bf, of), terms in entries:
+            const = _exponent_num(alg, arity, end_degree, bf, of) // w
             r_out = (sum(rf) + const) % R
             pairs = []
             hits = by_first.get((of, r_out))
@@ -392,9 +362,6 @@ class PolyCochain(LinearCochain):
             add_into(acc, pairs)
         return acc
 
-    def _entry(self, terms: dict) -> Poly:
-        return Poly._raw(self.algebra.field, self.arity, terms)
-
     def compose_at(self, g: "PolyCochain", i: int) -> "PolyCochain":
         """Operadic composition at slot i (1-based), with the same Koszul
         sign convention as finite cochains."""
@@ -410,11 +377,11 @@ class PolyCochain(LinearCochain):
         p, q = self.arity, g.arity
         nvars = p + q - 1
         g_items = []
-        for (rg, bg, og), poly_g in g.table.items():
+        for (rg, bg, og), terms_g in g.table.items():
             c = g._exponent_const(bg, og)
             r_m = (sum(rg) + c) % R
             k0 = (sum(rg) + c - r_m) // R
-            g_items.append((rg, bg, og, poly_g, r_m, k0))
+            g_items.append((rg, bg, og, terms_g, r_m, k0))
         mapping = {}
         for j in range(p):
             if j < i - 1:
@@ -426,8 +393,9 @@ class PolyCochain(LinearCochain):
         # each entry of g is remapped once, when it first matches; each entry
         # of f is substituted once per k0
         remapped = [None] * len(g_items)
-        terms = []
-        for (rf, bf, of), poly_f in self.table.items():
+        out = self.zero_like(nvars, self.end_degree + g.end_degree)
+        minus = field.neg(field.one())
+        for (rf, bf, of), terms_f in self.table.items():
             slot_res = rf[i - 1]
             slot_bas = bf[i - 1]
             prefix_deg = sum(
@@ -435,23 +403,28 @@ class PolyCochain(LinearCochain):
             )
             negate = (g.end_degree * prefix_deg) % 2 == 1
             substituted = {}
-            for n, (rg, bg, og, poly_g, r_m, k0) in enumerate(g_items):
+            for n, (rg, bg, og, terms_g, r_m, k0) in enumerate(g_items):
                 if og != slot_bas or r_m != slot_res:
                     continue
                 new_res = rf[: i - 1] + rg + rf[i:]
                 new_bas = bf[: i - 1] + bg + bf[i:]
                 pf = substituted.get(k0)
                 if pf is None:
-                    pf = substituted[k0] = poly_f.subst_affine(i - 1, positions, k0, mapping, nvars)
+                    pf = substituted[k0] = Poly._raw(field, p, terms_f).subst_affine(
+                        i - 1, positions, k0, mapping, nvars)
                 pg = remapped[n]
                 if pg is None:
-                    pg = remapped[n] = poly_g.remap(g_mapping, nvars)
-                term = pf * pg
-                if negate:
-                    term = -term
-                if not term.is_zero():
-                    terms.append(((new_res, new_bas, of), term))
-        return self.zero_like(nvars, self.end_degree + g.end_degree)._accumulate(terms)
+                    pg = remapped[n] = Poly._raw(field, q, terms_g).remap(g_mapping, nvars)
+                _add_at(field, out.table, (new_res, new_bas, of), (pf * pg).terms.items(),
+                        minus if negate else None)
+        return out
+
+
+def _exponent_num(alg: TwistedLaurent, arity: int, end_degree: int, bas, out) -> int:
+    """w c, where m = sum(n_j) + c is the output exponent of a key of that
+    shape and w = |x|; the key is homogeneous iff w divides it."""
+    degrees = alg.base.degrees
+    return sum(degrees[b] for b in bas) - degrees[out] + arity + end_degree - 1
 
 
 def _m2_lookups(alg: TwistedLaurent):
@@ -468,8 +441,8 @@ def _m2_lookups(alg: TwistedLaurent):
         by_second: dict = {}
         by_product: dict = {}
         m2 = alg.multiplication_cochain()
-        for ((r1, r2), (b1, b2), o), poly in m2.table.items():
-            (c,) = poly.terms.values()
+        for ((r1, r2), (b1, b2), o), terms in m2.table.items():
+            (c,) = terms.values()
             signed = neg(c) if (degrees[b1] + r1 * w) % 2 == 0 else c
             by_first.setdefault((b1, r1), []).append((r2, b2, o, c))
             by_second.setdefault((b2, r2), []).append((r1, b1, o, c, signed))
@@ -507,7 +480,7 @@ def constant_cochain(alg: TwistedLaurent, b: int, m: int, coeff=None) -> PolyCoc
     if coeff is None:
         coeff = field.one()
     d = alg.element_degree(b, m) + 1
-    return PolyCochain(alg, 0, d, {((), (), b): Poly.constant(field, 0, coeff)})
+    return PolyCochain(alg, 0, d, {((), (), b): {(): coeff}})
 
 
 def euler_cochain(alg: TwistedLaurent) -> PolyCochain:
@@ -520,9 +493,7 @@ def euler_cochain(alg: TwistedLaurent) -> PolyCochain:
         for b in range(alg.base.dim):
             const = field.from_int(-(alg.base.degrees[b] + r * alg.weight))
             slope = field.from_int(-alg.weight * R)
-            poly = Poly(field, 1, {(0,): const, (1,): slope})
-            if not poly.is_zero():
-                comps[((r,), (b,), b)] = poly
+            comps[((r,), (b,), b)] = {(0,): const, (1,): slope}
     return PolyCochain(alg, 1, 0, comps)
 
 
@@ -542,17 +513,11 @@ def binomial_half_cochain(alg: TwistedLaurent) -> PolyCochain:
             c0 = d0 * (d0 - 1) // 2
             c1 = (R * w) * (2 * d0 - 1) // 2
             c2 = (R * w) * (R * w) // 2
-            poly = Poly(
-                field,
-                1,
-                {
-                    (0,): field.from_int(c0),
-                    (1,): field.from_int(c1),
-                    (2,): field.from_int(c2),
-                },
-            )
-            if not poly.is_zero():
-                comps[((r,), (b,), b)] = poly
+            comps[((r,), (b,), b)] = {
+                (0,): field.from_int(c0),
+                (1,): field.from_int(c1),
+                (2,): field.from_int(c2),
+            }
     return PolyCochain(alg, 1, 0, comps)
 
 
@@ -567,14 +532,7 @@ def _witness_basis_keys(alg: TwistedLaurent, arity: int, end_degree: int):
     for res in iproduct(range(R), repeat=arity):
         for bas in iproduct(range(dim), repeat=arity):
             for out in range(dim):
-                num = (
-                    sum(alg.base.degrees[b] for b in bas)
-                    - alg.base.degrees[out]
-                    + arity
-                    + end_degree
-                    - 1
-                )
-                if num % alg.weight == 0:
+                if _exponent_num(alg, arity, end_degree, bas, out) % alg.weight == 0:
                     keys.append((res, bas, out))
     return keys
 
@@ -637,11 +595,7 @@ def _key_weight(wvecs, key):
 
 def _coordinates(z: PolyCochain) -> dict:
     """The coefficients of ``z``, keyed by (component key, monomial)."""
-    rows = {}
-    for ckey, poly in z.table.items():
-        for exps, c in poly.terms.items():
-            rows[(ckey, exps)] = c
-    return rows
+    return {(ckey, exps): c for ckey, terms in z.table.items() for exps, c in terms.items()}
 
 
 def find_combination(target: PolyCochain, generators, d_search: int):
@@ -694,7 +648,7 @@ def find_combinations(targets, generators, d_search: int):
                 for mono in monos:
                     shape = (arity_b, deg_b, key, mono)
                     if shape not in cache:
-                        entry = ((key, Poly._raw(field, arity_b, {mono: field.one()})),)
+                        entry = ((key, {mono: field.one()}),)
                         col = PolyCochain.d_walk(alg, arity_b, deg_b, entry, {})
                         # kept as a compact copy whose equal keys are one object
                         cache[shape] = {shared.setdefault(k, k): c for k, c in col.items()} or None
@@ -707,14 +661,14 @@ def find_combinations(targets, generators, d_search: int):
             out[t] = None, None, stats
             if sol is not None:
                 x, coeffs = sol
-                witness = PolyCochain(alg, arity_b, deg_b)._accumulate(
-                    (unknowns[j][0], Poly(field, arity_b, {unknowns[j][1]: c}))
-                    for j, c in x.items()
-                )
-                combo = targets[t]
+                table = {}
+                for j, c in x.items():
+                    table.setdefault(unknowns[j][0], {})[unknowns[j][1]] = c
+                witness = PolyCochain(alg, arity_b, deg_b, table)
+                residual = hoch_d(witness) - targets[t]
                 for j, c in coeffs.items():
-                    combo = combo - generators[j].scale(c)
-                if not (hoch_d(witness) - combo).is_zero():
+                    residual._accumulate(generators[j], c)
+                if not residual.is_zero():
                     raise DomainError("witness verification failed")
                 out[t] = coeffs, witness, stats
     return out
@@ -769,7 +723,7 @@ def skew_derivation_cochain(alg: TwistedLaurent) -> PolyCochain:
     R = alg.residue_modulus
     comps = {}
     for r in range(R):
-        comps[((r,), (eps,), unit)] = Poly.constant(field, 1, field.one())
+        comps[((r,), (eps,), unit)] = {(0,): field.one()}
     return PolyCochain(alg, 1, -1, comps)
 
 

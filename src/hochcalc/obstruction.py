@@ -11,7 +11,9 @@ perturbs m_{k-1} by a cocycle b, shifting the page-2 class by [{m_3}, {b}]
 
 from __future__ import annotations
 
-from .ainf import AInfStructure, perturb, require_valid_structure, stasheff_residual
+from .ainf import (
+    AInfStructure, perturb, require_valid_structure, stasheff_residual, universal_massey,
+)
 from .cochain import Cochain, bracket, brace, hoch_d
 from .cohomology import CohomClass, HHContext, induced_bracket
 from .errors import ConfigurationError, DomainError, UnsupportedDepthError
@@ -119,7 +121,7 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
         return _verify_page3_witnesses(top_space, b_prev, -obstruction_cocycle(s))
 
     field = s.algebra.field
-    m3_class = ctx.space(3, -1).class_of(s.map(3))
+    m3_class = universal_massey(s, ctx)
     if s.k >= 5:
         mat = induced_bracket(ctx, m3_class, s.k - 1, 3 - s.k)
         x = solve(mat, {j: field.neg(c) for j, c in theta.coords.items()})

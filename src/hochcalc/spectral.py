@@ -12,7 +12,7 @@ spaces are reported as undefined rather than guessed.
 
 from __future__ import annotations
 
-from .ainf import AInfStructure, require_valid_structure
+from .ainf import AInfStructure, require_valid_structure, universal_massey
 from .cochain import Cochain, bracket, cochain_from_coords, cup
 from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
 from .errors import DomainError, NotProvidedError, UndefinedCellError
@@ -101,10 +101,6 @@ def _require_k5(phi: AInfStructure):
     require_valid_structure(phi)
 
 
-def _m3_class(ctx: HHContext, phi: AInfStructure):
-    return ctx.space(3, -1).class_of(phi.map(3))
-
-
 def d2_defined(s: int, t: int) -> bool:
     return (s >= 1 and t > s) or s >= 2 or (s == 0 and t >= 1)
 
@@ -123,7 +119,7 @@ def d2_map(ctx: HHContext, phi: AInfStructure, s: int, t: int):
             "exposed through the obstruction solver"
         )
     if (s >= 1 and t > s) or s >= 2:
-        m = induced_bracket(ctx, _m3_class(ctx, phi), s + 2, -t)
+        m = induced_bracket(ctx, universal_massey(phi, ctx), s + 2, -t)
         return _sign_scale(m, (t - s) % 2 == 1)
     if s == 0 and t > 1:
         full = ctx.full_space(2, -t)
@@ -165,7 +161,7 @@ def _incoming_image(ctx: HHContext, phi: AInfStructure, s: int, t: int):
         return _alpha_image_vectors(ctx, phi)
     # (0, t-1) with t-1 > 1: the projection is onto, so the image agrees
     # with the image of the bracket on cohomology.
-    m = induced_bracket(ctx, _m3_class(ctx, phi), 2, -pt)
+    m = induced_bracket(ctx, universal_massey(phi, ctx), 2, -pt)
     return [m.column(j) for j in range(m.cols)]
 
 
@@ -176,20 +172,20 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
     _require_k5(phi)
     if s >= 2 and d2_defined(s, t) and s - 2 >= 0 and d2_defined(s - 2, t - 1):
         out_m = d2_map(ctx, phi, s, t)
-        ker = rref(out_m).kernel()
         image = _incoming_image(ctx, phi, s, t)
         for v in image:
             if out_m.apply(v):
                 raise DomainError(f"d2 composite does not vanish into ({s},{t})")
         mid_dim = ctx.space(s + 2, -t).dim
-        dim = len(ker) - rref(SparseMatrix.from_rows(ctx.algebra.field, image, mid_dim)).rank
+        image_rank = rref(SparseMatrix.from_rows(ctx.algebra.field, image, mid_dim)).rank
+        dim = out_m.cols - rref(out_m).rank - image_rank
         return PageCell(3, s, t, "vector", dim=dim)
     if s == 1 and t > 1:
         m = d2_map(ctx, phi, 1, t)
-        return PageCell(3, s, t, "vector", dim=len(rref(m).kernel()))
+        return PageCell(3, s, t, "vector", dim=m.cols - rref(m).rank)
     if s == 0 and t > 1:
         m = d2_map(ctx, phi, 0, t)
-        return PageCell(3, s, t, "cocycle", dim=len(rref(m).kernel()))
+        return PageCell(3, s, t, "cocycle", dim=m.cols - rref(m).rank)
     if (s, t) == (0, 1):
         # kernel of the class-level map alpha on HH^{2,-1}; alpha is linear
         # over every supported field (the cup square vanishes on classes in
@@ -197,9 +193,8 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
         alpha_matrix = SparseMatrix.from_columns(
             ctx.algebra.field, _alpha_image_vectors(ctx, phi), ctx.space(4, -2).dim
         )
-        ker_dim = len(rref(alpha_matrix).kernel())
-        full = ctx.full_space(2, -1)
-        dim = ker_dim + full.coboundary_dim()
+        ker_dim = alpha_matrix.cols - rref(alpha_matrix).rank
+        dim = ker_dim + ctx.full_space(2, -1).coboundary_dim()
         return PageCell(
             3, 0, 1, "cocycle", dim=dim,
             descriptor="cocycles whose class lies in the zero locus of "
@@ -272,7 +267,7 @@ def collapse_check(ctx: HHContext, phi: AInfStructure, window):
     """
     _require_k5(phi)
     (s0, s1), (t0, t1) = window
-    m3c = _m3_class(ctx, phi)
+    m3c = universal_massey(phi, ctx)
     sq_class = induced_sq(ctx, m3c)
     sq_ok = sq_class.is_zero()
     p_range = sorted({s + 2 for s in range(max(s0, 0), s1 + 1)} | {2})

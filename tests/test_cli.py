@@ -194,9 +194,13 @@ def _tower_doc(maps):
     (_tower_doc({"m3": [{"args": [["u"], "u", "u"], "out": {"u": 1}}]}),
      "structure.maps.m3[0].args"),
     (_tower_doc({"m\u00b3": []}), "structure.maps.m\u00b3"),
+    # only m<n> names m_n: another spelling of it would replace its table
+    (_tower_doc({"m3": [], "m03": []}), "structure.maps.m03"),
+    (_tower_doc({"m3": [], "m\u0663": []}), "structure.maps.m\u0663"),
+    (_tower_doc({"m" + "9" * 5000: []}), "structure.maps.m" + "9" * 5000),
     ({"field": {"type": "Q"}, "algebra": {"basis": 5, "unit": "1"}}, "algebra.basis"),
 ], ids=["out-not-object", "maps-is-list", "arg-not-a-string", "superscript-index",
-        "basis-not-a-list"])
+        "leading-zero-index", "arabic-indic-index", "5000-digit-index", "basis-not-a-list"])
 def test_malformed_structure_is_an_input_error(tmp_path, doc, path):
     f = tmp_path / "x.json"
     f.write_text(json.dumps(doc))

@@ -1,7 +1,9 @@
+import copy
 import random
 
 import pytest
 
+from hochcalc.ainf import AInfStructure, perturb, stasheff_residual
 from hochcalc.algebra import dual_numbers, exterior_line, square_zero_tower, truncated_skew_laurent
 from hochcalc.cochain import (
     Cochain,
@@ -331,3 +333,42 @@ def test_q_support_matches_basis_enumeration(field):
                 for normalized in (True, False):
                     live = _live_prefixes(a, p, q, normalized)[0]
                     assert bool(live[0]) == bool(cochain_basis(a, p, q, normalized))
+
+
+def check_operands_unchanged(operands, ops):
+    """Run each ``(name, op)`` of ``ops`` and check that its result is
+    nonzero, that it leaves the table of every cochain in ``operands`` as it
+    was, down to the entries, and that its result shares no entry with
+    them: the in-place accumulation of sums relies on each cochain owning
+    its entries."""
+    before = [copy.deepcopy(c.table) for c in operands]
+    held = {id(entry) for c in operands for entry in c.table.values()}
+    for name, op in ops:
+        out = op()
+        assert not out.is_zero(), name
+        for c, table in zip(operands, before):
+            assert c.table == table, name
+        assert not held & {id(entry) for entry in out.table.values()}, name
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3)], ids=repr)
+def test_no_operation_changes_an_operand(field):
+    rng = random.Random(1)
+    a = truncated_skew_laurent(field, 4)
+    f, g, b = (random_cochain(rng, a, 3, -1, density=40) for _ in range(3))
+    h = random_cochain(rng, a, 1, 0, density=10)
+    s = AInfStructure(a, 4, {3: f})
+    ops = [
+        ("+", lambda: f + g),
+        ("-", lambda: f - g),
+        ("scale", lambda: f.scale(field.from_int(-1))),
+        ("compose_at", lambda: f.compose_at(h, 2)),
+        ("brace", lambda: brace(f, [h, h])),
+        ("bracket", lambda: bracket(f, h)),
+        ("cup", lambda: cup(f, h)),
+        ("sq", lambda: sq(f)),
+        ("hoch_d", lambda: hoch_d(h)),
+        ("perturb", lambda: perturb(s, 3, b).map(3)),
+        ("stasheff_residual", lambda: stasheff_residual(s, 5)),
+    ]
+    check_operands_unchanged([f, g, h, b, shifted_m2(a)], ops)

@@ -7,7 +7,7 @@ import pytest
 import hochcalc.laurent as laurent
 from hochcalc.algebra import dual_numbers
 from hochcalc.cochain import brace, bracket, cup, hoch_d, sq
-from hochcalc.errors import DomainError, UnsupportedAlgebraError
+from hochcalc.errors import ConfigurationError, DomainError, UnsupportedAlgebraError
 from hochcalc.exactla import PrimeField, Rationals
 from hochcalc.laurent import (
     Poly,
@@ -30,6 +30,7 @@ from hochcalc.laurent import (
 )
 from hochcalc import identities as idn
 from oracles import reference_bracket_hoch_d
+from test_cochain import check_operands_unchanged
 
 
 def random_poly_cochain(rng, alg, arity, end_degree, density=2, maxdeg=1, terms=1):
@@ -46,11 +47,8 @@ def random_poly_cochain(rng, alg, arity, end_degree, density=2, maxdeg=1, terms=
                 c = F.from_int(rng.choice([1, 2, -1, 3]))
             else:
                 c = F.from_int(rng.randrange(1, F.char))
-            p = Poly(F, arity, {exps: c})
-            comps[key] = comps.get(key, Poly(F, arity)) + p
-    return PolyCochain(
-        alg, arity, end_degree, {k: p for k, p in comps.items() if not p.is_zero()}
-    )
+            F.add_into(comps.setdefault(key, {}), [(exps, c)])
+    return PolyCochain(alg, arity, end_degree, comps)
 
 
 # -- polynomial layer ---------------------------------------------------------
@@ -418,5 +416,63 @@ def test_witness_columns_match_bracket_form(monkeypatch, field):
     (alg,) = algebras
     assert len(alg._columns) > 1000
     for (arity, end_degree, key, mono), col in alg._columns.items():
-        b = PolyCochain(alg, arity, end_degree, {key: Poly(field, arity, {mono: field.one()})})
+        b = PolyCochain(alg, arity, end_degree, {key: {mono: field.one()}})
         assert col == (_coordinates(reference_bracket_hoch_d(b)) or None)
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=repr)
+def test_no_operation_changes_a_poly_operand(field):
+    rng = random.Random(2)
+    alg = sign_twisted_laurent(field)
+    f, g = (random_poly_cochain(rng, alg, 3, -1, density=4, maxdeg=2, terms=2) for _ in range(2))
+    h = random_poly_cochain(rng, alg, 1, 0, density=3, maxdeg=2, terms=2)
+    ops = [
+        ("+", lambda: f + g),
+        ("-", lambda: f - g),
+        ("scale", lambda: f.scale(field.from_int(-1))),
+        ("compose_at", lambda: f.compose_at(h, 2)),
+        ("brace", lambda: brace(f, [h, h])),
+        ("bracket", lambda: bracket(f, h)),
+        ("cup", lambda: cup(f, h)),
+        ("sq", lambda: sq(f)),
+        ("hoch_d", lambda: hoch_d(h)),
+    ]
+    check_operands_unchanged([f, g, h, alg.multiplication_cochain()], ops)
+
+
+@pytest.mark.parametrize("make, s_p, s_p1", [
+    (lambda: sign_twisted_laurent(PrimeField(2)), (1,), (1,)),
+    (twisted_laurent_order_4, (1,), (2,)),
+], ids=["F2", "F5"])
+def test_poly_cochain_from_term_dicts(make, s_p, s_p1):
+    """Entries are term dicts {exponents: c}: s^p = s reduces them over F_p,
+    and zero coefficients and entries that cancel or are empty are dropped."""
+    alg = make()
+    F = alg.field
+    p = F.char
+    one, unit, eps = F.one(), alg.base.unit, alg.base.index["e"]
+    keys = [((r,), (b,), o) for r in (0, 1) for b in (unit, eps) for o in (unit, eps)]
+    given = {
+        keys[0]: {(p,): one, (0,): F.zero()},
+        keys[1]: {(p,): one, (1,): F.neg(one)},
+        keys[2]: {(0,): F.zero()},
+        keys[3]: {},
+        keys[4]: {(p + 1,): one},
+    }
+    f = PolyCochain(alg, 1, 0, given)
+    assert f.table == {keys[0]: {s_p: one}, keys[4]: {s_p1: one}}
+    assert all(type(terms) is dict and terms is not given[k] for k, terms in f.table.items())
+
+
+def test_poly_cochain_rejects_malformed_entries():
+    alg = twisted_laurent_order_4()
+    one, unit = alg.field.one(), alg.base.unit
+    key = ((0,), (unit,), unit)
+    for arity, end_degree, table in [
+        (1, 0, {((0, 0), (unit,), unit): {(0,): one}}),  # residues of the wrong arity
+        (1, 0, {key: {(0, 0): one}}),  # a monomial of the wrong arity
+        (1, -1, {key: {(0,): one}}),  # output exponent 1/2: inhomogeneous
+        (1, 0, {key: Poly(alg.field, 1, {(0,): one})}),  # not a term dict
+    ]:
+        with pytest.raises(ConfigurationError):
+            PolyCochain(alg, arity, end_degree, table)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from hochcalc.obstruction import (
     theta_page2,
     theta_page3_check,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def cocycle_from_code(space, code):
@@ -354,3 +357,37 @@ def test_extend_to_runs_page3_once_per_structure(trunc_f2, monkeypatch):
         if seen:
             outcomes.add(res.ok)
     assert outcomes == {True, False}
+
+
+def test_extend_to_validates_each_algebra_and_structure_once(monkeypatch):
+    """The algebra axioms are checked once per algebra and the Stasheff
+    residuals SI(n), n <= k, once per structure: each verdict is kept on
+    its object, however many steps ask for it."""
+    import hochcalc.ainf as ainf
+    import hochcalc.algebra as algebra
+    from hochcalc.cli import build_structure, parse_input
+
+    algebras, residuals = [], []
+    real_validate, real_residual = algebra.validate_algebra, ainf.stasheff_residual
+
+    def validate_spy(a):
+        algebras.append(a)
+        return real_validate(a)
+
+    def residual_spy(s, n):
+        residuals.append((s, n))
+        return real_residual(s, n)
+
+    monkeypatch.setattr(algebra, "validate_algebra", validate_spy)
+    monkeypatch.setattr(ainf, "stasheff_residual", residual_spy)
+    doc = parse_input((FIXTURES / "tower_f2_a4_extendable.json").read_text())
+    res = extend_to(build_structure(doc), 7)
+    assert res.ok and res.structure.k == 7 and len(res.steps) == 3
+    assert algebras == [doc.algebra]
+    structures = []
+    for s, _ in residuals:
+        if all(t is not s for t in structures):
+            structures.append(s)
+    assert len(structures) >= 2
+    for s in structures:
+        assert [n for t, n in residuals if t is s] == list(range(3, s.k + 1))
