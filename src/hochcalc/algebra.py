@@ -50,7 +50,7 @@ class GradedAlgebra:
                 continue
             if sparse:
                 self.products[(i, j)] = sparse
-        self._violations = None  # kept by require_valid
+        self._violations = None  # kept by algebra_violations
         self._m2 = None
         self._m2_lookups = None
 
@@ -134,12 +134,17 @@ def validate_algebra(a: GradedAlgebra):
     return report
 
 
-def require_valid(a: GradedAlgebra):
-    """Raise unless ``a`` is valid; :func:`validate_algebra` runs once per
-    algebra, and its report is kept on it."""
+def algebra_violations(a: GradedAlgebra):
+    """The :func:`validate_algebra` report of ``a``, computed once per
+    algebra and kept on it."""
     if a._violations is None:
         a._violations = validate_algebra(a)
-    if a._violations:
+    return a._violations
+
+
+def require_valid(a: GradedAlgebra):
+    """Raise unless ``a`` is valid, by its kept report."""
+    if algebra_violations(a):
         raise ValidationError("algebra axioms fail", a._violations)
 
 

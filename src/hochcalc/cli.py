@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .algebra import GradedAlgebra, validate_algebra
+from .algebra import GradedAlgebra, algebra_violations
 from .cochain import Cochain, q_support
 from .errors import HochcalcError, InputError
 from .exactla import field_from_json, field_to_json, rref
@@ -229,7 +229,7 @@ def build_structure(docobj: InputDocument, required=True):
 def cmd_validate(docobj, args, report):
     from .ainf import is_valid
 
-    alg_report = validate_algebra(docobj.algebra)
+    alg_report = algebra_violations(docobj.algebra)
     report["results"]["algebra_violations"] = alg_report
     code = 0 if not alg_report else 1
     if docobj.structure is not None and not alg_report:
@@ -258,6 +258,8 @@ def cmd_hh(docobj, args, report):
 
     a = docobj.algebra
     if args.p is not None:
+        if args.p < 0:
+            raise InputError("p must be >= 0", "--p")
         qs = [args.q] if args.q is not None else q_support(a, args.p)
         cells = [(q, args.p) for q in qs]
     else:

@@ -16,20 +16,20 @@ insertion positions; all further signs arise from this single convention.
 
 The bidegree of an arity-p cochain of map degree d is (p, q) with
 q = 1 - p - d; the Hochschild differential [m2, -] moves (p, q) to
-(p+1, q).  It is the bracket [m2, f] = m2{f} - (-1)^{|f|} f{m2}.  One walk,
-``Cochain.d_walk``, adds its terms entry by entry of f straight into flat
-coordinates keyed by (tuple, output), reading m2 (of degree -1) off lookups
-of the shifted product: :func:`hoch_d` groups them back into a table, and
-a differential matrix maps them to its rows.  The three families of terms
+(p+1, q).  One walk, ``_walk``, adds the terms of the Gerstenhaber bracket
+[m, f] = m{f} - (-1)^{|m||f|} f{m} entry by entry of f into coordinates
+keyed by (tuple, output), reading m's terms off lookups by the input at
+each slot and by output.  With u the inputs of m and v those of f, they
 carry the signs
 
-    m2 o_1 f:   +1,
-    m2 o_2 f:   (-1)^{|f| |u_1|},
-    f o_i m2:   (-1)^{|f| + 1 + |u_1| + ... + |u_{i-1}|},  1 <= i <= p,
+    m o_j f:   (-1)^{|f| (|u_1| + ... + |u_{j-1}|)},
+    f o_i m:   -(-1)^{|m||f|} (-1)^{|m| (|v_1| + ... + |v_{i-1}|)}.
 
-the last one being the Koszul sign of m2 passing u_1 ... u_{i-1} times the
-bracket's -(-1)^{|f|}.  The brace form ``bracket(m2, f)`` is kept as the
-reference in the test suite's ``oracles.py``.
+[m2, -] is the case m = m2, of degree |m| = -1, with m2's lookups cached
+on the algebra (``Cochain.d_walk``, the columns of a differential matrix).
+The brace form of the bracket is the reference in the test suite's
+``oracles.py``; here it serves only the ``PolyCochain`` of
+:mod:`hochcalc.laurent`, whose own ``d_walk`` covers m2 alone.
 """
 
 from __future__ import annotations
@@ -189,26 +189,10 @@ class Cochain(LinearCochain):
 
     @staticmethod
     def d_walk(a: GradedAlgebra, arity: int, end_degree: int, entries, acc: dict) -> dict:
-        """Add [m2, f] into ``acc``, flat coordinates ``{(tuple, output): c}``
-        of arity ``arity + 1``, for the cochain f of that shape whose table
-        entries are ``entries``; term by term as in the module docstring."""
-        one = a.field.one()
-        add_into = a.field.add_into
-        odd_f = end_degree % 2 == 1
-        by_first, by_second, by_product, odd = _m2_lookups(a)
-        for t, vec in entries:
-            for k, c in vec.items():
-                pairs = [((t + (y,), l), e) for y, l, e in by_first.get(k, ())]
-                pairs += [(((x,) + t, l), s if odd_f else e) for x, l, e, s in by_second.get(k, ())]
-                negate = not odd_f
-                for i, l in enumerate(t):
-                    hits = by_product.get(l)
-                    if hits:
-                        u, v = t[:i], t[i + 1:]
-                        pairs += [((u + xy + v, k), m if negate else e) for xy, e, m in hits]
-                    negate ^= odd[l]
-                add_into(acc, pairs, None if c == one else c)
-        return acc
+        """:func:`_walk` of m2, with the signature of ``PolyCochain.d_walk``."""
+        if a._m2_lookups is None:
+            a._m2_lookups = _term_lookups(shifted_m2(a))
+        return _walk(a._m2_lookups, end_degree, entries, acc)
 
     def compose_at(self, g: "Cochain", i: int) -> "Cochain":
         """Operadic composition at slot i (1-based)."""
@@ -271,7 +255,14 @@ def brace(f, args):
 
 
 def bracket(f, g):
-    """Gerstenhaber bracket f{g} - (-1)^{|f||g|} g{f}."""
+    """Gerstenhaber bracket f{g} - (-1)^{|f||g|} g{f}: for two ``Cochain``s
+    the walk of [f, -] over the entries of g, grouped into a table, and the
+    two braces otherwise."""
+    if f.algebra is not g.algebra:
+        raise ConfigurationError("cochains over different algebras")
+    if isinstance(g, Cochain):
+        out = Cochain(f.algebra, f.arity + g.arity - 1, f.end_degree + g.end_degree)
+        return _grouped(out, _walk(_term_lookups(f), g.end_degree, g.table.items(), {}))
     field = f.algebra.field
     c = field.neg(field.one()) if (f.end_degree * g.end_degree) % 2 == 0 else None
     return brace(f, [g])._accumulate(brace(g, [f]), c)
@@ -297,12 +288,61 @@ def sq(f):
 
 def hoch_d(f):
     """Hochschild differential [m2, f] of a ``Cochain`` or ``PolyCochain``:
-    the class's ``d_walk`` over all entries of f, its flat coordinates
-    grouped back into a table."""
+    the class's ``d_walk`` over all entries of f, grouped into a table."""
     out = f.zero_like(f.arity + 1, f.end_degree - 1)
-    for (key, sub), c in f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items(), {}).items():
-        out.table.setdefault(key, {})[sub] = c
+    return _grouped(out, f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items(), {}))
+
+
+def _grouped(out, coords: dict):
+    """``out`` with a walk's coordinates ``{(key, sub): c}`` in its table."""
+    table = out.table
+    for (key, sub), c in coords.items():
+        table.setdefault(key, {})[sub] = c
     return out
+
+
+def _term_lookups(m: Cochain):
+    """The terms of m for :func:`_walk`: the field, whether |m| is odd, by
+    the input x at each slot in slot order ``x -> [(u, v, l, e, s)]`` for
+    the tuples u + (x,) + v, by output ``l -> [(tuple, e, -e)]``, and per
+    basis element whether f{m}'s sign flips as m passes it; e is the
+    coefficient of l in m's value and s is (-1)^{|u_1| + ...} e."""
+    a, field = m.algebra, m.algebra.field
+    odd = [a.suspended_degree(i) % 2 == 1 for i in range(a.dim)]
+    by_input, by_output = {}, {}
+    for j in range(m.arity):
+        for t, vec in m.table.items():
+            u, v = t[:j], t[j + 1:]
+            passed = sum(odd[x] for x in u) % 2 == 1
+            hits = by_input.setdefault(t[j], [])
+            hits += [(u, v, l, e, field.neg(e) if passed else e) for l, e in vec.items()]
+    for t, vec in m.table.items():
+        for l, e in vec.items():
+            by_output.setdefault(l, []).append((t, e, field.neg(e)))
+    odd_m = m.end_degree % 2 == 1
+    return field, odd_m, by_input, by_output, odd if odd_m else [False] * a.dim
+
+
+def _walk(lookups, end_degree: int, entries, acc: dict) -> dict:
+    """Add [m, f] into ``acc``, flat coordinates ``{(tuple, output): c}``,
+    for m of ``lookups`` and f of map degree ``end_degree`` with table
+    entries ``entries``; term by term as in the module docstring."""
+    field, odd_m, by_input, by_output, flips = lookups
+    one, add_into = field.one(), field.add_into
+    odd_f = end_degree % 2 == 1
+    start = not (odd_m and odd_f)
+    for t, vec in entries:
+        for k, c in vec.items():
+            pairs = [((u + t + v, l), s if odd_f else e) for u, v, l, e, s in by_input.get(k, ())]
+            negate = start
+            for i, l in enumerate(t):
+                hits = by_output.get(l)
+                if hits:
+                    u, v = t[:i], t[i + 1:]
+                    pairs += [((u + x + v, k), n if negate else e) for x, e, n in hits]
+                negate ^= flips[l]
+            add_into(acc, pairs, None if c == one else c)
+    return acc
 
 
 # -- distinguished cochains ---------------------------------------------------
@@ -330,27 +370,6 @@ def shifted_m2(a: GradedAlgebra) -> Cochain:
     m2 = Cochain(a, 2, -1, table)
     a._m2 = m2
     return m2
-
-
-def _m2_lookups(a: GradedAlgebra):
-    """The terms of the shifted m2 by first factor, ``x -> [(y, l, e)]``, by
-    second factor, ``y -> [(x, l, e, (-1)^{|sx|} e)]``, and by product basis
-    element, ``l -> [((x, y), e, -e)]``, with e the coefficient of l in
-    m2(x, y); and the parity of each suspended degree.  Cached on the
-    algebra."""
-    if a._m2_lookups is None:
-        neg = a.field.neg
-        by_first: dict = {}
-        by_second: dict = {}
-        by_product: dict = {}
-        odd = [a.suspended_degree(i) % 2 == 1 for i in range(a.dim)]
-        for (x, y), vec in shifted_m2(a).table.items():
-            for l, e in vec.items():
-                by_first.setdefault(x, []).append((y, l, e))
-                by_second.setdefault(y, []).append((x, l, e, neg(e) if odd[x] else e))
-                by_product.setdefault(l, []).append(((x, y), e, neg(e)))
-        a._m2_lookups = (by_first, by_second, by_product, odd)
-    return a._m2_lookups
 
 
 def euler_delta(a: GradedAlgebra) -> Cochain:
@@ -400,7 +419,9 @@ def _live_prefixes(a: GradedAlgebra, p: int, q: int, normalized: bool):
     live = [1]
     for _ in range(p):
         live.append(_bit_union(live[-1] << s for s in shifts))
-    live[p] &= _bit_union(1 << (x - d - p * lo) for x in out_by_degree if x - d >= p * lo)
+    # no bit past the reachable sums is shifted, however far q is from them
+    ends = (x - d - p * lo for x in out_by_degree)
+    live[p] &= _bit_union(1 << b for b in ends if 0 <= b < live[p].bit_length())
     for k in range(p - 1, -1, -1):
         live[k] &= _bit_union(live[k + 1] >> s for s in shifts)
     return live, steps, lo, out_by_degree

@@ -236,15 +236,14 @@ class CohomClass:
 class HHContext:
     """Caches cochain complexes per (q, pipeline), HHSpaces per (p, q, pipeline)."""
 
-    def __init__(self, algebra: GradedAlgebra, normalized: bool = True):
+    def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
-        self.normalized = normalized
         self._complexes: dict = {}
         self._spaces: dict = {}
         self._normalizers: dict = {}
 
     def space(self, p: int, q: int) -> HHSpace:
-        return self._space(p, q, self.normalized)
+        return self._space(p, q, True)
 
     def full_space(self, p: int, q: int) -> HHSpace:
         return self._space(p, q, False)

@@ -598,20 +598,12 @@ def _coordinates(z: PolyCochain) -> dict:
     return {(ckey, exps): c for ckey, terms in z.table.items() for exps, c in terms.items()}
 
 
-def find_combination(target: PolyCochain, generators, d_search: int):
-    """Solve target = sum_i a_i gen_i + hoch_d(b) exactly, with b in the
-    residue-split class of polynomial total degree <= d_search.
-
-    Returns ``(coeffs, witness, stats)`` or ``(None, None, stats)``, by
-    :func:`find_combinations`; a found solution is verified exactly, absence
-    is one-sided.
-    """
-    return find_combinations([target], generators, d_search)[0]
-
-
 def find_combinations(targets, generators, d_search: int):
-    """:func:`find_combination` for each of ``targets``, which share
-    ``generators``: a list with ``(coeffs, witness, stats)`` per target.
+    """Solve target = sum_i a_i gen_i + hoch_d(b) exactly for each of
+    ``targets``, which share ``generators``, with b in the residue-split
+    class of polynomial total degree <= d_search: a list with ``(coeffs,
+    witness, stats)`` or ``(None, None, stats)`` per target.  A found
+    solution is verified exactly; absence is one-sided.
 
     The targets of one algebra and shape share one elimination, of the
     coboundary columns whose weight is one of theirs, with a right-hand side

@@ -137,20 +137,6 @@ def d2_map(ctx: HHContext, phi: AInfStructure, s: int, t: int):
     raise UndefinedCellError(f"d2 undefined at ({s},{t})")
 
 
-def _alpha_image_vectors(ctx: HHContext, phi: AInfStructure):
-    """Spanning vectors of the image of alpha(x) = x^2 + [{m3}, x] on
-    HH^{2,-1}.  The cup square term vanishes on classes away from
-    characteristic 2 and is Frobenius-linear over F_2, so the span of the
-    values on a basis generates the image in every supported field."""
-    src = ctx.space(2, -1)
-    out = []
-    m3 = phi.map(3)
-    for rep in src.hh_reps:
-        w = cup(rep, rep) + bracket(m3, rep)
-        out.append(normalized_class_of_full(ctx, w).coords)
-    return out
-
-
 def _incoming_image(ctx: HHContext, phi: AInfStructure, s: int, t: int):
     """Image vectors of d2 arriving at (s,t), in HH^{s+2,-t} coordinates."""
     ps, pt = s - 2, t - 1
@@ -158,7 +144,9 @@ def _incoming_image(ctx: HHContext, phi: AInfStructure, s: int, t: int):
         m = d2_map(ctx, phi, ps, pt)
         return [m.column(j) for j in range(m.cols)]
     if (ps, pt) == (0, 1):
-        return _alpha_image_vectors(ctx, phi)
+        # -alpha on a basis of HH^{2,-1}, linear on classes (see e3_term)
+        qm = d2_map(ctx, phi, 0, 1)
+        return [qm.evaluate(rep).coords for rep in ctx.space(2, -1).hh_reps]
     # (0, t-1) with t-1 > 1: the projection is onto, so the image agrees
     # with the image of the bracket on cohomology.
     m = induced_bracket(ctx, universal_massey(phi, ctx), 2, -pt)
@@ -187,11 +175,12 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
         m = d2_map(ctx, phi, 0, t)
         return PageCell(3, s, t, "cocycle", dim=m.cols - rref(m).rank)
     if (s, t) == (0, 1):
-        # kernel of the class-level map alpha on HH^{2,-1}; alpha is linear
-        # over every supported field (the cup square vanishes on classes in
-        # odd characteristic and over Q, and is Frobenius-linear over F_2)
+        # kernel of the class-level map alpha on HH^{2,-1}, whose image
+        # arrives at (2, 2); alpha is linear over every supported field (the
+        # cup square vanishes on classes in odd characteristic and over Q,
+        # and is Frobenius-linear over F_2)
         alpha_matrix = SparseMatrix.from_columns(
-            ctx.algebra.field, _alpha_image_vectors(ctx, phi), ctx.space(4, -2).dim
+            ctx.algebra.field, _incoming_image(ctx, phi, 2, 2), ctx.space(4, -2).dim
         )
         ker_dim = alpha_matrix.cols - rref(alpha_matrix).rank
         dim = ker_dim + ctx.full_space(2, -1).coboundary_dim()

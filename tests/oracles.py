@@ -6,10 +6,13 @@ eliminates forward with sparsest-row pivots and back-substitutes; a solve
 reduces the augmented matrix [m | b] from scratch (``solve_columns`` too,
 which eliminates forward and back-substitutes its last column only); the
 cohomology basis solves every coboundary in the cocycle basis separately;
-sparse accumulation sums with plain Python arithmetic; the Hochschild
-differential is evaluated tuple by tuple from the product table or as the
-brace form of the bracket with m2; a cochain basis filters every argument
-tuple by its degree; and the field Q keeps every scalar a ``Fraction``.
+sparse accumulation sums with plain Python arithmetic; the Gerstenhaber
+bracket is the brace form f{g} - (-1)^{|f||g|} g{f}, each brace built from
+compositions, where ``bracket`` walks the terms of [f, -] over the entries
+of g; the Hochschild differential is evaluated tuple by tuple from the
+product table or as that brace form with m2; a cochain basis filters every
+argument tuple by its degree; and the field Q keeps every scalar a
+``Fraction``.
 
 It also keeps small helpers that only the tests use: the dimension of one
 HH space, the associativity predicate of the origin cell of page 2, the
@@ -21,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
 
-from hochcalc.cochain import Cochain, brace, bracket
+from hochcalc.cochain import Cochain, brace
 from hochcalc.cohomology import CohomClass, hh_space
 from hochcalc.errors import DomainError
 from hochcalc.exactla import Rationals, SparseMatrix
@@ -231,11 +234,19 @@ def reference_hoch_d(f):
     return table
 
 
+def reference_bracket(f, g):
+    """The Gerstenhaber bracket f{g} - (-1)^{|f||g|} g{f} as two braces, for
+    ``Cochain``s or ``PolyCochain``s: one composition per slot of f and of
+    g, each built as its own cochain and added in."""
+    field = f.algebra.field
+    c = field.neg(field.one()) if (f.end_degree * g.end_degree) % 2 == 0 else None
+    return brace(f, [g])._accumulate(brace(g, [f]), c)
+
+
 def reference_bracket_hoch_d(f):
-    """[m2, f] as the Gerstenhaber bracket of braces, m2{f} - (-1)^{|f|}
-    f{m2}, for a ``Cochain`` or a ``PolyCochain``: p + 2 compositions, each
-    built as its own cochain and added in."""
-    return bracket(f.multiplication(), f)
+    """[m2, f] as the brace form of the bracket, m2{f} - (-1)^{|f|} f{m2},
+    for a ``Cochain`` or a ``PolyCochain``."""
+    return reference_bracket(f.multiplication(), f)
 
 
 def hh_dim(a, p, q, normalized=True):

@@ -112,6 +112,27 @@ def test_validate_exit_codes(tmp_path):
     assert report["results"]["algebra_violations"]
 
 
+def test_validate_runs_the_algebra_axioms_once(monkeypatch, tmp_path):
+    """``validate`` reports the verdict that the structure's construction
+    reads back: one ``validate_algebra`` run per algebra."""
+    import hochcalc.algebra as algebra
+    import hochcalc.cli as cli
+
+    calls = []
+    real = algebra.validate_algebra
+
+    def spy(a):
+        calls.append(a)
+        return real(a)
+
+    # also where the command module might hold a name of its own
+    monkeypatch.setattr(algebra, "validate_algebra", spy)
+    monkeypatch.setattr(cli, "validate_algebra", spy, raising=False)
+    code, report = run_cli(["--in", str(FIXTURES / "tower_f2_a5_valid.json"), "validate"], tmp_path)
+    assert code == 0 and len(calls) == 1
+    assert report["results"] == {"algebra_violations": [], "structure_violations": []}
+
+
 def test_input_error_exit_code(tmp_path):
     f = tmp_path / "x.json"
     f.write_text("{\"field\": {\"type\": \"F\", \"p\": 4}}")
@@ -437,11 +458,31 @@ def test_e_page_3_command(tmp_path):
 
 
 def test_negative_hochschild_degree_is_a_json_error(tmp_path):
-    code, rep = run_cli(
-        ["--in", str(FIXTURES / "dual_numbers_q.json"), "hh", "--p", "-1"], tmp_path
-    )
-    assert code == 1
-    assert rep["error"] == {"kind": "DomainError", "message": "Hochschild degree must be >= 0"}
+    for cell in (["--p", "-1"], ["--p", "-1", "--q", "0"]):
+        code, rep = run_cli(
+            ["--in", str(FIXTURES / "dual_numbers_q.json"), "hh"] + cell, tmp_path
+        )
+        assert code == 1 and rep["results"] == {}
+        assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "--p"
+
+
+FAR = "99999999999999999999"
+
+
+@pytest.mark.parametrize("fixture", ["dual_numbers_f3", "tower_f2_a5_valid"])
+@pytest.mark.parametrize("q", [FAR, "-" + FAR])
+def test_far_bidegree_is_an_empty_cell(tmp_path, fixture, q):
+    """A cell far outside the degrees an algebra reaches has no cochains:
+    it reports dimension 0 and exits 0, however far away it is."""
+    doc = str(FIXTURES / f"{fixture}.json")
+    code, rep = run_cli(["--in", doc, "hh", "--p", "2", "--q", q], tmp_path)
+    assert code == 0
+    assert rep["results"]["spaces"] == {f"2,{q}": {
+        "dim": 0, "dim_coboundaries": 0, "dim_cochains": 0, "dim_cocycles": 0}}
+    t = q[1:] if q.startswith("-") else "-" + q
+    code, rep = run_cli(["--in", doc, "e-page", "--page", "2", f"--window=2:2,{t}:{t}"], tmp_path)
+    assert code == 0
+    assert rep["results"]["cells"][f"2,{t}"]["dim"] == 0
 
 
 def test_negative_arity_max_is_an_input_error(tmp_path):

@@ -35,6 +35,7 @@ from hochcalc.identities import (
 )
 from oracles import (
     identity_cochain,
+    reference_bracket,
     reference_bracket_hoch_d,
     reference_cochain_basis,
     reference_hoch_d,
@@ -170,8 +171,8 @@ def test_bidegree_bookkeeping(ext_q):
 
 def test_identity_suite_all_fields():
     for field in (Rationals(), PrimeField(2), PrimeField(5)):
-        for make in (dual_numbers, exterior_line):
-            run_identity_suite(make(field), trials=12, seed=99)
+        for a in (dual_numbers(field), exterior_line(field), truncated_skew_laurent(field, 3)):
+            run_identity_suite(a, trials=12, seed=99)
 
 
 def test_single_identities_on_sparse_cochains():
@@ -231,11 +232,15 @@ def test_hoch_d_matches_brute_force(make):
                          ids=["Q", "F2", "F3", "F5"])
 def test_hoch_d_matches_bracket_form(field):
     # random cochains with several entries, on the seeded small algebras and
-    # on tsl(field, 3), against the brace form [m2, f]
+    # on tsl(field, 3), against the brace form [m2, f]; and the bracket
+    # [g, f] with a second random cochain g of arity 0-3, against the brace
+    # form [g, f], for every parity of |g| and |f|
     rng = random.Random(field.char + 7)
     algebras = small_algebras(field, field.char) + [truncated_skew_laurent(field, 3)]
     checked = 0
+    parities = set()
     for a in algebras:
+        g_cells = [(p, q) for p in range(4) for q in q_support(a, p)]
         for p in range(5):
             for q in q_support(a, p):
                 for normalized in (True, False, False):
@@ -245,7 +250,58 @@ def test_hoch_d_matches_bracket_form(field):
                     assert (got.arity, got.end_degree) == (want.arity, want.end_degree)
                     assert got.table == want.table
                     checked += len(f.table) > 1
+                    g = random_cochain(rng, a, *rng.choice(g_cells), density=3,
+                                       normalized=rng.random() < 0.5)
+                    got = bracket(g, f)
+                    assert got == reference_bracket(g, f)
+                    if not got.is_zero():
+                        parities.add((g.arity, g.end_degree % 2, f.end_degree % 2))
     assert checked > 50
+    assert {(g, f) for _, g, f in parities} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert {arity for arity, _, _ in parities} == {0, 1, 2, 3}
+
+
+def test_bracket_with_structure_maps_matches_brace_form():
+    """[m_i, z] and [z, m_i] for every structure map m_i, i >= 3, of the
+    A_4 and A_5 tower fixtures and random z of arity 0-3 in both pipelines
+    equal the brace form."""
+    from test_obstruction import FIXTURES
+
+    from hochcalc.cli import build_structure, parse_input
+
+    rng = random.Random("bracket-m_i")
+    checked = 0
+    for name in ("tower_f2_a4_extendable", "tower_f2_a4_obstructed", "tower_f2_a5_valid"):
+        s = build_structure(parse_input((FIXTURES / f"{name}.json").read_text()))
+        cells = [(p, q) for p in range(4) for q in q_support(s.algebra, p)]
+        for i in range(3, s.k + 1):
+            m = s.map(i)
+            for p, q in cells:
+                for normalized in (True, False):
+                    z = random_cochain(rng, s.algebra, p, q, density=3, normalized=normalized)
+                    got = bracket(m, z)
+                    assert got == reference_bracket(m, z)
+                    assert bracket(z, m) == reference_bracket(z, m)
+                    checked += not got.is_zero()
+    assert checked > 20
+
+
+def test_bracket_of_cochains_is_the_walk(monkeypatch):
+    """bracket on two Cochains composes nothing: neither ``brace`` nor
+    ``Cochain.compose_at`` runs."""
+    import hochcalc.cochain as cochain
+
+    def refuse(*args):
+        raise AssertionError("the bracket of two Cochains built a brace")
+
+    a = truncated_skew_laurent(PrimeField(3), 3)
+    rng = random.Random(3)
+    f, g = random_cochain(rng, a, 2, 0, density=4), random_cochain(rng, a, 3, -1, density=4)
+    want = reference_bracket(f, g)
+    monkeypatch.setattr(cochain, "brace", refuse)
+    monkeypatch.setattr(Cochain, "compose_at", refuse)
+    got = bracket(f, g)
+    assert got == want and not got.is_zero()
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(7)],

@@ -550,15 +550,13 @@ def test_hh_over_q_matches_the_fraction_field():
     coordinates of truncated_skew_laurent(Q, 3), in both pipelines, equal
     those computed with every scalar a Fraction."""
     fields = (Rationals(), FractionRationals())
-    ctxs = [(HHContext(truncated_skew_laurent(f, 3)), HHContext(truncated_skew_laurent(f, 3), False))
-            for f in fields]
+    new, ref = (HHContext(truncated_skew_laurent(f, 3)) for f in fields)
     rng = random.Random("hh-int-vs-fraction")
     classes = ints = 0
-    for pipeline in (0, 1):
-        new, ref = ctxs[0][pipeline], ctxs[1][pipeline]
+    for pipeline in ("space", "full_space"):
         for p in range(4):
             for q in q_support(new.algebra, p):
-                sn, sr = new.space(p, q), ref.space(p, q)
+                sn, sr = getattr(new, pipeline)(p, q), getattr(ref, pipeline)(p, q)
                 assert sn.cocycles == sr.cocycles and sn.hh_vectors == sr.hh_vectors
                 assert [z.table for z in sn.hh_reps] == [z.table for z in sr.hh_reps]
                 assert all(type(c) is Fraction for c in _all_scalars(sr.hh_reps))

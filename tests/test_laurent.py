@@ -20,7 +20,6 @@ from hochcalc.laurent import (
     constant_cochain,
     display_monomial,
     euler_cochain,
-    find_combination,
     find_combinations,
     find_witness,
     find_witnesses,
@@ -328,7 +327,7 @@ def test_find_combination_reads_off_coefficients():
     alg = sign_twisted_laurent(PrimeField(5))
     z1 = display_monomial(alg, 0, 4, 0, 3)
     y = display_monomial(alg, 1, 1, 0, 1)
-    coeffs, witness, _ = find_combination(bracket(z1, y), [z1], 2)
+    coeffs, witness, _ = find_combinations([bracket(z1, y)], [z1], 2)[0]
     assert coeffs == {0: 3}
 
 
@@ -368,9 +367,9 @@ def test_find_combinations_matches_one_at_a_time(field):
     targets = [bracket(z1, display_monomial(alg, 1, 1, 0, 1)), z1.scale_int(2) + b,
                PolyCochain(alg, 3, -1), z2, b, z2 + z1]
     got = find_combinations(targets, [z1], 2)
-    assert got == [find_combination(t, [z1], 2) for t in targets]
+    assert got == [find_combinations([t], [z1], 2)[0] for t in targets]
     assert [c is not None for c, _, _ in got] == [True, True, True, False, True, False]
-    assert find_combinations(targets, [], 2) == [find_combination(t, [], 2) for t in targets]
+    assert find_combinations(targets, [], 2) == [find_combinations([t], [], 2)[0] for t in targets]
     with pytest.raises(DomainError):
         find_combinations([b, z1], [skew_derivation_cochain(alg)], 2)
 
