@@ -22,6 +22,12 @@ from .exactla import field_from_json, field_to_json, rref
 # Each command imports the modules it runs when it runs: a job started
 # without cached byte code compiles every module it imports.
 
+# The largest arity a command line may ask for: a cochain basis of arity p
+# is found in about p^2 steps, so a far larger one would never finish.  A
+# window of a spectral page holds at most MAX_WINDOW_CELLS cells.
+MAX_ARITY = 1500
+MAX_WINDOW_CELLS = 10_000
+
 
 # -- input documents -----------------------------------------------------------
 
@@ -215,13 +221,11 @@ def class_json(cls):
 # -- commands --------------------------------------------------------------------
 
 
-def build_structure(docobj: InputDocument, required=True):
+def build_structure(docobj: InputDocument):
     from .ainf import AInfStructure
 
     if docobj.structure is None:
-        if required:
-            raise InputError("this command needs a structure block", "structure")
-        return None
+        raise InputError("this command needs a structure block", "structure")
     k, maps = docobj.structure
     return AInfStructure(docobj.algebra, k, maps)
 
@@ -260,11 +264,15 @@ def cmd_hh(docobj, args, report):
     if args.p is not None:
         if args.p < 0:
             raise InputError("p must be >= 0", "--p")
+        if args.p > MAX_ARITY:
+            raise InputError(f"p must be <= {MAX_ARITY}", "--p")
         qs = [args.q] if args.q is not None else q_support(a, args.p)
         cells = [(q, args.p) for q in qs]
     else:
         if args.p_max < 0:
             raise InputError("p-max must be >= 0", "--p-max")
+        if args.p_max > MAX_ARITY:
+            raise InputError(f"p-max must be <= {MAX_ARITY}", "--p-max")
         cells = [(q, p) for p in range(args.p_max + 1) for q in q_support(a, p)]
 
     # one column C^{*,q} at a time, in increasing p: its cells share their
@@ -288,6 +296,8 @@ def cmd_props(docobj, args, report):
         raise InputError("trials must be >= 0", "trials")
     if args.arity_max < 0:
         raise InputError("arity-max must be >= 0", "arity-max")
+    if args.arity_max > MAX_ARITY:
+        raise InputError(f"arity-max must be <= {MAX_ARITY}", "arity-max")
     try:
         counts = run_identity_suite(docobj.algebra, args.trials, args.seed, args.arity_max)
     except AssertionError as exc:
@@ -306,6 +316,11 @@ def parse_window(text):
         raise InputError("window must look like s0:s1,t0:t1", "window")
     if s0 > s1 or t0 > t1:
         raise InputError("window bounds must satisfy s0 <= s1 and t0 <= t1", "window")
+    # the cells of column s read arity s + 2
+    if s1 + 2 > MAX_ARITY:
+        raise InputError(f"window must satisfy s1 <= {MAX_ARITY - 2}", "window")
+    if (s1 - s0 + 1) * (t1 - t0 + 1) > MAX_WINDOW_CELLS:
+        raise InputError(f"window must hold at most {MAX_WINDOW_CELLS} cells", "window")
     return (s0, s1), (t0, t1)
 
 
@@ -400,6 +415,8 @@ def cmd_extend(docobj, args, report):
     from .ainf import is_valid
     from .obstruction import extend_to
 
+    if args.to > MAX_ARITY:
+        raise InputError(f"to must be <= {MAX_ARITY}", "--to")
     s = build_structure(docobj)
     result = extend_to(s, args.to)
     report["results"]["steps"] = [

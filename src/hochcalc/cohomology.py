@@ -121,12 +121,10 @@ class HHSpace:
         self._cob_coords = [self._cocycle_coords(b) for b in self.coboundaries]
         if None in self._cob_coords:
             raise ConfigurationError("coboundary outside the cocycle space")
-        _, pivots, reduced = rref(
-            SparseMatrix.from_rows(self.algebra.field, self._cob_coords, len(self.cocycles))
-        )
-        # the rows of the reduced form by pivot slot; each is 1 there and
-        # otherwise lives on the cohomology slots, the slots without a pivot
-        self._reducers = dict(zip(pivots, reduced._row_list()))
+        ech = rref(SparseMatrix.from_rows(self.algebra.field, self._cob_coords, len(self.cocycles)))
+        # the pivot rows of the echelon form by pivot slot; each is 1 there
+        # and otherwise lives on the cohomology slots, the slots without a pivot
+        self._reducers = dict(zip(ech.pivots, ech.rows))
         hh_slots = [j for j in range(len(self.cocycles)) if j not in self._reducers]
         self._hh_index = {j: n for n, j in enumerate(hh_slots)}
         self.hh_vectors = [self.cocycles[j] for j in hh_slots]
@@ -180,7 +178,8 @@ class HHSpace:
         return CohomClass(self, z, dict(coords))
 
     def is_coboundary(self, z: Cochain):
-        """Exact witness b with hoch_d(b) = z, or None.
+        """Exact witness b with hoch_d(b) = z, or None; raises
+        ``ConfigurationError`` if a witness fails that exact check.
 
         The witness is the one supported on the pivot columns of d(p - 1):
         its entries there are the coordinates of z on the coboundary basis.
@@ -196,7 +195,10 @@ class HHSpace:
             raise ConfigurationError("cocycle of zero class outside the coboundary span")
         pivots = self._d_in_echelon.pivots
         x = {pivots[i]: c for i, c in y.items()}
-        return cochain_from_coords(self.algebra, self.p - 1, self.q, self.basis_in, x)
+        b = cochain_from_coords(self.algebra, self.p - 1, self.q, self.basis_in, x)
+        if not (hoch_d(b) - z).is_zero():
+            raise ConfigurationError("coboundary witness failed its exact check")
+        return b
 
     def cocycle_dim(self) -> int:
         return len(self.cocycles)

@@ -5,12 +5,16 @@ when it is integral and a ``fractions.Fraction`` otherwise, never a float;
 over a prime field it is an int in ``[0, p)``.  A ``Field`` object supplies the
 arithmetic, so vectors and matrices stay lightweight dicts.
 
-Elimination takes columns in order and, for each, the sparsest row with an
-entry there as pivot row.  The pivot columns, the reduced row-echelon form
-and every basis and solution read off it are unique, so none of them
-depends on the rows chosen or on their order.  A factorization (``rref``)
-is only that echelon form; a solve (``solve``, ``solve_columns``)
-eliminates the augmented matrix ``[m | b]`` once and keeps nothing.
+One elimination engine serves every factorization and every solve:
+:func:`_reduce` eliminates forward, taking columns in order and, for each,
+the sparsest row with an entry there as pivot row, and
+:func:`_back_substitute` clears the entries above each pivot.  The pivot
+columns, the reduced row-echelon form and every basis and solution read off
+it are unique, so none of them depends on the rows chosen or on their order.
+A factorization (``rref``) is that echelon form, kept as its pivot rows; a
+solve (``solve``, ``solve_columns_many``) eliminates the augmented matrix
+``[m | b ...]`` once, reads its answers off the pivot rows and keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -254,7 +258,7 @@ class PrimeField(Field):
         return f"F_{self.p}"
 
 
-# Over Q, solve_columns eliminates modulo this prime first (2^61 - 1, so
+# Over Q, solve_columns_many eliminates modulo this prime first (2^61 - 1, so
 # residues stay near one machine word) and lifts the result back to Q.
 MODULUS = 2**61 - 1
 _LIFT_BOUND = isqrt(MODULUS // 2)
@@ -391,12 +395,13 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-class Echelon(namedtuple("Echelon", "rank pivots reduced")):
-    """Reduced row-echelon form of a matrix: its rank, its pivot columns in
-    increasing order and the reduced matrix, which keeps the shape of the
-    input with its zero rows last.  It records no row operations;
-    :meth:`kernel` reads the null space off ``reduced``, and systems are
-    solved by :func:`solve`."""
+class Echelon(namedtuple("Echelon", "rank pivots rows field cols")):
+    """Reduced row-echelon form of a matrix with ``cols`` columns over
+    ``field``: its rank, its pivot columns in increasing order and its
+    pivot rows, ``rows[r]`` a dict that is 1 at ``pivots[r]`` and otherwise
+    lives on the free columns.  It records no row operations;
+    :meth:`kernel` reads the null space off ``rows``, and systems are solved
+    by :func:`solve`."""
 
     __slots__ = ()
 
@@ -404,20 +409,19 @@ class Echelon(namedtuple("Echelon", "rank pivots reduced")):
         """Basis of the right null space, one vector per free column, in free
         column order.  Each vector has a 1 at its free column and 0 at the
         other free columns."""
-        red = self.reduced
-        field = red.field
+        field = self.field
         pivot_set = set(self.pivots)
-        basis = {j: {j: field.one()} for j in range(red.cols) if j not in pivot_set}
-        for r, row in enumerate(red._row_list()[: self.rank]):
+        basis = {j: {j: field.one()} for j in range(self.cols) if j not in pivot_set}
+        for col, row in zip(self.pivots, self.rows):
             for j, c in row.items():
                 if j in basis:
-                    basis[j][self.pivots[r]] = field.neg(c)
+                    basis[j][col] = field.neg(c)
         return list(basis.values())
 
 
 def rref(m: SparseMatrix) -> Echelon:
     """Reduced row-echelon form, as an :class:`Echelon` that unpacks as
-    ``(rank, pivots, reduced)``.
+    ``(rank, pivots, rows, field, cols)``.
 
     :func:`_reduce` eliminates forward with sparsest-row pivots, and
     :func:`_back_substitute` clears the entries above each pivot, from the
@@ -428,8 +432,7 @@ def rref(m: SparseMatrix) -> Echelon:
     rows = m._row_list()
     pivots = _reduce(field, rows, m.cols)
     _back_substitute(field, rows, pivots)
-    rows += [{} for _ in range(m.rows - len(pivots))]
-    return Echelon(len(pivots), pivots, SparseMatrix.from_rows(field, rows, m.cols))
+    return Echelon(len(pivots), pivots, rows, field, m.cols)
 
 
 def _reduce(field: Field, rows, ncols: int):
@@ -555,8 +558,8 @@ def solve(m: SparseMatrix, b: dict):
     sparse dict, or ``None`` if the system is inconsistent; raises
     ``ConfigurationError`` if ``b`` has a row outside ``m``.
 
-    One forward elimination of ``[m | b]``, its columns in their natural
-    order, and a back substitution on the last column.  The answer is the
+    One elimination of ``[m | b]`` by :func:`_solve_reduced`, its columns
+    in their natural order.  The answer is the
     one that the reduced row-echelon form of ``[m | b]`` gives, so it does
     not depend on the pivot rows chosen."""
     for i in b:
@@ -568,25 +571,18 @@ def solve(m: SparseMatrix, b: dict):
     return _solve_reduced(m.field, cols, range(m.cols), [b], range(m.rows))[0]
 
 
-def solve_columns(field: Field, columns, rhs: dict, extra_columns=()):
-    """One solution of ``sum_j x_j col_j (+ sum_k y_k extra_k) = rhs``, as
-    ``(x, y)`` in sparse dicts, or ``None`` if the system is inconsistent:
-    :func:`solve_columns_many` with the one right-hand side ``rhs``."""
-    return solve_columns_many(field, columns, [rhs], extra_columns)[0]
-
-
-def solve_columns_many(field: Field, columns, rhss, extra_columns=()):
-    """:func:`solve_columns` for each right-hand side in ``rhss``, by one
-    elimination: a list with ``(x, y)`` or ``None`` per right-hand side.
-    Raises ``ConfigurationError`` if a solution fails its exact check.
+def solve_columns_many(field: Field, columns, rhss):
+    """One solution of ``sum_j x_j columns[j] = rhs`` for each right-hand
+    side in ``rhss``, by one elimination: a list with ``x`` as a sparse dict
+    or ``None`` (the system is inconsistent) per right-hand side.  Raises
+    ``ConfigurationError`` if a solution fails its exact check.
 
     The augmented matrix, with the columns sorted by (number of nonzeros,
-    index) and the right-hand sides last, is eliminated forward by
-    :func:`_reduce` and back-substituted on each right-hand side.  Free
-    variables are zeroed in that order, which favours sparse witnesses on
-    large systems.  Each answer is unique: it depends neither on the pivot
-    rows chosen, nor on the row keys (which need only be hashable), nor on
-    the other right-hand sides.
+    index) and the right-hand sides last, is eliminated by
+    :func:`_solve_reduced`.  Free variables are zeroed in that order, which
+    favours sparse witnesses on large systems.  Each answer is unique: it
+    depends neither on the pivot rows chosen, nor on the row keys (which
+    need only be hashable), nor on the other right-hand sides.
 
     Over Q the elimination runs modulo ``MODULUS`` first, and a lift of each
     solution by rational reconstruction is kept if it passes the exact
@@ -595,8 +591,7 @@ def solve_columns_many(field: Field, columns, rhss, extra_columns=()):
     or check) are eliminated exactly, in one elimination, so inconsistency
     over Q is decided only by exact elimination.
     """
-    cols, rhss = list(columns) + list(extra_columns), list(rhss)
-    n_main = len(columns)
+    cols, rhss = list(columns), list(rhss)
     # integer row ids in first-seen order
     row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + rhss for r in col))}
     order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
@@ -613,11 +608,9 @@ def solve_columns_many(field: Field, columns, rhss, extra_columns=()):
     if todo:
         for k, x in zip(todo, _solve_reduced(field, cols, order, [rhss[k] for k in todo], row_id)):
             if x is not None and not _satisfies(field, cols, rhss[k], x):
-                raise ConfigurationError("solve_columns: solution failed its exact check")
+                raise ConfigurationError("solve_columns_many: solution failed its exact check")
             xs[k] = x
-    return [None if x is None else ({j: c for j, c in x.items() if j < n_main},
-                                    {j - n_main: c for j, c in x.items() if j >= n_main})
-            for x in xs]
+    return xs
 
 
 def _solve_reduced(field: Field, cols, order, rhss, row_id, load=None):
@@ -628,9 +621,11 @@ def _solve_reduced(field: Field, cols, order, rhss, row_id, load=None):
     ``load`` maps each scalar into ``field``.
 
     Right-hand side ``k`` is consistent iff its column ``n + k`` is no pivot
-    and no pivot row of an earlier right-hand side has an entry there; then
-    back substitution on the pivot rows of the columns gives its solution
-    with free variables zero, the one it has alone."""
+    and no pivot row of an earlier right-hand side has an entry there.  The
+    pivot rows of the columns, cut to the pivot and right-hand-side columns
+    (free variables are zero), are back-substituted by
+    :func:`_back_substitute`; each consistent solution is then read off
+    them, the one it has alone."""
     n = len(order)
     rows = [{} for _ in row_id]
     for k, col in enumerate([cols[j] for j in order] + rhss):
@@ -641,19 +636,16 @@ def _solve_reduced(field: Field, cols, order, rhss, row_id, load=None):
                 rows[row_id[r]][k] = c
     pivots = _reduce(field, rows, n + len(rhss))
     rank = sum(1 for k in pivots if k < n)
+    pivots = pivots[:rank]
+    keep = set(pivots)
+    top = [{j: c for j, c in row.items() if j >= n or j in keep} for row in rows[:rank]]
+    _back_substitute(field, top, pivots)
     out = []
     for col in range(n, n + len(rhss)):
         if any(col in row for row in rows[rank:]):
             out.append(None)
-            continue
-        x = {}
-        for k, row in zip(reversed(pivots[:rank]), reversed(rows[:rank])):
-            v = row.get(col, field.zero())
-            for j in row.keys() & x.keys():
-                v = field.sub(v, field.mul(row[j], x[j]))
-            if not field.is_zero(v):
-                x[k] = v
-        out.append({order[k]: x[k] for k in pivots[:rank] if k in x})
+        else:
+            out.append({order[k]: row[col] for k, row in zip(pivots, top) if col in row})
     return out
 
 

@@ -149,6 +149,10 @@ def _moved(exps, mapping, nvars, skip=None):
     return tuple(new)
 
 
+# the largest order of sigma that a residue split is attempted for
+MAX_SIGMA_ORDER = 64
+
+
 def _lcm(a, b):
     return a * b // gcd(a, b)
 
@@ -157,7 +161,7 @@ class TwistedLaurent:
     """B[x^{+-1}; sigma] for a finite-dimensional graded base B and a
     degree-0 algebra automorphism sigma of finite order."""
 
-    def __init__(self, base: GradedAlgebra, sigma, weight: int = 1, max_order: int = 64):
+    def __init__(self, base: GradedAlgebra, sigma, weight: int = 1):
         """``sigma`` maps basis index -> sparse vector over basis indices."""
         require_valid(base)
         self.base = base
@@ -185,7 +189,7 @@ class TwistedLaurent:
         powers = [{i: {i: field.one()} for i in range(n)}]
         cur = powers[0]
         order = None
-        for k in range(1, max_order + 1):
+        for k in range(1, MAX_SIGMA_ORDER + 1):
             cur = {i: self._apply_sigma(cur[i]) for i in range(n)}
             powers.append(cur)
             if all(vec_eq(field, cur[i], {i: field.one()}) for i in range(n)):
@@ -193,7 +197,7 @@ class TwistedLaurent:
                 break
         if order is None:
             raise UnsupportedAlgebraError(
-                f"sigma has order > {max_order}; cannot residue-split"
+                f"sigma has order > {MAX_SIGMA_ORDER}; cannot residue-split"
             )
         self.sigma_order = order
         self.residue_modulus = _lcm(2, order)
@@ -202,7 +206,7 @@ class TwistedLaurent:
         self._m2_lookups = None
         self._expansions = {}
         self._weights = None
-        # find_combinations' coboundary columns, keyed by witness shape;
+        # find_witnesses' coboundary columns, keyed by witness shape;
         # every later search shares them, and no solve changes them
         self._columns = {}
 
@@ -598,74 +602,6 @@ def _coordinates(z: PolyCochain) -> dict:
     return {(ckey, exps): c for ckey, terms in z.table.items() for exps, c in terms.items()}
 
 
-def find_combinations(targets, generators, d_search: int):
-    """Solve target = sum_i a_i gen_i + hoch_d(b) exactly for each of
-    ``targets``, which share ``generators``, with b in the residue-split
-    class of polynomial total degree <= d_search: a list with ``(coeffs,
-    witness, stats)`` or ``(None, None, stats)`` per target.  A found
-    solution is verified exactly; absence is one-sided.
-
-    The targets of one algebra and shape share one elimination, of the
-    coboundary columns whose weight is one of theirs, with a right-hand side
-    each.  ``hoch_d`` preserves weight, so that system is block diagonal by
-    weight with the column order of each block unchanged: a target's witness
-    and ``unknowns`` are those of a search over its own weights alone.
-    Each column is built once per algebra and kept on it for later searches.
-    """
-    out = [None] * len(targets)
-    groups = {}
-    for t, target in enumerate(targets):
-        if any((g.arity, g.end_degree) != (target.arity, target.end_degree) for g in generators):
-            raise DomainError("generator bidegree mismatch")
-        if target.is_zero() and not generators:
-            out[t] = {}, target.zero_like(target.arity - 1, target.end_degree + 1), {"unknowns": 0}
-        else:
-            groups.setdefault((target.algebra, target.arity, target.end_degree), []).append(t)
-    gen_cols = [_coordinates(g) for g in generators]
-    for (alg, arity, end_degree), group in groups.items():
-        field = alg.field
-        arity_b, deg_b = arity - 1, end_degree + 1
-        wvecs = _weight_vectors(alg)
-        tcoords = [_coordinates(targets[t]) for t in group]
-        gen_weights = {_key_weight(wvecs, ckey) for col in gen_cols for (ckey, _) in col}
-        weights = [gen_weights | {_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
-        columns, unknowns = [], []
-        if arity_b >= 0:
-            monos = _monomials(arity_b, d_search, field.char)
-            cache, shared = alg._columns, {}
-            for key in _witness_basis_keys(alg, arity_b, deg_b):
-                weight = _key_weight(wvecs, key)
-                if not any(weight in ws for ws in weights):
-                    continue
-                for mono in monos:
-                    shape = (arity_b, deg_b, key, mono)
-                    if shape not in cache:
-                        entry = ((key, {mono: field.one()}),)
-                        col = PolyCochain.d_walk(alg, arity_b, deg_b, entry, {})
-                        # kept as a compact copy whose equal keys are one object
-                        cache[shape] = {shared.setdefault(k, k): c for k, c in col.items()} or None
-                    if cache[shape] is not None:
-                        columns.append(cache[shape])
-                        unknowns.append((key, mono, weight))
-        sols = solve_columns_many(field, columns, tcoords, extra_columns=gen_cols)
-        for t, ws, sol in zip(group, weights, sols):
-            stats = {"unknowns": sum(u[2] in ws for u in unknowns), "generators": len(generators)}
-            out[t] = None, None, stats
-            if sol is not None:
-                x, coeffs = sol
-                table = {}
-                for j, c in x.items():
-                    table.setdefault(unknowns[j][0], {})[unknowns[j][1]] = c
-                witness = PolyCochain(alg, arity_b, deg_b, table)
-                residual = hoch_d(witness) - targets[t]
-                for j, c in coeffs.items():
-                    residual._accumulate(generators[j], c)
-                if not residual.is_zero():
-                    raise DomainError("witness verification failed")
-                out[t] = coeffs, witness, stats
-    return out
-
-
 def find_witness(lhs: PolyCochain, rhs: PolyCochain, d_search: int):
     """Exact b with lhs - rhs = hoch_d(b), searched inside the residue-split
     class with polynomial total degree <= d_search.
@@ -679,16 +615,63 @@ def find_witness(lhs: PolyCochain, rhs: PolyCochain, d_search: int):
 
 def find_witnesses(pairs, d_search: int):
     """:func:`find_witness` for each ``(lhs, rhs)`` of ``pairs``: a list with
-    ``(witness or None, stats)`` per pair, all searched together by
-    :func:`find_combinations`."""
-    diffs = []
-    for lhs, rhs in pairs:
+    ``(witness or None, stats)`` per pair.  A found witness is verified
+    exactly; absence is one-sided.
+
+    The differences of one algebra and shape share one elimination, of the
+    coboundary columns whose weight is one of theirs, with a right-hand side
+    each.  ``hoch_d`` preserves weight, so that system is block diagonal by
+    weight with the column order of each block unchanged: a difference's
+    witness and ``unknowns`` are those of a search over its own weights
+    alone.  Each column is built once per algebra and kept on it for later
+    searches.
+    """
+    out = [None] * len(pairs)
+    groups = {}
+    for t, (lhs, rhs) in enumerate(pairs):
         if (lhs.arity, lhs.end_degree) != (rhs.arity, rhs.end_degree):
             raise DomainError("bidegree mismatch between the two sides")
-        diffs.append(lhs - rhs)
-    # an arity-0 difference has no witness unless it is zero
-    return [(w, st) if z.arity or w is not None else (None, {"unknowns": 0})
-            for z, (_, w, st) in zip(diffs, find_combinations(diffs, [], d_search))]
+        z = lhs - rhs
+        if z.is_zero():
+            out[t] = z.zero_like(z.arity - 1, z.end_degree + 1), {"unknowns": 0}
+        elif not z.arity:  # an arity-0 difference has no witness unless it is zero
+            out[t] = None, {"unknowns": 0}
+        else:
+            groups.setdefault((z.algebra, z.arity, z.end_degree), []).append((t, z))
+    for (alg, arity, end_degree), group in groups.items():
+        field = alg.field
+        arity_b, deg_b = arity - 1, end_degree + 1
+        wvecs = _weight_vectors(alg)
+        tcoords = [_coordinates(z) for _, z in group]
+        weights = [{_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
+        columns, unknowns = [], []
+        monos = _monomials(arity_b, d_search, field.char)
+        cache, shared = alg._columns, {}
+        for key in _witness_basis_keys(alg, arity_b, deg_b):
+            weight = _key_weight(wvecs, key)
+            if not any(weight in ws for ws in weights):
+                continue
+            for mono in monos:
+                shape = (arity_b, deg_b, key, mono)
+                if shape not in cache:
+                    entry = ((key, {mono: field.one()}),)
+                    col = PolyCochain.d_walk(alg, arity_b, deg_b, entry, {})
+                    # kept as a compact copy whose equal keys are one object
+                    cache[shape] = {shared.setdefault(k, k): c for k, c in col.items()} or None
+                if cache[shape] is not None:
+                    columns.append(cache[shape])
+                    unknowns.append((key, mono, weight))
+        for (t, z), ws, x in zip(group, weights, solve_columns_many(field, columns, tcoords)):
+            witness = None
+            if x is not None:
+                table = {}
+                for j, c in x.items():
+                    table.setdefault(unknowns[j][0], {})[unknowns[j][1]] = c
+                witness = PolyCochain(alg, arity_b, deg_b, table)
+                if not (hoch_d(witness) - z).is_zero():
+                    raise DomainError("witness verification failed")
+            out[t] = witness, {"unknowns": sum(u[2] in ws for u in unknowns), "generators": 0}
+    return out
 
 
 # -- the sign-twisted Laurent example ------------------------------------------

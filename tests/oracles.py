@@ -3,16 +3,16 @@
 They redo each computation the direct way: row reduction is Gauss-Jordan
 elimination that scans every row for each pivot column, where ``rref``
 eliminates forward with sparsest-row pivots and back-substitutes; a solve
-reduces the augmented matrix [m | b] from scratch (``solve_columns`` too,
-which eliminates forward and back-substitutes its last column only); the
-cohomology basis solves every coboundary in the cocycle basis separately;
-sparse accumulation sums with plain Python arithmetic; the Gerstenhaber
-bracket is the brace form f{g} - (-1)^{|f||g|} g{f}, each brace built from
-compositions, where ``bracket`` walks the terms of [f, -] over the entries
-of g; the Hochschild differential is evaluated tuple by tuple from the
-product table or as that brace form with m2; a cochain basis filters every
-argument tuple by its degree; and the field Q keeps every scalar a
-``Fraction``.
+reduces the augmented matrix [m | b] from scratch (``solve_columns_many``
+too, which eliminates forward and back-substitutes the pivot rows of its
+columns); the cohomology basis solves every coboundary in the cocycle basis
+separately; sparse accumulation sums with plain Python arithmetic; the
+Gerstenhaber bracket is the brace form f{g} - (-1)^{|f||g|} g{f}, each
+brace built from compositions, where ``bracket`` walks the terms of [f, -]
+over the entries of g; the Hochschild differential is evaluated tuple by
+tuple from the product table or as that brace form with m2; a cochain
+basis filters every argument tuple by its degree; and the field Q keeps
+every scalar a ``Fraction``.
 
 It also keeps small helpers that only the tests use: the dimension of one
 HH space, the associativity predicate of the origin cell of page 2, the
@@ -29,7 +29,7 @@ from hochcalc.cohomology import CohomClass, hh_space
 from hochcalc.errors import DomainError
 from hochcalc.exactla import Rationals, SparseMatrix
 
-RREF = namedtuple("RREF", "rank pivots reduced")
+RREF = namedtuple("RREF", "rank pivots rows")
 
 
 class FractionRationals(Rationals):
@@ -58,7 +58,8 @@ def reference_rref(m):
     column order, then row order: each pivot is found by scanning the
     remaining rows, swapped into place, and cleared from every other row,
     which is checked for an entry in the pivot column.  Returns ``(rank,
-    pivots, reduced)`` as an ``RREF``, which compares equal to the
+    pivots, rows)`` as an ``RREF``, ``rows`` the nonzero rows of the reduced
+    matrix, which compares equal to the first three items of the
     :class:`Echelon` of ``rref`` on the same matrix."""
     field = m.field
     rows = m._row_list()
@@ -89,7 +90,7 @@ def reference_rref(m):
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    return RREF(len(pivots), pivots, SparseMatrix.from_rows(field, rows, m.cols))
+    return RREF(len(pivots), pivots, rows[: len(pivots)])
 
 
 def reference_solve(m, b):
@@ -100,39 +101,35 @@ def reference_solve(m, b):
         if not m.field.is_zero(c):
             aug_entries[(i, m.cols)] = c
     aug = SparseMatrix(m.field, m.rows, m.cols + 1, aug_entries)
-    _, pivots, red = reference_rref(aug)
+    _, pivots, rows = reference_rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
-    rows = red._row_list()
     return {c: rows[r][m.cols] for r, c in enumerate(pivots) if m.cols in rows[r]}
 
 
-def reference_solve_columns(field, columns, rhs, extra_columns=()):
-    """``solve_columns`` by full reduced row-echelon form: the augmented
-    matrix, its columns sorted by (nonzeros, index) and the right-hand side
-    last, is reduced by ``reference_rref`` over ``field`` (exactly, also
-    over Q), and the solution is read off the last column.  Returns
-    ``(x, extra)`` or ``None`` if the system is inconsistent."""
-    cols = list(columns) + list(extra_columns)
+def reference_solve_columns(field, columns, rhs):
+    """``solve_columns_many`` on the one right-hand side ``rhs`` by full
+    reduced row-echelon form: the augmented matrix, its columns sorted by
+    (nonzeros, index) and the right-hand side last, is reduced by
+    ``reference_rref`` over ``field`` (exactly, also over Q), and the
+    solution is read off the last column.  Returns ``x`` or ``None`` if the
+    system is inconsistent."""
+    cols = list(columns)
     row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + [rhs] for r in col))}
     order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
     n = len(order)
     entries = {(row_id[r], k): c
                for k, col in enumerate([cols[j] for j in order] + [rhs]) for r, c in col.items()}
-    _, pivots, red = reference_rref(SparseMatrix(field, len(row_id), n + 1, entries))
+    _, pivots, rows = reference_rref(SparseMatrix(field, len(row_id), n + 1, entries))
     if pivots and pivots[-1] == n:
         return None
-    rows = red._row_list()
-    x = {order[k]: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
-    main = len(columns)
-    return {j: c for j, c in x.items() if j < main}, {j - main: c for j, c in x.items() if j >= main}
+    return {order[k]: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
 
 
 def reference_kernel(m):
     """Kernel basis read off the reduced matrix column by column."""
     field = m.field
-    rank, pivots, red = reference_rref(m)
-    rows = red._row_list()
+    rank, pivots, rows = reference_rref(m)
     basis = []
     for j in range(m.cols):
         if j in pivots:

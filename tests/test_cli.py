@@ -498,6 +498,30 @@ def test_negative_arity_max_is_an_input_error(tmp_path):
     assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "trials"
 
 
+@pytest.mark.parametrize("args, path", [
+    (["hh", "--p", FAR], "--p"),
+    (["hh", "--p", "1501", "--q", "0"], "--p"),
+    (["hh", "--p-max", FAR], "--p-max"),
+    (["hh", "--p-max", "1501"], "--p-max"),
+    (["e-page", "--page", "1", "--window", f"0:{FAR},0:0"], "window"),
+    (["e-page", "--page", "1", "--window", f"{FAR}:{FAR},0:0"], "window"),
+    (["e-page", "--page", "1", "--window", f"0:0,-{FAR}:{FAR}"], "window"),
+    (["e-page", "--page", "1", "--window", "0:100,0:100"], "window"),
+    (["collapse-check", f"--window=-{FAR}:0,0:0"], "window"),
+    (["extend", "--to", FAR], "--to"),
+    (["props", "--arity-max", FAR], "arity-max"),
+], ids=["p", "p-with-q", "p-max", "p-max-1501", "window-s-range", "window-far-s",
+        "window-t-range", "window-cells", "collapse-window", "extend-to", "props-arity-max"])
+def test_unbounded_arity_is_an_input_error(tmp_path, args, path):
+    """An arity past MAX_ARITY, or a window past it or with more than
+    MAX_WINDOW_CELLS cells, is an input error at its own path, at once."""
+    start = time.perf_counter()
+    code, rep = run_cli(["--in", str(FIXTURES / "tower_f2_a5_valid.json")] + args, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and rep["results"] == {}
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == path
+
+
 def test_negative_p_max_is_an_input_error(tmp_path):
     code, rep = run_cli(
         ["--in", str(FIXTURES / "dual_numbers_q.json"), "hh", "--p-max", "-1"], tmp_path

@@ -20,7 +20,6 @@ from hochcalc.laurent import (
     constant_cochain,
     display_monomial,
     euler_cochain,
-    find_combinations,
     find_witness,
     find_witnesses,
     section8_report,
@@ -323,14 +322,6 @@ def test_witness_columns_are_built_once_per_algebra(monkeypatch):
     assert sign_twisted_laurent(Rationals())._columns == {}
 
 
-def test_find_combination_reads_off_coefficients():
-    alg = sign_twisted_laurent(PrimeField(5))
-    z1 = display_monomial(alg, 0, 4, 0, 3)
-    y = display_monomial(alg, 1, 1, 0, 1)
-    coeffs, witness, _ = find_combinations([bracket(z1, y)], [z1], 2)[0]
-    assert coeffs == {0: 3}
-
-
 WITNESS_FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)]
 
 
@@ -360,18 +351,23 @@ def test_find_witnesses_matches_one_at_a_time(field):
 
 @pytest.mark.parametrize("field", WITNESS_FIELDS, ids=repr)
 def test_find_combinations_matches_one_at_a_time(field):
+    """Differences of one shape (3, -1) in one ``find_witnesses`` call get
+    the witness and the stats that each gets alone; a bidegree mismatch
+    anywhere in the batch raises."""
     rng = random.Random(f"combos/{field!r}")
     alg = sign_twisted_laurent(field)
     z1, z2 = display_monomial(alg, 0, 4, 0, 3), display_monomial(alg, 1, 3, 1, 2)
     b = hoch_d(random_poly_cochain(rng, alg, 2, 0, density=3))
-    targets = [bracket(z1, display_monomial(alg, 1, 1, 0, 1)), z1.scale_int(2) + b,
-               PolyCochain(alg, 3, -1), z2, b, z2 + z1]
-    got = find_combinations(targets, [z1], 2)
-    assert got == [find_combinations([t], [z1], 2)[0] for t in targets]
-    assert [c is not None for c, _, _ in got] == [True, True, True, False, True, False]
-    assert find_combinations(targets, [], 2) == [find_combinations([t], [], 2)[0] for t in targets]
+    zero = PolyCochain(alg, 3, -1)
+    pairs = [(bracket(z1, display_monomial(alg, 1, 1, 0, 1)), z1.scale_int(3)),
+             (z1.scale_int(2) + b, z1.scale_int(2)), (zero, zero), (z2, zero), (b, zero),
+             (z2 + z1, z1)]
+    got = find_witnesses(pairs, 2)
+    assert got == [find_witnesses([pair], 2)[0] for pair in pairs]
+    assert [w is not None for w, _ in got] == [True, True, True, False, True, False]
+    assert all(st["unknowns"] > 0 for w, st in got if w is None)
     with pytest.raises(DomainError):
-        find_combinations([b, z1], [skew_derivation_cochain(alg)], 2)
+        find_witnesses([(b, zero), (z1, skew_derivation_cochain(alg))], 2)
 
 
 def test_display_monomial_bidegrees():

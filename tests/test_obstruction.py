@@ -5,7 +5,7 @@ import pytest
 
 from hochcalc.ainf import AInfStructure, is_valid, stasheff_residual
 from hochcalc.cochain import bracket, brace, cochain_from_coords, hoch_d
-from hochcalc.cohomology import HHContext, HHSpace, induced_sq
+from hochcalc.cohomology import HHContext, induced_sq
 from hochcalc.errors import ConfigurationError, UnsupportedDepthError
 from hochcalc.exactla import vec_combine
 from hochcalc.identities import random_cochain
@@ -15,6 +15,7 @@ from hochcalc.obstruction import (
     extend_to,
     obstruction_cocycle,
     obstruction_report,
+    page2_witness,
     theta_page2,
     theta_page3_check,
 )
@@ -167,31 +168,52 @@ def test_page3_trivial_when_page2_dies(trunc_f2):
     pytest.fail("no vanishing page-2 class found")
 
 
+def _corrupt_coboundary_solves(monkeypatch, rng):
+    """Make every solve of ``HHSpace.is_coboundary`` return a wrong vector:
+    its answer with one coordinate moved by 1."""
+    import hochcalc.cohomology as cohomology
+
+    real = cohomology.solve
+
+    def corrupted(m, b):
+        y = real(m, b)
+        if y is None or not m.cols:
+            return y
+        return m.field.add_into(dict(y), [(rng.randrange(m.cols), m.field.one())])
+
+    monkeypatch.setattr(cohomology, "solve", corrupted)
+
+
 @pytest.mark.parametrize("code, theta_zero", [(0b1, True), (0b101, False)])
 def test_page3_vanishes_rechecks_a_corrupted_witness(trunc_f2, monkeypatch, code, theta_zero):
     """Every page-3 "vanishes" re-checks hoch_d(b_top) exactly, in the
-    theta = 0 branch and in the enumeration: a b_top off by a non-cocycle
+    theta = 0 branch and in the enumeration: a b_top from a wrong solve
     raises instead of being reported."""
     ctx = HHContext(trunc_f2)
     m3 = cocycle_from_code(ctx.space(3, -1), code)
     s = AInfStructure(trunc_f2, 4, {3: m3})
     assert theta_page2(s, ctx).is_zero() == theta_zero
     assert theta_page3_check(s, ctx).kind == "vanishes"
-    real = HHSpace.is_coboundary
-    rng = random.Random(code)
-
-    def corrupted(space, z):
-        b = real(space, z)
-        if b is None:
-            return None
-        while True:
-            c = random_cochain(rng, trunc_f2, *b.bidegree, density=2)
-            if not hoch_d(c).is_zero():
-                return b + c
-
-    monkeypatch.setattr(HHSpace, "is_coboundary", corrupted)
+    _corrupt_coboundary_solves(monkeypatch, random.Random(code))
     with pytest.raises(ConfigurationError):
         theta_page3_check(s, ctx)
+
+
+def test_is_coboundary_rechecks_its_witness(trunc_f2, monkeypatch):
+    """``is_coboundary`` checks hoch_d(b) = z exactly: a wrong solve raises,
+    on a random coboundary and for the page-2 witness."""
+    ctx = HHContext(trunc_f2)
+    rng = random.Random("is-coboundary")
+    space = ctx.space(3, -1)
+    z = hoch_d(random_cochain(rng, trunc_f2, 2, -1, density=3))
+    assert not z.is_zero() and hoch_d(space.is_coboundary(z)) == z
+    s = AInfStructure(trunc_f2, 4, {3: cocycle_from_code(space, 0b1)})
+    assert page2_witness(s, ctx) is not None
+    _corrupt_coboundary_solves(monkeypatch, rng)
+    with pytest.raises(ConfigurationError):
+        space.is_coboundary(z)
+    with pytest.raises(ConfigurationError):
+        page2_witness(s, ctx)
 
 
 @pytest.mark.parametrize("code", [0b1, 0b101])
