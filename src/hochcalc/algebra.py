@@ -39,7 +39,7 @@ class GradedAlgebra:
             for name, c in vec.items():
                 k = self.index[name]
                 if not field.is_zero(c):
-                    sparse[k] = c
+                    sparse[k] = field.from_int(c)
             if self.unit in (i, j):
                 expected = {j if i == self.unit else i: field.one()}
                 if sparse != expected:

@@ -467,7 +467,7 @@ def cmd_collapse_check(docobj, args, report):
     return 0
 
 
-def cmd_section8(args, report):
+def cmd_section8(docobj, args, report):
     from .laurent import section8_report
 
     if args.max_poly_degree < 0:
@@ -549,9 +549,6 @@ def build_parser():
     return parser
 
 
-NEEDS_INPUT = {"validate", "hh", "props", "e-page", "obstruct", "extend", "collapse-check"}
-
-
 def _input_error(exc: InputError):
     return {"kind": "input", "path": exc.path, "message": str(exc)}
 
@@ -577,9 +574,21 @@ def main(argv=None) -> int:
         sys.stdout.write(_payload(report))
         return 1
     report["command"], report["seed"] = args.command, args.seed
-    code = 0
+    # built at each call, so that it holds the handlers the module binds now
+    # (bench/tracer.py rebinds them to traced wrappers)
+    handlers = {
+        "validate": cmd_validate,
+        "hh": cmd_hh,
+        "props": cmd_props,
+        "e-page": cmd_e_page,
+        "obstruct": cmd_obstruct,
+        "extend": cmd_extend,
+        "collapse-check": cmd_collapse_check,
+        "section8": cmd_section8,
+    }
+    docobj = None
     try:
-        if args.command in NEEDS_INPUT:
+        if args.command != "section8":
             if not args.infile:
                 raise InputError("this command needs --in <document.json>")
             try:
@@ -589,22 +598,7 @@ def main(argv=None) -> int:
                 raise InputError(f"cannot read the input document: {exc}", "--in")
             docobj = parse_input(text)
             report["input"] = emit_document(docobj)
-            if args.command == "validate":
-                code = cmd_validate(docobj, args, report)
-            elif args.command == "hh":
-                code = cmd_hh(docobj, args, report)
-            elif args.command == "props":
-                code = cmd_props(docobj, args, report)
-            elif args.command == "e-page":
-                code = cmd_e_page(docobj, args, report)
-            elif args.command == "obstruct":
-                code = cmd_obstruct(docobj, args, report)
-            elif args.command == "extend":
-                code = cmd_extend(docobj, args, report)
-            elif args.command == "collapse-check":
-                code = cmd_collapse_check(docobj, args, report)
-        elif args.command == "section8":
-            code = cmd_section8(args, report)
+        code = handlers[args.command](docobj, args, report)
     except InputError as exc:
         report["error"] = _input_error(exc)
         code = 1

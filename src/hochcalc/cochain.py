@@ -42,21 +42,8 @@ from .errors import ConfigurationError, DomainError
 
 def _add_at(field, table: dict, key, pairs, c=None):
     """``field.add_into`` in place on the sparse entry ``table[key]``,
-    dropping the key when the entry cancels.  ``pairs`` must be a sparse
-    dict's items (distinct keys, nonzero values) and ``c`` nonzero, so that
-    a key not yet in the table takes a copy, or a scaled copy, of them."""
-    entry = table.get(key)
-    if entry is None:
-        if c is None:
-            entry = dict(pairs)
-        else:
-            entry = {}
-            mul = field.mul
-            for k, x in pairs:
-                entry[k] = mul(c, x)
-        if entry:
-            table[key] = entry
-    elif not field.add_into(entry, pairs, c):
+    created when missing and dropped when it ends empty."""
+    if not field.add_into(table.setdefault(key, {}), pairs, c):
         del table[key]
 
 
@@ -105,15 +92,16 @@ class LinearCochain:
             _add_at(field, table, key, entry.items(), c)
         return self
 
-    def __add__(self, other):
+    def __add__(self, other, c=None):
         self._check_compatible(other)
-        return self.zero_like(self.arity, self.end_degree)._accumulate(self)._accumulate(other)
+        return self.zero_like(self.arity, self.end_degree)._accumulate(self)._accumulate(other, c)
 
     def __neg__(self):
         return self.scale_int(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        field = self.algebra.field
+        return self.__add__(other, field.neg(field.one()))
 
     def scale(self, c):
         out = self.zero_like(self.arity, self.end_degree)
@@ -143,8 +131,8 @@ class Cochain(LinearCochain):
     """Sparse multilinear map on the suspended algebra.
 
     ``table`` maps tuples of basis indices to sparse output vectors
-    ``{basis index: scalar}``.  Zero outputs are never stored, so equality
-    of tables is equality of maps.
+    ``{basis index: scalar}``.  Scalars are normalized and zero outputs are
+    never stored, so equality of tables is equality of maps.
     """
 
     __slots__ = ()
@@ -154,7 +142,7 @@ class Cochain(LinearCochain):
         if table:
             field = algebra.field
             for t, vec in table.items():
-                clean = {k: c for k, c in vec.items() if not field.is_zero(c)}
+                clean = {k: field.from_int(c) for k, c in vec.items() if not field.is_zero(c)}
                 if clean:
                     self.table[tuple(t)] = clean
 

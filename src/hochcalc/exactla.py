@@ -5,6 +5,10 @@ when it is integral and a ``fractions.Fraction`` otherwise, never a float;
 over a prime field it is an int in ``[0, p)``.  A ``Field`` object supplies the
 arithmetic, so vectors and matrices stay lightweight dicts.
 
+Stored scalars are normalized: field operations return them so, and
+constructors reduce a caller's scalars with ``from_int``.  So zero is the one
+falsy scalar, and :meth:`Field.add_into` keeps or drops a sum by its truth.
+
 One elimination engine serves every factorization and every solve:
 :func:`_reduce` eliminates forward, taking columns in order and, for each,
 the sparsest row with an entry there as pivot row, and
@@ -107,24 +111,25 @@ class Field:
     def add_into(self, dst: dict, pairs, c=None) -> dict:
         """Add ``c * x`` (or ``x`` when ``c`` is None) into ``dst[k]`` for each
         ``(k, x)`` in ``pairs``, in place, dropping keys whose sum is zero;
-        returns ``dst``.  The one accumulation loop of the package: every
-        sparse vector keeps no stored zeros by going through it."""
-        add, is_zero, zero = self.add, self.is_zero, self.zero()
-        if c is None:
-            for k, x in pairs:
-                s = add(dst.get(k, zero), x)
-                if is_zero(s):
-                    dst.pop(k, None)
-                else:
-                    dst[k] = s
-        elif not is_zero(c):
+        returns ``dst``.  The one accumulation loop of the package, which
+        only the forward pass of :func:`_eliminate` fuses with its own
+        bookkeeping.  A new key takes its term as it is, a zero term skipped;
+        normalized scalars are falsy only at zero."""
+        if c is not None:
             mul = self.mul
-            for k, x in pairs:
-                s = add(dst.get(k, zero), mul(c, x))
-                if is_zero(s):
-                    dst.pop(k, None)
-                else:
-                    dst[k] = s
+            pairs = ((k, mul(c, x)) for k, x in pairs)
+        add, get = self.add, dst.get
+        for k, x in pairs:
+            old = get(k)
+            if old is None:
+                if x:
+                    dst[k] = x
+                continue
+            s = add(old, x)
+            if s:
+                dst[k] = s
+            else:
+                del dst[k]
         return dst
 
     def __eq__(self, other):
@@ -506,9 +511,11 @@ def _back_substitute(field: Field, rows, pivots):
 def _eliminate(field: Field, rows, targets, col, rest, col_rows):
     """Subtract from each row ``rows[i]``, ``i`` in ``targets``, its entry at
     ``col`` times the pivot row whose entry at ``col`` is 1 and whose other
-    entries are ``rest``, so that the row loses that entry.  ``col_rows``,
-    unless None, is kept up to date on fill-in and cancellation.  The one
-    elimination loop, of the forward pass and of the back substitution."""
+    entries are ``rest``, so that the row loses that entry.  The one
+    elimination loop, of the forward pass and of the back substitution
+    (``col_rows`` None), which adds through :meth:`Field.add_into`.  The
+    forward pass fuses that loop with keeping ``col_rows`` exact on fill-in
+    and cancellation; a superset filtered at pivot time was slower."""
     add, mul, neg = field.add, field.mul, field.neg
     one = field.one()
     minus_one = neg(one)
@@ -526,18 +533,8 @@ def _eliminate(field: Field, rows, targets, col, rest, col_rows):
         else:
             negc = neg(c)
             scaled = [(j, mul(negc, pc)) for j, pc in rest]
-        # scalars are normalized, so only zero is falsy
         if col_rows is None:
-            for j, x in scaled:
-                old = row.get(j)
-                if old is None:
-                    row[j] = x
-                else:
-                    s = add(old, x)
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
+            field.add_into(row, scaled)
         else:
             for j, x in scaled:
                 old = row.get(j)

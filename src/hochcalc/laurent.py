@@ -46,12 +46,13 @@ def _reduce_exp(e: int, char: int) -> int:
 
 def _reduced_terms(field: Field, nvars: int, terms) -> dict:
     """The terms ``{exponents: c}`` of a polynomial in ``nvars`` variables,
-    exponents reduced by s^p = s and zero coefficients dropped."""
+    coefficients normalized, exponents reduced by s^p = s and zero
+    coefficients dropped."""
     if any(len(e) != nvars and not field.is_zero(c) for e, c in terms.items()):
         raise ConfigurationError("monomial arity mismatch")
-    char = field.char
+    char, from_int = field.char, field.from_int
     return field.add_into({}, (
-        (tuple(_reduce_exp(e, char) for e in exps), c) for exps, c in terms.items()
+        (tuple(_reduce_exp(e, char) for e in exps), from_int(c)) for exps, c in terms.items()
     ))
 
 
@@ -171,7 +172,8 @@ class TwistedLaurent:
             raise UnsupportedAlgebraError("x must have positive degree")
         field = base.field
         n = base.dim
-        self.sigma = {i: dict(sigma.get(i, {})) for i in range(n)}
+        self.sigma = {i: {j: field.from_int(c) for j, c in sigma.get(i, {}).items()}
+                      for i in range(n)}
         for i in range(n):
             for j, c in self.sigma[i].items():
                 if base.degrees[j] != base.degrees[i]:

@@ -89,7 +89,7 @@ def _page3_equation_rhs(s: AInfStructure, b_prev: Cochain) -> Cochain:
 
 def _verify_page3_witnesses(space, b_prev: Cochain, rhs: Cochain) -> Page3Status:
     """A "vanishes" status for b_prev and the b_top that
-    ``space.is_coboundary(rhs)`` finds, and checks exactly; None if rhs is
+    ``space.is_coboundary(rhs)`` finds and checks exactly; None if rhs is
     not a coboundary."""
     b_top = space.is_coboundary(rhs)
     if b_top is None:
@@ -188,8 +188,11 @@ def obstruction_report(s: AInfStructure, ctx: HHContext = None) -> ObstructionRe
             ctx = HHContext(s.algebra)
         cocycle = obstruction_cocycle(s)
         theta = theta_page2(s, ctx)
-        witness = page2_witness(s, ctx) if theta.is_zero() else None
         page3 = theta_page3_check(s, ctx) if s.k >= 4 else None
+        witness = None
+        if theta.is_zero():
+            # at theta = 0 the page-3 check solved the page-2 system
+            witness = page2_witness(s, ctx) if page3 is None else page3.b_top
         s._report = ObstructionReport(s.k, cocycle, theta, witness, page3)
     return s._report
 

@@ -4,7 +4,13 @@ import random
 import pytest
 
 from hochcalc.ainf import AInfStructure, perturb, stasheff_residual
-from hochcalc.algebra import dual_numbers, exterior_line, square_zero_tower, truncated_skew_laurent
+from hochcalc.algebra import (
+    GradedAlgebra,
+    dual_numbers,
+    exterior_line,
+    square_zero_tower,
+    truncated_skew_laurent,
+)
 from hochcalc.cochain import (
     Cochain,
     _add_at,
@@ -35,6 +41,7 @@ from hochcalc.identities import (
 )
 from oracles import (
     identity_cochain,
+    reference_add_into,
     reference_bracket,
     reference_bracket_hoch_d,
     reference_cochain_basis,
@@ -307,9 +314,9 @@ def test_bracket_of_cochains_is_the_walk(monkeypatch):
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(7)],
                          ids=repr)
 def test_add_at_matches_add_into(field):
-    """Writing sparse dicts' items into a table with ``_add_at``, which
-    copies them under a new key, gives the table of ``field.add_into`` on
-    every entry, keys dropped on cancellation included."""
+    """Writing sparse dicts' items into a table with ``_add_at`` gives the
+    table of ``reference_add_into`` on every entry, keys dropped on
+    cancellation included."""
     rng = random.Random(f"add_at/{field!r}")
     neg = field.neg
 
@@ -331,10 +338,25 @@ def test_add_at_matches_add_into(field):
                 vec, c = {k: neg(x) for k, x in fast[key].items()}, None
                 cancelled += 1
             _add_at(field, fast, key, vec.items(), c)
-            if not field.add_into(slow.setdefault(key, {}), vec.items(), c):
+            slow[key] = reference_add_into(field, slow.get(key, {}), vec.items(), c)
+            if not slow[key]:
                 del slow[key]
             assert fast == slow
     assert cancelled > 50
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_constructors_normalize_scalars(p):
+    """A cochain or a product table built with the coefficient p + 1 over
+    F_p equals the one built with 1: scalars are reduced where they come in,
+    so equality of tables is equality of maps."""
+    F = PrimeField(p)
+    a = dual_numbers(F)
+    assert Cochain(a, 1, 0, {(1,): {1: p + 1}}) == Cochain(a, 1, 0, {(1,): {1: 1}})
+    assert Cochain(a, 1, 0, {(1,): {1: p + 1}}).table == {(1,): {1: 1}}
+    basis = [("1", 0), ("x", 1), ("y", 2)]
+    products = [GradedAlgebra(F, basis, "1", {("x", "x"): {"y": c}}).products for c in (p + 1, 1)]
+    assert products[0] == products[1] == {(1, 1): {2: 1}}
 
 
 @pytest.mark.parametrize("make", [

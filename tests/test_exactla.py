@@ -446,7 +446,9 @@ def _random_scalar(rng, field):
     return field.from_int(rng.randrange(field.char))
 
 
-@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3)], ids=repr)
+# over F_2 and F_3 every nonzero scalar is +-1; F_5 and F_7 exercise products
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5),
+                                   PrimeField(7)], ids=repr)
 def test_add_into_matches_reference(field):
     rng = random.Random(7)
     for _ in range(300):
@@ -468,6 +470,8 @@ def test_add_into_edge_cases():
     assert F2.add_into({}, [(5, 1), (5, 1)]) == {}
     assert F2.add_into({5: 1}, [(5, 1)], 1) == {}
     assert F3.add_into({2: 1}, [(2, 1)], 2) == {}
+    # a zero term under a new key is skipped, scaled or not
+    assert Q.add_into({}, [(0, Q.zero())]) == F3.add_into({}, [(0, 1)], F3.zero()) == {}
 
 
 # -- Q scalars: ints when integral, Fractions otherwise --------------------------

@@ -93,6 +93,22 @@ def test_sigma_validation():
         TwistedLaurent(base, {unit: {unit: Q.one()}, eps: {eps: Q.from_int(2)}})
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_constructors_normalize_scalars(p):
+    """A polynomial, a polynomial cochain or a sigma built with the
+    coefficient p + 1 over F_p equals the one built with 1."""
+    F = PrimeField(p)
+    assert Poly(F, 1, {(1,): p + 1}) == Poly(F, 1, {(1,): 1})
+    assert Poly(F, 1, {(1,): p + 1}).terms == {(1,): 1}
+    base = dual_numbers(F)
+    eps, unit = base.index["e"], base.unit
+    sigma = [TwistedLaurent(base, {unit: {unit: 1}, eps: {eps: c}}).sigma for c in (p + 1, 1)]
+    assert sigma[0] == sigma[1] == {unit: {unit: 1}, eps: {eps: 1}}
+    alg = sign_twisted_laurent(F)
+    key = ((0,), (eps,), eps)
+    assert PolyCochain(alg, 1, 0, {key: {(1,): p + 1}}) == PolyCochain(alg, 1, 0, {key: {(1,): 1}})
+
+
 def test_sign_twisted_laurent_shape():
     for F in (Rationals(), PrimeField(2), PrimeField(5)):
         alg = sign_twisted_laurent(F)

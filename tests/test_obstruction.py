@@ -247,6 +247,29 @@ def test_page3_report_computes_the_residual_once(trunc_f2, monkeypatch, code):
     assert obstruction_cocycle(s) is rep.cocycle
 
 
+def test_page3_report_solves_the_page2_witness_once(trunc_f2, monkeypatch):
+    """At theta = 0 the page-3 check solves hoch_d(b) = -SI(k+1), the
+    page-2 system; the report reads its page-2 witness off that solve."""
+    from hochcalc.cohomology import HHSpace
+
+    ctx = HHContext(trunc_f2)
+    s = AInfStructure(trunc_f2, 4, {3: cocycle_from_code(ctx.space(3, -1), 0b1)})
+    assert theta_page2(s, ctx).is_zero()
+    calls = []
+    solve = HHSpace.is_coboundary
+
+    def spy(space, z):
+        calls.append(z.bidegree)
+        return solve(space, z)
+
+    monkeypatch.setattr(HHSpace, "is_coboundary", spy)
+    rep = obstruction_report(s, ctx)
+    assert calls == [(5, -2)]
+    assert rep.page3.kind == "vanishes" and rep.page3.b_prev.is_zero()
+    assert rep.page2_witness is rep.page3.b_top
+    assert hoch_d(rep.page2_witness) == -obstruction_cocycle(s)
+
+
 def test_page3_quadratic_enumeration_always_finds_witness_at_k4(tower_f2):
     # with the previous map free to change, the zero class is always in
     # reach, so the quadratic step must succeed over an enumerable field
