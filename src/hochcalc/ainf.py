@@ -54,11 +54,8 @@ class AInfStructure:
             return Cochain.zero(self.algebra, n, -1)
         return got
 
-    def with_k(self, k: int, extra=None) -> "AInfStructure":
-        maps = dict(self.maps)
-        if extra:
-            maps.update(extra)
-        return AInfStructure(self.algebra, k, {n: f for n, f in maps.items() if n <= k})
+    def with_k(self, k: int) -> "AInfStructure":
+        return AInfStructure(self.algebra, k, {n: f for n, f in self.maps.items() if n <= k})
 
     def __repr__(self):
         present = sorted(self.maps)

@@ -236,13 +236,14 @@ class CohomClass:
 
 
 class HHContext:
-    """Caches cochain complexes per (q, pipeline), HHSpaces per (p, q, pipeline)."""
+    """Caches cochain complexes per (q, pipeline), HHSpaces per (p, q, pipeline)
+    and comparison matrices per (p, q)."""
 
     def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
         self._complexes: dict = {}
         self._spaces: dict = {}
-        self._normalizers: dict = {}
+        self._comparisons: dict = {}
 
     def space(self, p: int, q: int) -> HHSpace:
         return self._space(p, q, True)
@@ -262,24 +263,24 @@ class HHContext:
             self._spaces[key] = self.column(q, normalized).space(p)
         return self._spaces[key]
 
-    def normalizer(self, p: int, q: int) -> SparseMatrix:
-        """The matrix [full coboundaries | normalized cocycles], both in the
-        full cochain basis of bidegree (p, q)."""
-        key = (p, q)
-        if key not in self._normalizers:
-            full, norm = self.full_space(p, q), self.space(p, q)
-            k = full.d_in.cols
-            entries = dict(full.d_in.entries)
-            for j, vec in enumerate(norm.cocycles):
-                for i, c in vec.items():
-                    entries[(full.index[norm.basis[i]], k + j)] = c
-            m = SparseMatrix(self.algebra.field, len(full.basis), k + len(norm.cocycles), entries)
-            self._normalizers[key] = m
-        return self._normalizers[key]
-
     def class_of(self, z: Cochain) -> CohomClass:
+        """The class of a cocycle of either pipeline in the normalized basis.
+        A cocycle that is not normalized is read in the full space, and its
+        class carried back by the comparison matrix: inclusion of normalized
+        cochains is a quasi-isomorphism, so that matrix is invertible."""
         p, q = z.bidegree
-        return self.space(p, q).class_of(z)
+        space = self.space(p, q)
+        if z.is_normalized():
+            return space.class_of(z)
+        full = self.full_space(p, q)
+        coords = full.class_of(z).coords
+        if (p, q) not in self._comparisons:
+            cols = [full.class_of(rep).coords for rep in space.hh_reps]
+            self._comparisons[p, q] = SparseMatrix.from_columns(self.algebra.field, cols, full.dim)
+        x = solve(self._comparisons[p, q], coords)
+        if x is None:
+            raise ConfigurationError("full cocycle not homologous to a normalized one")
+        return space.class_from_coords(x)
 
     def is_coboundary(self, z: Cochain):
         p, q = z.bidegree
@@ -348,30 +349,3 @@ def cup_bijectivity_window(ctx: HHContext, z: CohomClass, p_range, q_range):
                 "rank": rank,
             }
     return report
-
-
-def normalized_class_of_full(ctx_norm: HHContext, z: Cochain) -> CohomClass:
-    """Class of a full-complex cocycle in the normalized pipeline.
-
-    Finds a normalized representative z' with z - z' a full coboundary; such
-    a representative exists because the normalized complex computes the same
-    cohomology.
-    """
-    if z.is_normalized():
-        return ctx_norm.class_of(z)
-    a = ctx_norm.algebra
-    field = a.field
-    p, q = z.bidegree
-    dz = hoch_d(z)
-    if not dz.is_zero():
-        raise DomainError("not a cocycle", witness=dz)
-    full = ctx_norm.full_space(p, q)
-    coords = coords_of_cochain(z, full.basis, full.index)
-    norm = ctx_norm.space(p, q)
-    x = solve(ctx_norm.normalizer(p, q), coords)
-    if x is None:
-        raise ConfigurationError("full cocycle not homologous to a normalized one")
-    k = full.d_in.cols
-    rep_coords = vec_combine(field, ((c, norm.cocycles[j - k]) for j, c in x.items() if j >= k))
-    zprime = cochain_from_coords(a, p, q, norm.basis, rep_coords)
-    return norm.class_of(zprime)

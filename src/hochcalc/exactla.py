@@ -360,7 +360,7 @@ class SparseMatrix:
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ConfigurationError(f"entry ({i},{j}) out of range")
                 if not field.is_zero(c):
-                    self.entries[(i, j)] = c
+                    self.entries[(i, j)] = field.from_int(c)
 
     @classmethod
     def from_rows(cls, field: Field, rows_list, cols: int) -> "SparseMatrix":
@@ -562,10 +562,12 @@ def solve(m: SparseMatrix, b: dict):
     for i in b:
         if not (0 <= i < m.rows):
             raise ConfigurationError(f"rhs index {i} out of range for {m.rows} rows")
+    field = m.field
+    b = {i: field.from_int(c) for i, c in b.items() if not field.is_zero(c)}
     cols = [{} for _ in range(m.cols)]
     for (i, j), c in m.entries.items():
         cols[j][i] = c
-    return _solve_reduced(m.field, cols, range(m.cols), [b], range(m.rows))[0]
+    return _solve_reduced(field, cols, range(m.cols), [b], range(m.rows))[0]
 
 
 def solve_columns_many(field: Field, columns, rhss):

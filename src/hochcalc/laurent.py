@@ -292,9 +292,6 @@ class PolyCochain(LinearCochain):
     def multiplication(self):
         return self.algebra.multiplication_cochain()
 
-    def is_normalized(self) -> bool:
-        return True
-
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, inputs):

@@ -11,6 +11,8 @@ perturbs m_{k-1} by a cocycle b, shifting the page-2 class by [{m_3}, {b}]
 
 from __future__ import annotations
 
+from itertools import product
+
 from .ainf import (
     AInfStructure, perturb, require_valid_structure, stasheff_residual, universal_massey,
 )
@@ -163,20 +165,8 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
 
 def _iterate_coordinate_vectors(field, dim):
     """All coordinate vectors of F_p^dim in lexicographic order, sparse."""
-    p = field.char
-    if dim == 0:
-        yield {}
-        return
-    total = p**dim
-    for code in range(total):
-        coords = {}
-        rest = code
-        for j in range(dim):
-            c = rest % p
-            rest //= p
-            if c:
-                coords[j] = field.from_int(c)
-        yield coords
+    for digits in product(range(field.char), repeat=dim):
+        yield {j: c for j, c in enumerate(reversed(digits)) if c}
 
 
 def obstruction_report(s: AInfStructure, ctx: HHContext = None) -> ObstructionReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .ainf import AInfStructure, require_valid_structure, universal_massey
 from .cochain import Cochain, bracket, cochain_from_coords, cup
-from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window, normalized_class_of_full
+from .cohomology import HHContext, induced_bracket, induced_sq, cup_bijectivity_window
 from .errors import DomainError, NotProvidedError, UndefinedCellError
 from .exactla import SparseMatrix, rref
 
@@ -48,7 +48,7 @@ class QuadraticMap:
     def evaluate(self, z: Cochain):
         """Value on a (2,-1) cocycle, as a class in HH^{4,-2}."""
         w = -(cup(z, z) + bracket(self.m3, z))
-        return normalized_class_of_full(self.ctx, w)
+        return self.ctx.class_of(w)
 
 
 def _sign_scale(m: SparseMatrix, negate: bool) -> SparseMatrix:
@@ -129,7 +129,7 @@ def d2_map(ctx: HHContext, phi: AInfStructure, s: int, t: int):
         for vec in full.cocycles:
             z = cochain_from_coords(ctx.algebra, 2, -t, full.basis, vec)
             w = bracket(m3, z)
-            cols.append(normalized_class_of_full(ctx, w).coords)
+            cols.append(ctx.class_of(w).coords)
         m = SparseMatrix.from_columns(ctx.algebra.field, cols, tgt.dim)
         return _sign_scale(m, t % 2 == 1)
     if (s, t) == (0, 1):

@@ -11,8 +11,10 @@ Gerstenhaber bracket is the brace form f{g} - (-1)^{|f||g|} g{f}, each
 brace built from compositions, where ``bracket`` walks the terms of [f, -]
 over the entries of g; the Hochschild differential is evaluated tuple by
 tuple from the product table or as that brace form with m2; a cochain
-basis filters every argument tuple by its degree; and the field Q keeps
-every scalar a ``Fraction``.
+basis filters every argument tuple by its degree; the normalized class of
+a full cocycle solves for a normalized cocycle homologous to it, where
+``HHContext.class_of`` carries the full class through a comparison matrix;
+and the field Q keeps every scalar a ``Fraction``.
 
 It also keeps small helpers that only the tests use: the dimension of one
 HH space, the associativity predicate of the origin cell of page 2, the
@@ -24,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
 
-from hochcalc.cochain import Cochain, brace
+from hochcalc.cochain import Cochain, brace, cochain_from_coords, coords_of_cochain
 from hochcalc.cohomology import CohomClass, hh_space
 from hochcalc.errors import DomainError
 from hochcalc.exactla import Rationals, SparseMatrix
@@ -156,6 +158,29 @@ def reference_pivot_complement(space):
         cob_in_k.append(coords)
     _, pivots, _ = reference_rref(SparseMatrix.from_rows(field, cob_in_k, len(space.cocycles)))
     return [v for j, v in enumerate(space.cocycles) if j not in pivots]
+
+
+def reference_normalized_class(ctx, z):
+    """The class in ``ctx.space`` of a cocycle of either pipeline: one
+    solve of [full coboundaries | normalized cocycles] x = z, in the full
+    cochain basis, gives a normalized cocycle z' with z - z' a full
+    coboundary, and z' is read in the normalized space."""
+    field, (p, q) = ctx.algebra.field, z.bidegree
+    full, norm = ctx.full_space(p, q), ctx.space(p, q)
+    k = full.d_in.cols
+    entries = dict(full.d_in.entries)
+    for j, vec in enumerate(norm.cocycles):
+        for i, c in vec.items():
+            entries[full.index[norm.basis[i]], k + j] = c
+    m = SparseMatrix(field, len(full.basis), k + len(norm.cocycles), entries)
+    x = reference_solve(m, coords_of_cochain(z, full.basis, full.index))
+    if x is None:
+        raise DomainError("not a cocycle")
+    rep = {}
+    for j, c in x.items():
+        if j >= k:
+            rep = reference_add_into(field, rep, norm.cocycles[j - k].items(), c)
+    return norm.class_of(cochain_from_coords(ctx.algebra, p, q, norm.basis, rep))
 
 
 def reference_cochain_basis(a, p, q, normalized=True):

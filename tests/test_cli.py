@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hochcalc.cli import InputDocument, emit_document, main, parse_input
 from hochcalc.errors import InputError
+from test_package import CHILD_ENV
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -369,7 +370,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "hochcalc.cli", "--in",
          str(FIXTURES / "dual_numbers_q.json"), "--out", str(out), "validate"],
-        capture_output=True,
+        capture_output=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
 

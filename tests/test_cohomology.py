@@ -26,7 +26,6 @@ from hochcalc.cohomology import (
     hh_space,
     induced_bracket,
     induced_sq,
-    normalized_class_of_full,
 )
 from hochcalc.errors import DomainError
 from hochcalc.exactla import PrimeField, Rationals, SparseMatrix, rref
@@ -34,6 +33,7 @@ from hochcalc.identities import random_cochain
 from oracles import (
     hh_dim,
     reference_bracket_hoch_d,
+    reference_normalized_class,
     reference_pivot_complement,
     reference_rref,
     reference_solve,
@@ -170,8 +170,8 @@ def test_class_of_coboundary_is_zero(ext_q):
 def test_class_of_rejects_non_cocycles(ext_q):
     one, u = ext_q.index["1"], ext_q.index["u"]
     f = Cochain(ext_q, 1, 1, {(one,): {u: ext_q.field.one()}})
-    assert not hoch_d(f).is_zero()
-    with pytest.raises(DomainError) as err:
+    assert not hoch_d(f).is_zero() and not f.is_normalized()
+    with pytest.raises(DomainError, match="not a cocycle") as err:
         HHContext(ext_q).class_of(f)
     assert err.value.witness is not None
 
@@ -300,15 +300,48 @@ def test_cup_bijectivity_window_verdicts(tower_f2, trunc_f2):
         cup_bijectivity_window(ctx2, zero_class(ctx2.space(1, 0)), [2], [0])
 
 
-def test_normalized_class_of_full_agrees(ext_q):
-    ctx = HHContext(ext_q)
-    d = euler_delta(ext_q)
-    # build a non-normalized cocycle representing the same class
+def test_class_of_full_cocycle_agrees(trunc_f3):
+    """A (3, -1) class plus the boundary of a full (2, -1) cochain is not
+    normalized; ``HHContext.class_of`` reads it in the full space and
+    carries it back to the class it started from."""
+    ctx = HHContext(trunc_f3)
+    sp = ctx.space(3, -1)
+    cls = sp.class_from_coords({j: trunc_f3.field.one() for j in range(sp.dim)})
     rng = random.Random(19)
-    full_f = random_cochain(rng, ext_q, 0, 0, density=1, normalized=False)
-    z = d + hoch_d(full_f)
-    cls = normalized_class_of_full(ctx, z)
-    assert cls.coords == ctx.class_of(d).coords
+    full_f = random_cochain(rng, trunc_f3, 2, -1, density=3, normalized=False)
+    z = cls.representative + hoch_d(full_f)
+    assert not z.is_normalized()
+    assert ctx.class_of(z).coords == cls.coords
+    assert ctx.class_of(z).space is sp
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), Rationals()], ids=repr)
+def test_class_of_full_cocycles_matches_reference(field):
+    """At (2, -1), (2, -2), (3, -1) and (3, -2) of tsl(F, 4), a class
+    representative plus the boundary of a seeded full cochain is read by
+    ``HHContext.class_of`` as that class, as a fresh solve for a homologous
+    normalized cocycle reads it, whenever the sum is not normalized."""
+    a = truncated_skew_laurent(field, 4)
+    ctx = HHContext(a)
+    rng = random.Random(f"class-of-full/{field!r}")
+
+    def scalar():
+        return field.from_int(rng.choice([-2, -1, 1, 2, 3]))
+
+    read = 0
+    for p, q in [(2, -1), (2, -2), (3, -1), (3, -2)]:
+        full, sp = ctx.full_space(p, q), ctx.space(p, q)
+        for _ in range(24):
+            picks = rng.sample(range(len(full.basis_in)), 3)
+            b = cochain_from_coords(a, p - 1, q, full.basis_in, {n: scalar() for n in picks})
+            cls = sp.class_from_coords({j: scalar() for j in range(sp.dim) if rng.random() < 0.6})
+            z = cls.representative + hoch_d(b)
+            if z.is_normalized():
+                continue
+            got = ctx.class_of(z)
+            assert got.coords == cls.coords == reference_normalized_class(ctx, z).coords
+            read += 1
+    assert read >= 40
 
 
 def test_neighbouring_cells_share_one_differential(tower_f2, ext_q):

@@ -151,6 +151,20 @@ def test_solve_free_variable_zeroed_f3():
     assert x == {0: 2}
 
 
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5)], ids=repr)
+def test_matrix_and_rhs_scalars_are_normalized(field):
+    """A caller's scalar p + 1 is kept as 1, in a matrix, in its echelon
+    rows and on the right-hand side of a solve; a multiple of p is dropped."""
+    p = field.char
+    m = SparseMatrix(field, 1, 2, {(0, 0): 1, (0, 1): p + 1})
+    assert m == SparseMatrix(field, 1, 2, {(0, 0): 1, (0, 1): 1})
+    assert rref(m).rows == [{0: 1, 1: 1}]
+    assert SparseMatrix(field, 1, 1, {(0, 0): p}).entries == {}
+    ident = SparseMatrix(field, 1, 1, {(0, 0): 1})
+    assert solve(ident, {0: p + 1}) == {0: 1}
+    assert solve(ident, {0: p}) == {}
+
+
 def _random_nonzero(rng, field):
     if field.char == 0:
         return field.from_int(rng.choice([-2, -1, 1, 2, 3]))

@@ -7,14 +7,15 @@ from hochcalc.ainf import AInfStructure
 from hochcalc.algebra import dual_numbers
 from hochcalc.cochain import (
     Cochain,
+    bracket,
     cochain_basis,
     cochain_from_coords,
     cup,
     hoch_d,
     shifted_m2,
 )
-from hochcalc.cli import parse_input
-from hochcalc.cohomology import HHContext, hh_space, induced_sq, normalized_class_of_full
+from hochcalc.cli import build_structure, parse_input
+from hochcalc.cohomology import HHContext, hh_space, induced_sq
 from hochcalc.errors import DomainError, NotProvidedError, UndefinedCellError
 from hochcalc.exactla import PrimeField, rref
 from hochcalc.identities import random_cochain
@@ -30,7 +31,9 @@ from hochcalc.spectral import (
     page_report,
     render_grid,
 )
-from oracles import additivity_defect, hh_dim, multiplication_predicate
+from oracles import (
+    additivity_defect, hh_dim, multiplication_predicate, reference_normalized_class,
+)
 
 
 def count_cochain_dim(a, p, q):
@@ -280,8 +283,34 @@ def test_quadratic_cell_additivity_defect(trunc_f2):
     z2 = cochain_from_coords(trunc_f2, 2, -1, full.basis, full.cocycles[1])
     defect = additivity_defect(qm, z1, z2)
     cross = cup(z1, z2) + cup(z2, z1)
-    want = normalized_class_of_full(ctx, -cross)
+    want = ctx.class_of(-cross)
     assert defect.coords == want.coords
+
+
+@pytest.mark.parametrize("doc", ["tsl_f3_a5_page3.json", "tsl_q_a5_page3.json"])
+def test_s0_differentials_match_reference_classes(doc):
+    """Out of (0, t), t = 1..3, d2 reads the class of each image of a full
+    (2, -t) cocycle as a fresh solve for a homologous normalized cocycle
+    reads it; some of those images are not normalized."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    phi = build_structure(parse_input((fixtures / doc).read_text()))
+    ctx = HHContext(phi.algebra)
+    field, m3 = phi.algebra.field, phi.map(3)
+    unnormalized = 0
+    for t in range(1, 4):
+        full = ctx.full_space(2, -t)
+        d2 = d2_map(ctx, phi, 0, t)
+        for j, vec in enumerate(full.cocycles):
+            z = cochain_from_coords(phi.algebra, 2, -t, full.basis, vec)
+            if t == 1:
+                w = -(cup(z, z) + bracket(m3, z))
+                got = d2.evaluate(z).coords
+            else:
+                w = bracket(m3, z)
+                got = {i: field.neg(c) if t % 2 else c for i, c in d2.column(j).items()}
+            assert got == reference_normalized_class(ctx, w).coords
+            unnormalized += not w.is_normalized()
+    assert unnormalized
 
 
 def test_e3_zero_massey_equals_e2_away_from_2():
