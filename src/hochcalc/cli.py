@@ -24,9 +24,13 @@ from .exactla import field_from_json, field_to_json, rref
 
 # The largest arity a command line may ask for: a cochain basis of arity p
 # is found in about p^2 steps, so a far larger one would never finish.  A
-# window of a spectral page holds at most MAX_WINDOW_CELLS cells.
+# window of a spectral page holds at most MAX_WINDOW_CELLS cells.  A section8
+# witness search has about C(d + n, n) monomials per key at degree d, so past
+# MAX_POLY_DEGREE it takes minutes and gigabytes; over F_2 and F_3 no exponent
+# exceeds p - 1, so there every degree is accepted.
 MAX_ARITY = 1500
 MAX_WINDOW_CELLS = 10_000
+MAX_POLY_DEGREE = 6
 
 
 # -- input documents -----------------------------------------------------------
@@ -472,6 +476,9 @@ def cmd_section8(docobj, args, report):
 
     if args.max_poly_degree < 0:
         raise InputError("max-poly-degree must be >= 0", "--max-poly-degree")
+    if args.char not in (2, 3) and args.max_poly_degree > MAX_POLY_DEGREE:
+        raise InputError(f"max-poly-degree must be <= {MAX_POLY_DEGREE} unless char is 2 or 3",
+                         "--max-poly-degree")
     rep = section8_report(args.char, args.max_poly_degree)
     report["results"] = rep
     if rep["all_passed"]:

@@ -1,8 +1,10 @@
 """Exact scalars over Q and prime fields, and sparse linear algebra.
 
 Scalars are plain Python values.  Over the rationals a scalar is an ``int``
-when it is integral and a ``fractions.Fraction`` otherwise, never a float;
-over a prime field it is an int in ``[0, p)``.  A ``Field`` object supplies the
+or a ``fractions.Fraction``, never a float: parsing and inversion give an int
+when the value is integral, but arithmetic on a ``Fraction`` may keep an
+integral one, which compares, hashes and prints like the equal int.  Over a
+prime field a scalar is an int in ``[0, p)``.  A ``Field`` object supplies the
 arithmetic, so vectors and matrices stay lightweight dicts.
 
 Stored scalars are normalized: field operations return them so, and

@@ -41,18 +41,12 @@ def check_brace_relation(x, ys, zs):
         args = []
         sign = 0
         pos = 0
-        ok = True
         for k in range(p):
             i_k, j_k = cuts[2 * k], cuts[2 * k + 1]
-            if i_k < pos:
-                ok = False
-                break
             args.extend(zs[pos:i_k])
             args.append(brace(ys[k], zs[i_k:j_k]))
             sign += ys[k].end_degree * sum(z.end_degree for z in zs[:i_k])
             pos = j_k
-        if not ok:
-            continue
         args.extend(zs[pos:])
         rhs = rhs + _neg_if(brace(x, args), sign % 2 == 1)
     return (lhs - rhs).is_zero()

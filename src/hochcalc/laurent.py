@@ -16,8 +16,9 @@ equality of table entries equality of the underlying multilinear maps.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, gcd
+from math import factorial, lcm, prod
 
 from .algebra import GradedAlgebra, dual_numbers, require_valid
 from .cochain import LinearCochain, _add_at, brace, bracket, cup, hoch_d, sq
@@ -97,38 +98,17 @@ class Poly:
             acc = field.add(acc, term)
         return acc
 
-    def remap(self, mapping, nvars: int) -> "Poly":
-        """Move variable i to position mapping[i] in a wider variable set."""
+    def subst_affine(self, i: int, q: int, k0: int) -> "Poly":
+        """Substitute s_i + ... + s_{i+q-1} + k0 for s_i (0-based); every
+        later variable moves q - 1 places up.  The new variables are disjoint
+        from the others, so no exponent is reduced."""
         field = self.field
-        return Poly(field, nvars, field.add_into({}, (
-            (_moved(exps, mapping, nvars), c) for exps, c in self.terms.items()
+        mul = field.mul
+        return Poly._raw(field, self.nvars + q - 1, field.add_into({}, (
+            (e[:i] + a + e[i + 1:], mul(c, m))
+            for e, c in self.terms.items()
+            for a, m in _expansion(field, e[i], k0, q)
         )))
-
-    def subst_affine(self, var: int, positions, const: int, mapping, nvars: int) -> "Poly":
-        """Substitute variable ``var`` by sum(x_pos) + const; every other
-        variable i moves to ``mapping[i]``.  Powers of the affine form are
-        expanded exactly."""
-        field = self.field
-        one = field.one()
-        units = [((0,) * nvars, field.from_int(const))]
-        for pos in positions:
-            exps = [0] * nvars
-            exps[pos] = 1
-            units.append((tuple(exps), one))
-        affine = Poly._raw(field, nvars, field.add_into({}, units))
-        powers = [Poly._raw(field, nvars, {(0,) * nvars: one})]
-        char = field.char
-        acc: dict = {}
-        for exps, c in self.terms.items():
-            e = exps[var]
-            while len(powers) <= e:
-                powers.append(powers[-1] * affine)
-            base = _moved(exps, mapping, nvars, skip=var)
-            field.add_into(acc, (
-                (tuple(_reduce_exp(a + b, char) for a, b in zip(base, pe)), pc)
-                for pe, pc in powers[e].terms.items()
-            ), c)
-        return Poly._raw(field, nvars, acc)
 
     def __eq__(self, other):
         return (
@@ -141,21 +121,8 @@ class Poly:
         return f"Poly({self.nvars} vars, {len(self.terms)} terms)"
 
 
-def _moved(exps, mapping, nvars, skip=None):
-    """Exponent tuple with variable i moved to mapping[i], dropping ``skip``."""
-    new = [0] * nvars
-    for i, e in enumerate(exps):
-        if i != skip:
-            new[mapping[i]] += e
-    return tuple(new)
-
-
 # the largest order of sigma that a residue split is attempted for
 MAX_SIGMA_ORDER = 64
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 class TwistedLaurent:
@@ -202,11 +169,10 @@ class TwistedLaurent:
                 f"sigma has order > {MAX_SIGMA_ORDER}; cannot residue-split"
             )
         self.sigma_order = order
-        self.residue_modulus = _lcm(2, order)
-        self._sigma_powers = powers[: order] if order > 0 else powers
+        self.residue_modulus = lcm(2, order)
+        self._sigma_powers = powers[:order]
         self._m2 = None
         self._m2_lookups = None
-        self._expansions = {}
         self._weights = None
         # find_witnesses' coboundary columns, keyed by witness shape;
         # every later search shares them, and no solve changes them
@@ -355,9 +321,9 @@ class PolyCochain(LinearCochain):
                         subs = substituted.get((k0, c))
                         if subs is None:
                             subs = substituted[k0, c] = [
-                                (e[:i] + (a, b) + e[i + 1:], mul(mul(c, m), x))
+                                (e[:i] + a + e[i + 1:], mul(mul(c, m), x))
                                 for e, x in terms.items()
-                                for a, b, m in _expansion(alg, e[i], k0)
+                                for a, m in _expansion(field, e[i], k0, 2)
                             ]
                         key = (rf[:i] + (r1, r2) + rf[i + 1:], bf[:i] + (b1, b2) + bf[i + 1:], of)
                         pairs += [((key, e), x) for e, x in subs]
@@ -379,23 +345,15 @@ class PolyCochain(LinearCochain):
         R = alg.residue_modulus
         p, q = self.arity, g.arity
         nvars = p + q - 1
+        head, tail = (0,) * (i - 1), (0,) * (p - i)
         g_items = []
         for (rg, bg, og), terms_g in g.table.items():
             c = g._exponent_const(bg, og)
             r_m = (sum(rg) + c) % R
             k0 = (sum(rg) + c - r_m) // R
-            g_items.append((rg, bg, og, terms_g, r_m, k0))
-        mapping = {}
-        for j in range(p):
-            if j < i - 1:
-                mapping[j] = j
-            elif j > i - 1:
-                mapping[j] = j + q - 1
-        g_mapping = {j: i - 1 + j for j in range(q)}
-        positions = list(range(i - 1, i - 1 + q))
-        # each entry of g is remapped once, when it first matches; each entry
-        # of f is substituted once per k0
-        remapped = [None] * len(g_items)
+            # g's variables sit at slots i..i+q-1 of the composite
+            pg = Poly._raw(field, nvars, {head + e + tail: x for e, x in terms_g.items()})
+            g_items.append((rg, bg, og, pg, r_m, k0))
         out = self.zero_like(nvars, self.end_degree + g.end_degree)
         minus = field.neg(field.one())
         for (rf, bf, of), terms_f in self.table.items():
@@ -405,19 +363,16 @@ class PolyCochain(LinearCochain):
                 alg.base.degrees[bf[j]] + rf[j] * alg.weight + 1 for j in range(i - 1)
             )
             negate = (g.end_degree * prefix_deg) % 2 == 1
+            # each entry of f is substituted once per k0
             substituted = {}
-            for n, (rg, bg, og, terms_g, r_m, k0) in enumerate(g_items):
+            for rg, bg, og, pg, r_m, k0 in g_items:
                 if og != slot_bas or r_m != slot_res:
                     continue
                 new_res = rf[: i - 1] + rg + rf[i:]
                 new_bas = bf[: i - 1] + bg + bf[i:]
                 pf = substituted.get(k0)
                 if pf is None:
-                    pf = substituted[k0] = Poly._raw(field, p, terms_f).subst_affine(
-                        i - 1, positions, k0, mapping, nvars)
-                pg = remapped[n]
-                if pg is None:
-                    pg = remapped[n] = Poly._raw(field, q, terms_g).remap(g_mapping, nvars)
+                    pf = substituted[k0] = Poly._raw(field, p, terms_f).subst_affine(i - 1, q, k0)
                 _add_at(field, out.table, (new_res, new_bas, of), (pf * pg).terms.items(),
                         minus if negate else None)
         return out
@@ -455,23 +410,21 @@ def _m2_lookups(alg: TwistedLaurent):
     return alg._m2_lookups
 
 
-def _expansion(alg: TwistedLaurent, e: int, k0: int):
-    """(s + t + k0)^e as ``[(a, b, coefficient)]``, the integer multinomials
-    e! / (a! b! k!) k0^k with k = e - a - b mapped into the field, zeros
-    dropped.  Entries are reduced, so e < p over F_p, and so are a and b:
-    the expansion needs no s^p = s reduction.  Cached on the algebra."""
-    key = (e, k0)
-    terms = alg._expansions.get(key)
-    if terms is None:
-        from_int, is_zero = alg.field.from_int, alg.field.is_zero
-        terms = []
-        for a in range(e + 1):
-            for b in range(e - a + 1):
-                m = from_int(comb(e, a) * comb(e - a, b) * k0 ** (e - a - b))
-                if not is_zero(m):
-                    terms.append((a, b, m))
-        alg._expansions[key] = terms
-    return terms
+@lru_cache(maxsize=None)
+def _expansion(field: Field, e: int, k0: int, q: int):
+    """(s_1 + ... + s_q + k0)^e as ``((a, m), ...)``: ``a`` runs over the
+    exponent tuples of length q with sum(a) <= e, and m is the integer
+    multinomial e! / (a_1! ... a_q! k!) k0^k with k = e - sum(a), mapped
+    into the field, zeros dropped.  Entries are reduced, so e < p over F_p,
+    and every a_j <= e: the expansion needs no s^p = s reduction.  The one
+    expansion of :meth:`Poly.subst_affine` and :meth:`PolyCochain.d_walk`."""
+    terms = []
+    for a in _monomials(q, e, 0):
+        k = e - sum(a)
+        m = field.from_int(factorial(e) // (prod(map(factorial, a)) * factorial(k)) * k0 ** k)
+        if m:
+            terms.append((a, m))
+    return tuple(terms)
 
 
 # -- distinguished cochains ------------------------------------------------------
@@ -583,9 +536,7 @@ def _weight_vectors(alg: TwistedLaurent):
                        {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
     vecs = []
     for v in rref(mat).kernel():
-        denom = 1
-        for c in v.values():
-            denom = _lcm(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in v.values()))
         vecs.append(tuple(int(v.get(i, Q.zero()) * denom) for i in range(n)))
     alg._weights = vecs
     return vecs

@@ -14,6 +14,8 @@ tuple from the product table or as that brace form with m2; a cochain
 basis filters every argument tuple by its degree; the normalized class of
 a full cocycle solves for a normalized cocycle homologous to it, where
 ``HHContext.class_of`` carries the full class through a comparison matrix;
+the affine substitution into a polynomial multiplies out the powers of the
+affine form, where ``Poly.subst_affine`` reads a cached multinomial table;
 and the field Q keeps every scalar a ``Fraction``.
 
 It also keeps small helpers that only the tests use: the dimension of one
@@ -30,6 +32,7 @@ from hochcalc.cochain import Cochain, brace, cochain_from_coords, coords_of_coch
 from hochcalc.cohomology import CohomClass, hh_space
 from hochcalc.errors import DomainError
 from hochcalc.exactla import Rationals, SparseMatrix
+from hochcalc.laurent import Poly
 
 RREF = namedtuple("RREF", "rank pivots rows")
 
@@ -269,6 +272,32 @@ def reference_bracket_hoch_d(f):
     """[m2, f] as the brace form of the bracket, m2{f} - (-1)^{|f|} f{m2},
     for a ``Cochain`` or a ``PolyCochain``."""
     return reference_bracket(f.multiplication(), f)
+
+
+def reference_subst_affine(poly, i, q, k0):
+    """``poly.subst_affine(i, q, k0)``: s_i + ... + s_{i+q-1} + k0 for s_i,
+    every later variable moved q - 1 places up, with the powers of the
+    affine form multiplied out by ``Poly.__mul__``."""
+    field = poly.field
+    nvars = poly.nvars + q - 1
+    units = {(0,) * nvars: field.from_int(k0)}
+    for j in range(i, i + q):
+        units[tuple(int(t == j) for t in range(nvars))] = field.one()
+    affine = Poly(field, nvars, units)
+    powers = [Poly(field, nvars, {(0,) * nvars: field.one()})]
+    acc = {}
+    for exps, c in poly.terms.items():
+        while len(powers) <= exps[i]:
+            powers.append(powers[-1] * affine)
+        moved = [0] * nvars
+        for j, e in enumerate(exps):
+            if j != i:
+                moved[j if j < i else j + q - 1] = e
+        field.add_into(acc, (
+            (tuple(a + b for a, b in zip(moved, pe)), pc)
+            for pe, pc in powers[exps[i]].terms.items()
+        ), c)
+    return Poly(field, nvars, acc)
 
 
 def hh_dim(a, p, q, normalized=True):

@@ -554,6 +554,26 @@ def test_negative_max_poly_degree_is_an_input_error(tmp_path, degree):
     assert code == 1 and rep["results"] == {}
     assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "--max-poly-degree"
 
+
+@pytest.mark.parametrize("char, degree", [("0", "7"), ("0", str(10**30)), ("5", "7")],
+                         ids=["q-7", "q-1e30", "f5-7"])
+def test_max_poly_degree_past_the_bound_is_an_input_error(tmp_path, char, degree):
+    """Over Q and F_p with p >= 5 a degree past MAX_POLY_DEGREE is an input
+    error at once; the witness search there grows without limit."""
+    start = time.perf_counter()
+    code, rep = run_cli(["section8", "--char", char, "--max-poly-degree", degree], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and rep["results"] == {}
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "--max-poly-degree"
+
+
+def test_max_poly_degree_is_unbounded_in_char_2(tmp_path):
+    """Over F_2 every exponent is at most 1, so a large degree stays cheap
+    and accepted."""
+    code, rep = run_cli(["section8", "--char", "2", "--max-poly-degree", "40"], tmp_path)
+    assert code == 0 and rep["results"]["all_passed"]
+
+
 FUZZ_DOCUMENTS = [
     json.loads(fx.read_text())
     for fx in sorted(FIXTURES.glob("*.json"))

@@ -27,7 +27,7 @@ from hochcalc.laurent import (
     skew_derivation_cochain,
 )
 from hochcalc import identities as idn
-from oracles import reference_bracket_hoch_d
+from oracles import reference_bracket_hoch_d, reference_subst_affine
 from test_cochain import check_operands_unchanged
 
 
@@ -69,7 +69,7 @@ def test_poly_subst_affine():
     Q = Rationals()
     # p(s) = s^2, substitute s = x + y + 3 inside two variables
     p = Poly(Q, 1, {(2,): Q.one()})
-    q = p.subst_affine(0, [0, 1], 3, {}, 2)
+    q = p.subst_affine(0, 2, 3)
     # (x + y + 3)^2
     want = Poly(
         Q, 2,
@@ -77,6 +77,26 @@ def test_poly_subst_affine():
          (1, 0): Q.from_int(6), (0, 1): Q.from_int(6), (0, 0): Q.from_int(9)},
     )
     assert q == want
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5),
+                                   PrimeField(7)], ids=["Q", "F2", "F3", "F5", "F7"])
+def test_subst_affine_matches_reference(field):
+    """The multinomial table gives the terms of the affine form's powers,
+    multiplied out, for q = 0..4 new variables (q = 0 composes with an
+    arity-0 cochain) and negative, zero and positive constants."""
+    rng = random.Random(2215 + field.char)
+    for n in range(250):
+        # q runs through 0..4 and the sign of k0 through -1, 0, 1 jointly
+        q, sign = n % 5, n // 5 % 3 - 1
+        nvars, k0 = rng.randint(1, 4), sign * rng.randint(1, 6)
+        i = rng.randrange(nvars)
+        terms = {tuple(rng.randint(0, 4) for _ in range(nvars)): rng.randint(-5, 5)
+                 for _ in range(rng.randint(1, 5))}
+        p = Poly(field, nvars, terms)
+        got = p.subst_affine(i, q, k0)
+        assert got.nvars == nvars + q - 1
+        assert got == reference_subst_affine(p, i, q, k0)
 
 
 # -- algebra layer --------------------------------------------------------------

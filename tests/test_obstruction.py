@@ -98,11 +98,14 @@ def test_allowed_depths_bounds():
 
 def test_extend_once_depth_guard(tower_f2):
     s = AInfStructure(tower_f2, 4)
-    with pytest.raises(UnsupportedDepthError):
-        extend_once(s, 2)  # below the theory bound for k = 4
+    with pytest.raises(UnsupportedDepthError, match="obstruction-theory range"):
+        extend_once(s, 2)  # below the theory bound (k + 2) // 2 = 3 for k = 4
     s6 = AInfStructure(tower_f2, 6)
-    with pytest.raises(UnsupportedDepthError):
-        extend_once(s6, 3)  # below the implemented range k-2
+    with pytest.raises(UnsupportedDepthError, match="obstruction-theory range"):
+        extend_once(s6, 3)  # below the theory bound 4 = k - 2 for k = 6
+    s7 = AInfStructure(tower_f2, 7)
+    with pytest.raises(UnsupportedDepthError, match="below the implemented range"):
+        extend_once(s7, 4)  # within the theory bound 4, below k - 2 = 5
 
 
 def test_extend_once_depth_k_needs_vanishing_cochain(tower_f2):
