@@ -31,6 +31,7 @@ DOCUMENTS = [
     "tower_f2_a5_valid.json",
     "tower_q_a4_undecided.json",
     "tsl_f3_a5_page3.json",
+    "tsl_f3_a6.json",
     "tsl_q_a5_page3.json",
 ]
 
