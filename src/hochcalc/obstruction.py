@@ -89,16 +89,6 @@ def _page3_equation_rhs(s: AInfStructure, b_prev: Cochain) -> Cochain:
     return rhs
 
 
-def _verify_page3_witnesses(space, b_prev: Cochain, rhs: Cochain) -> Page3Status:
-    """A "vanishes" status for b_prev and the b_top that
-    ``space.is_coboundary(rhs)`` finds and checks exactly; None if rhs is
-    not a coboundary."""
-    b_top = space.is_coboundary(rhs)
-    if b_top is None:
-        return None
-    return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
-
-
 def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
     """Decide whether SI(k+1) dies after also perturbing m_{k-1} by a
     cocycle.
@@ -107,7 +97,8 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
     [{m_3}, -] from HH^{k-1, 3-k}.  For k = 4 the correction enters
     quadratically; over a small enough finite field the cocycle classes are
     enumerated, over Q only a finite candidate list is tried and failure is
-    reported as undecided.
+    reported as undecided.  Each case lists candidate classes {b_prev}, and
+    one loop lifts them.
     """
     if s.k < 4:
         raise DomainError(f"page-3 test needs k >= 4, got k={s.k}")
@@ -116,44 +107,40 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
     theta = theta_page2(s, ctx)
     space_prev = ctx.space(s.k - 1, 3 - s.k)
     top_space = ctx.space(s.k + 1, 2 - s.k)
-    if theta.is_zero():
-        b_prev = Cochain.zero(s.algebra, s.k - 1, -1)
-        return _verify_page3_witnesses(top_space, b_prev, -obstruction_cocycle(s))
-
     field = s.algebra.field
-    m3_class = universal_massey(s, ctx)
-    if s.k >= 5:
-        mat = induced_bracket(ctx, m3_class, s.k - 1, 3 - s.k)
+    enumerate_all = False
+    if theta.is_zero():
+        candidates = [{}]
+    elif s.k >= 5:
+        mat = induced_bracket(ctx, universal_massey(s, ctx), s.k - 1, 3 - s.k)
         x = solve(mat, {j: field.neg(c) for j, c in theta.coords.items()})
         if x is None:
             # target outside the image, so appending it raises the rank by one
             rank = rref(mat).rank
             certificate = {"kind": "rank", "rank_image": rank, "rank_with_target": rank + 1}
             return Page3Status("nonzero", certificate=certificate)
-        b_prev = space_prev.class_from_coords(x).representative
-        status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
-        if status is None:
-            raise DomainError("page-3 class solve succeeded but the lift failed")
-        return status
-
-    # k = 4: the equation is Sq({m3 + b}) = 0 over cocycles b, tried class by
-    # class; both candidate lists start with b = 0
-    dim = space_prev.dim
-    enumerate_all = field.char > 0 and field.char**dim <= ENUMERATION_BOUND
-    if enumerate_all:
-        candidates = _iterate_coordinate_vectors(field, dim)
+        candidates = [x]
     else:
-        candidates = [{}] + rref(induced_bracket(ctx, m3_class, 3, -1)).kernel()
+        # k = 4: the equation is Sq({m3 + b}) = 0 over cocycles b, tried class
+        # by class; both candidate lists start with b = 0
+        dim = space_prev.dim
+        enumerate_all = field.char > 0 and field.char**dim <= ENUMERATION_BOUND
+        if enumerate_all:
+            candidates = _iterate_coordinate_vectors(field, dim)
+        else:
+            candidates = [{}] + rref(induced_bracket(ctx, universal_massey(s, ctx), 3, -1)).kernel()
     tried = 0
     for coords in candidates:
         tried += 1
         b_prev = space_prev.class_from_coords(coords).representative
-        status = _verify_page3_witnesses(top_space, b_prev, _page3_equation_rhs(s, b_prev))
-        if status is not None:
-            return status
+        b_top = top_space.is_coboundary(_page3_equation_rhs(s, b_prev))
+        if b_top is not None:
+            return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
     if enumerate_all:
         certificate = {"kind": "enumeration", "classes_checked": tried, "dim": dim}
         return Page3Status("nonzero", certificate=certificate)
+    if theta.is_zero() or s.k >= 5:
+        raise DomainError("page-3 class solve succeeded but the lift failed")
     return Page3Status(
         "undecided",
         reason=(

@@ -137,66 +137,54 @@ def d2_map(ctx: HHContext, phi: AInfStructure, s: int, t: int):
     raise UndefinedCellError(f"d2 undefined at ({s},{t})")
 
 
-def _incoming_image(ctx: HHContext, phi: AInfStructure, s: int, t: int):
-    """Image vectors of d2 arriving at (s,t), in HH^{s+2,-t} coordinates."""
-    ps, pt = s - 2, t - 1
-    if ps >= 1:
-        m = d2_map(ctx, phi, ps, pt)
-        return [m.column(j) for j in range(m.cols)]
-    if (ps, pt) == (0, 1):
-        # -alpha on a basis of HH^{2,-1}, linear on classes (see e3_term)
+def _d2_into(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> SparseMatrix:
+    """A matrix whose columns span the image of d2 arriving at (s, t), s >= 2,
+    in HH^{s+2,-t} coordinates."""
+    if (s, t) == (2, 2):
+        # alpha on a basis of HH^{2,-1}; alpha is linear over every supported
+        # field (the cup square vanishes on classes in odd characteristic and
+        # over Q, and is Frobenius-linear over F_2)
         qm = d2_map(ctx, phi, 0, 1)
-        return [qm.evaluate(rep).coords for rep in ctx.space(2, -1).hh_reps]
-    # (0, t-1) with t-1 > 1: the projection is onto, so the image agrees
-    # with the image of the bracket on cohomology.
-    m = induced_bracket(ctx, universal_massey(phi, ctx), 2, -pt)
-    return [m.column(j) for j in range(m.cols)]
+        cols = [qm.evaluate(rep).coords for rep in ctx.space(2, -1).hh_reps]
+        return SparseMatrix.from_columns(ctx.algebra.field, cols, ctx.space(4, -2).dim)
+    if s == 2:
+        # out of (0, t-1): the class map of cocycles is onto, so the image is
+        # that of the bracket on cohomology
+        return induced_bracket(ctx, universal_massey(phi, ctx), 2, 1 - t)
+    return d2_map(ctx, phi, s - 2, t - 1)
 
 
 def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
-    """E3 at (s,t): homology of d2 where both neighbours are defined,
-    kernel bands on s = 0, 1, predicates on the low fringe, undefined
-    elsewhere."""
+    """E3 at (s,t): the kernel of d2 out of the cell less the image of d2
+    into it where both are defined (the kernel alone on s = 0, 1),
+    predicates on the low fringe, undefined elsewhere."""
     _require_k5(phi)
-    if s >= 2 and d2_defined(s, t) and s - 2 >= 0 and d2_defined(s - 2, t - 1):
-        out_m = d2_map(ctx, phi, s, t)
-        image = _incoming_image(ctx, phi, s, t)
-        for v in image:
-            if out_m.apply(v):
-                raise DomainError(f"d2 composite does not vanish into ({s},{t})")
-        mid_dim = ctx.space(s + 2, -t).dim
-        image_rank = rref(SparseMatrix.from_rows(ctx.algebra.field, image, mid_dim)).rank
-        dim = out_m.cols - rref(out_m).rank - image_rank
-        return PageCell(3, s, t, "vector", dim=dim)
-    if s == 1 and t > 1:
-        m = d2_map(ctx, phi, 1, t)
-        return PageCell(3, s, t, "vector", dim=m.cols - rref(m).rank)
-    if s == 0 and t > 1:
-        m = d2_map(ctx, phi, 0, t)
-        return PageCell(3, s, t, "cocycle", dim=m.cols - rref(m).rank)
-    if (s, t) == (0, 1):
-        # kernel of the class-level map alpha on HH^{2,-1}, whose image
-        # arrives at (2, 2); alpha is linear over every supported field (the
-        # cup square vanishes on classes in odd characteristic and over Q,
-        # and is Frobenius-linear over F_2)
-        alpha_matrix = SparseMatrix.from_columns(
-            ctx.algebra.field, _incoming_image(ctx, phi, 2, 2), ctx.space(4, -2).dim
-        )
-        ker_dim = alpha_matrix.cols - rref(alpha_matrix).rank
-        dim = ker_dim + ctx.full_space(2, -1).coboundary_dim()
-        return PageCell(
-            3, 0, 1, "cocycle", dim=dim,
-            descriptor="cocycles whose class lies in the zero locus of "
-            "x^2 + [{m3}, x]; a subgroup, not a subspace, away from the "
-            "linear cases",
-        )
     if (s, t) in ((0, 0), (1, 1)):
         return PageCell(
             3, s, t, "predicate",
             descriptor="pointed set; extension behaviour exposed through the "
             "obstruction solver",
         )
-    return PageCell(3, s, t, "undefined")
+    if (s, t) == (0, 1):
+        # the kernel of alpha on HH^{2,-1}, whose image arrives at (2, 2)
+        alpha = _d2_into(ctx, phi, 2, 2)
+        dim = alpha.cols - rref(alpha).rank + ctx.full_space(2, -1).coboundary_dim()
+        return PageCell(
+            3, 0, 1, "cocycle", dim=dim,
+            descriptor="cocycles whose class lies in the zero locus of "
+            "x^2 + [{m3}, x]; a subgroup, not a subspace, away from the "
+            "linear cases",
+        )
+    if not (d2_defined(s, t) and (s < 2 or d2_defined(s - 2, t - 1))):
+        return PageCell(3, s, t, "undefined")
+    out_m = d2_map(ctx, phi, s, t)
+    dim = out_m.cols - rref(out_m).rank
+    if s >= 2:
+        into = _d2_into(ctx, phi, s, t)
+        if any(out_m.apply(into.column(j)) for j in range(into.cols)):
+            raise DomainError(f"d2 composite does not vanish into ({s},{t})")
+        dim -= rref(into).rank
+    return PageCell(3, s, t, "cocycle" if s == 0 else "vector", dim=dim)
 
 
 def page_report(ctx: HHContext, phi, page: int, window):
@@ -260,7 +248,6 @@ def collapse_check(ctx: HHContext, phi: AInfStructure, window):
     sq_class = induced_sq(ctx, m3c)
     sq_ok = sq_class.is_zero()
     p_range = sorted({s + 2 for s in range(max(s0, 0), s1 + 1)} | {2})
-    p_range = [p for p in p_range if p >= 2]
     q_range = sorted({-t for t in range(t0, t1 + 1)})
     cup_report = cup_bijectivity_window(ctx, m3c, p_range, q_range)
     cup_ok = all(v["verdict"] == "bijective" for v in cup_report.values())

@@ -17,7 +17,7 @@ from hochcalc.cochain import (
 from hochcalc.cli import build_structure, parse_input
 from hochcalc.cohomology import HHContext, hh_space, induced_sq
 from hochcalc.errors import DomainError, NotProvidedError, UndefinedCellError
-from hochcalc.exactla import PrimeField, rref
+from hochcalc.exactla import PrimeField, SparseMatrix, rref
 from hochcalc.identities import random_cochain
 from hochcalc.obstruction import extend_once
 from hochcalc.spectral import (
@@ -33,6 +33,7 @@ from hochcalc.spectral import (
 )
 from oracles import (
     additivity_defect, hh_dim, multiplication_predicate, reference_normalized_class,
+    reference_rref,
 )
 
 
@@ -323,6 +324,37 @@ def test_e3_zero_massey_equals_e2_away_from_2():
             if cell3.kind != "vector":
                 continue
             assert cell3.dim == e2_term(ctx, s, t).dim
+
+
+@pytest.mark.parametrize("doc", ["tsl_f3_a6.json", "tsl_f3_a5_page3.json"])
+def test_e3_is_the_homology_of_d2(doc):
+    """Each vector cell of E3 with 2 <= s <= 4 and 0 <= t <= 4 is the kernel
+    of d2 out of it less the image of d2 into it, both ranked by
+    reference_rref.  The images from the row s = 0 are read through d2 out
+    of (0, t - 1) on full cocycles, and at (2, 2) through alpha on the
+    HH^{2,-1} representatives; on the A_6 fixture d2 into some cell with
+    s >= 3 is nonzero."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    phi = build_structure(parse_input((fixtures / doc).read_text()))
+    ctx = HHContext(phi.algebra)
+    ranks_into = {}
+    for s in range(2, 5):
+        for t in range(5):
+            cell = e3_term(ctx, phi, s, t)
+            if cell.kind != "vector":
+                continue
+            if (s, t) == (2, 2):
+                alpha = d2_map(ctx, phi, 0, 1)
+                images = [alpha.evaluate(rep).coords for rep in ctx.space(2, -1).hh_reps]
+                into = SparseMatrix.from_columns(phi.algebra.field, images, ctx.space(4, -2).dim)
+            else:
+                into = d2_map(ctx, phi, s - 2, t - 1)
+            out = d2_map(ctx, phi, s, t)
+            ranks_into[(s, t)] = reference_rref(into).rank
+            assert cell.dim == out.cols - reference_rref(out).rank - ranks_into[(s, t)]
+    assert len(ranks_into) > 8
+    if doc == "tsl_f3_a6.json":
+        assert any(r for (s, _), r in ranks_into.items() if s >= 3)
 
 
 def test_e3_band_formulas(tower_ctx, tower_phi5):
