@@ -17,7 +17,7 @@ from . import __version__
 from .algebra import GradedAlgebra, algebra_violations
 from .cochain import Cochain, q_support
 from .errors import HochcalcError, InputError
-from .exactla import field_from_json, field_to_json, rref
+from .exactla import PrimeField, field_from_json, field_to_json, rref
 
 # Each command imports the modules it runs when it runs: a job started
 # without cached byte code compiles every module it imports.
@@ -474,6 +474,11 @@ def cmd_collapse_check(docobj, args, report):
 def cmd_section8(docobj, args, report):
     from .laurent import section8_report
 
+    if args.char:
+        try:
+            PrimeField(args.char)
+        except InputError as exc:
+            raise InputError(str(exc), "--char")
     if args.max_poly_degree < 0:
         raise InputError("max-poly-degree must be >= 0", "--max-poly-degree")
     if args.char not in (2, 3) and args.max_poly_degree > MAX_POLY_DEGREE:

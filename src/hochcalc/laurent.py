@@ -174,9 +174,6 @@ class TwistedLaurent:
         self._m2 = None
         self._m2_lookups = None
         self._weights = None
-        # find_witnesses' coboundary columns, keyed by witness shape;
-        # every later search shares them, and no solve changes them
-        self._columns = {}
 
     def _apply_sigma(self, v: dict) -> dict:
         out: dict = {}
@@ -573,8 +570,7 @@ def find_witnesses(pairs, d_search: int):
     each.  ``hoch_d`` preserves weight, so that system is block diagonal by
     weight with the column order of each block unchanged: a difference's
     witness and ``unknowns`` are those of a search over its own weights
-    alone.  Each column is built once per algebra and kept on it for later
-    searches.
+    alone.
     """
     out = [None] * len(pairs)
     groups = {}
@@ -596,20 +592,17 @@ def find_witnesses(pairs, d_search: int):
         weights = [{_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
         columns, unknowns = [], []
         monos = _monomials(arity_b, d_search, field.char)
-        cache, shared = alg._columns, {}
+        shared = {}
         for key in _witness_basis_keys(alg, arity_b, deg_b):
             weight = _key_weight(wvecs, key)
             if not any(weight in ws for ws in weights):
                 continue
             for mono in monos:
-                shape = (arity_b, deg_b, key, mono)
-                if shape not in cache:
-                    entry = ((key, {mono: field.one()}),)
-                    col = PolyCochain.d_walk(alg, arity_b, deg_b, entry, {})
-                    # kept as a compact copy whose equal keys are one object
-                    cache[shape] = {shared.setdefault(k, k): c for k, c in col.items()} or None
-                if cache[shape] is not None:
-                    columns.append(cache[shape])
+                col = PolyCochain.d_walk(alg, arity_b, deg_b, ((key, {mono: field.one()}),), {})
+                if col:
+                    # equal keys of different columns are kept as one object,
+                    # which keeps the peak RSS of a large search down
+                    columns.append({shared.setdefault(k, k): c for k, c in col.items()})
                     unknowns.append((key, mono, weight))
         for (t, z), ws, x in zip(group, weights, solve_columns_many(field, columns, tcoords)):
             witness = None

@@ -567,6 +567,15 @@ def test_max_poly_degree_past_the_bound_is_an_input_error(tmp_path, char, degree
     assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "--max-poly-degree"
 
 
+@pytest.mark.parametrize("char", ["4", "-3", "1", str(10**28)])
+def test_bad_char_is_an_input_error_at_its_path(tmp_path, char):
+    """A characteristic that is neither 0 nor a prime PrimeField accepts is an
+    input error at --char, checked before the degree bound."""
+    code, rep = run_cli(["section8", "--char", char, "--max-poly-degree", "0"], tmp_path)
+    assert code == 1 and rep["results"] == {}
+    assert rep["error"]["kind"] == "input" and rep["error"]["path"] == "--char"
+
+
 def test_max_poly_degree_is_unbounded_in_char_2(tmp_path):
     """Over F_2 every exponent is at most 1, so a large degree stays cheap
     and accepted."""

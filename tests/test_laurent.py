@@ -332,30 +332,15 @@ def test_find_witness_basics():
     assert w is None
 
 
-def test_witness_columns_are_built_once_per_algebra(monkeypatch):
+def test_repeated_witness_searches_agree():
+    """Two identical searches give equal witnesses and stats."""
     alg = sign_twisted_laurent(Rationals())
     d = euler_cochain(alg)
     lhs, rhs = cup(d, d), PolyCochain(alg, 2, -1)
-    calls = []
-    real = PolyCochain.d_walk
-
-    def counting(alg, arity, end_degree, entries, acc):
-        calls.append(list(entries))
-        return real(alg, arity, end_degree, calls[-1], acc)
-
-    # every column and every hoch_d is one walk
-    monkeypatch.setattr(PolyCochain, "d_walk", staticmethod(counting))
     w1, stats1 = find_witness(lhs, rhs, 2)
-    first = len(calls)
-    calls.clear()
     w2, stats2 = find_witness(lhs, rhs, 2)
-    assert w1 is not None and w2 is not None
-    assert stats1["unknowns"] == stats2["unknowns"] > 0
-    # the first search builds its columns; the second only checks its witness
-    assert first > stats1["unknowns"]
-    assert len(calls) == 1 and calls[0] == list(w2.table.items())
-    assert alg._columns
-    assert sign_twisted_laurent(Rationals())._columns == {}
+    assert w1 is not None and stats1["unknowns"] > 0
+    assert w1 == w2 and stats1 == stats2
 
 
 WITNESS_FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)]
@@ -434,21 +419,25 @@ def test_section8_char2_report():
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=repr)
 def test_witness_columns_match_bracket_form(monkeypatch, field):
     """Every coboundary column that the section8 searches build (d_search
-    2) is the coordinate dict of the brace form [m2, b] of its unknown b,
-    or None when that is zero."""
-    algebras = []
+    2), a walk of one entry of one monomial with coefficient 1, is the
+    coordinate dict of the brace form [m2, b] of its unknown b."""
+    columns = []
+    real = PolyCochain.d_walk
 
-    def keep(f):
-        algebras.append(sign_twisted_laurent(f))
-        return algebras[-1]
+    def keep(alg, arity, end_degree, entries, acc):
+        entries, fresh = list(entries), not acc
+        out = real(alg, arity, end_degree, entries, acc)
+        if fresh and len(entries) == 1:
+            ((key, terms),) = entries
+            if list(terms.values()) == [field.one()]:
+                columns.append((PolyCochain(alg, arity, end_degree, {key: dict(terms)}), dict(out)))
+        return out
 
-    monkeypatch.setattr(laurent, "sign_twisted_laurent", keep)
+    monkeypatch.setattr(PolyCochain, "d_walk", staticmethod(keep))
     section8_report(field.char, 2)
-    (alg,) = algebras
-    assert len(alg._columns) > 1000
-    for (arity, end_degree, key, mono), col in alg._columns.items():
-        b = PolyCochain(alg, arity, end_degree, {key: {mono: field.one()}})
-        assert col == (_coordinates(reference_bracket_hoch_d(b)) or None)
+    assert len(columns) > 1000
+    for b, col in columns:
+        assert col == _coordinates(reference_bracket_hoch_d(b))
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=repr)
