@@ -140,6 +140,7 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
         certificate = {"kind": "enumeration", "classes_checked": tried, "dim": dim}
         return Page3Status("nonzero", certificate=certificate)
     if theta.is_zero() or s.k >= 5:
+        # the one candidate solves the class equation, so it must lift
         raise DomainError("page-3 class solve succeeded but the lift failed")
     return Page3Status(
         "undecided",
