@@ -112,17 +112,13 @@ def require_valid_structure(s: AInfStructure):
         raise ValidationError("Stasheff residuals do not vanish", report)
 
 
-def universal_massey(s: AInfStructure, ctx=None):
-    """The class of m_3 in HH^{3,-1}, read in ``ctx`` (an ``HHContext``,
-    made here when omitted); defined for valid structures with k >= 4
-    (then SI(4) = [m2, m3] = 0, so m_3 is a cocycle)."""
-    from .cohomology import HHContext
-
+def universal_massey(s: AInfStructure, ctx):
+    """The class of m_3 in HH^{3,-1}, read in ``ctx`` (an ``HHContext``);
+    defined for valid structures with k >= 4 (then SI(4) = [m2, m3] = 0, so
+    m_3 is a cocycle)."""
     if s.k < 4:
         raise DomainError(f"universal Massey product needs k >= 4, got k={s.k}")
     require_valid_structure(s)
-    if ctx is None:
-        ctx = HHContext(s.algebra)
     return ctx.space(3, -1).class_of(s.map(3))
 
 

@@ -20,7 +20,7 @@ from .cochain import (
     sq,
 )
 from .errors import ConfigurationError, DomainError
-from .exactla import Echelon, SparseMatrix, rref, solve, vec_combine
+from .exactla import Echelon, SparseMatrix, rref, solve_columns_many, vec_combine
 
 
 class CochainComplex:
@@ -189,8 +189,7 @@ class HHSpace:
         u = self._require_cocycle(z)
         if self.p == 0 or self._class_coords(u):
             return None
-        field = self.algebra.field
-        y = solve(SparseMatrix.from_columns(field, self._cob_coords, len(self.cocycles)), u)
+        (y,) = solve_columns_many(self.algebra.field, self._cob_coords, [u])
         if y is None:
             raise ConfigurationError("cocycle of zero class outside the coboundary span")
         pivots = self._d_in_echelon.pivots
@@ -237,7 +236,7 @@ class CohomClass:
 
 class HHContext:
     """Caches cochain complexes per (q, pipeline), HHSpaces per (p, q, pipeline)
-    and comparison matrices per (p, q)."""
+    and comparison columns per (p, q)."""
 
     def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
@@ -266,8 +265,9 @@ class HHContext:
     def class_of(self, z: Cochain) -> CohomClass:
         """The class of a cocycle of either pipeline in the normalized basis.
         A cocycle that is not normalized is read in the full space, and its
-        class carried back by the comparison matrix: inclusion of normalized
-        cochains is a quasi-isomorphism, so that matrix is invertible."""
+        class carried back by the comparison columns, the full classes of the
+        normalized representatives: inclusion of normalized cochains is a
+        quasi-isomorphism, so they are a basis."""
         p, q = z.bidegree
         space = self.space(p, q)
         if z.is_normalized():
@@ -275,9 +275,8 @@ class HHContext:
         full = self.full_space(p, q)
         coords = full.class_of(z).coords
         if (p, q) not in self._comparisons:
-            cols = [full.class_of(rep).coords for rep in space.hh_reps]
-            self._comparisons[p, q] = SparseMatrix.from_columns(self.algebra.field, cols, full.dim)
-        x = solve(self._comparisons[p, q], coords)
+            self._comparisons[p, q] = [full.class_of(rep).coords for rep in space.hh_reps]
+        (x,) = solve_columns_many(self.algebra.field, self._comparisons[p, q], [coords])
         if x is None:
             raise ConfigurationError("full cocycle not homologous to a normalized one")
         return space.class_from_coords(x)

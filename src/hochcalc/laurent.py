@@ -567,10 +567,11 @@ def find_witnesses(pairs, d_search: int):
 
     The differences of one algebra and shape share one elimination, of the
     coboundary columns whose weight is one of theirs, with a right-hand side
-    each.  ``hoch_d`` preserves weight, so that system is block diagonal by
-    weight with the column order of each block unchanged: a difference's
-    witness and ``unknowns`` are those of a search over its own weights
-    alone.
+    each.  Its columns are sorted by (number of nonzeros, index), which
+    favours sparse witnesses.  ``hoch_d`` preserves weight, so that system
+    is block diagonal by weight with the column order of each block
+    unchanged: a difference's witness and ``unknowns`` are those of a search
+    over its own weights alone.
     """
     out = [None] * len(pairs)
     groups = {}
@@ -604,6 +605,8 @@ def find_witnesses(pairs, d_search: int):
                     # which keeps the peak RSS of a large search down
                     columns.append({shared.setdefault(k, k): c for k, c in col.items()})
                     unknowns.append((key, mono, weight))
+        order = sorted(range(len(columns)), key=lambda j: (len(columns[j]), j))
+        columns, unknowns = [columns[j] for j in order], [unknowns[j] for j in order]
         for (t, z), ws, x in zip(group, weights, solve_columns_many(field, columns, tcoords)):
             witness = None
             if x is not None:

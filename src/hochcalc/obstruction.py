@@ -19,7 +19,7 @@ from .ainf import (
 from .cochain import Cochain, bracket, brace, hoch_d
 from .cohomology import CohomClass, HHContext, induced_bracket
 from .errors import DomainError, UnsupportedDepthError
-from .exactla import rref, solve
+from .exactla import rref, solve_columns_many
 
 ENUMERATION_BOUND = 10**6
 
@@ -37,13 +37,11 @@ def obstruction_cocycle(s: AInfStructure) -> Cochain:
     return s._obstruction
 
 
-def theta_page2(s: AInfStructure, ctx: HHContext = None) -> CohomClass:
+def theta_page2(s: AInfStructure, ctx: HHContext) -> CohomClass:
     """Class of SI(k+1) in HH^{k+1, 2-k}; zero iff a perturbation of m_k
     produces a valid A_{k+1} extension with m_{k+1} = 0."""
     if s.k < 3:
         raise DomainError(f"page-2 obstruction needs k >= 3, got k={s.k}")
-    if ctx is None:
-        ctx = HHContext(s.algebra)
     z = obstruction_cocycle(s)
     return ctx.space(s.k + 1, 2 - s.k).class_of(z)
 
@@ -56,7 +54,7 @@ def page2_witness(s: AInfStructure, ctx: HHContext):
 
 class Page3Status:
     """Outcome of the page-3 test: vanishes (with exact witnesses), nonzero
-    (with a machine-checkable certificate), or undecided (with a reason)."""
+    (k >= 5, with a rank certificate), or undecided (k = 4, with a reason)."""
 
     def __init__(self, kind, b_prev=None, b_top=None, certificate=None, reason=None):
         self.kind = kind  # "vanishes" | "nonzero" | "undecided"
@@ -89,21 +87,19 @@ def _page3_equation_rhs(s: AInfStructure, b_prev: Cochain) -> Cochain:
     return rhs
 
 
-def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
+def theta_page3_check(s: AInfStructure, ctx: HHContext) -> Page3Status:
     """Decide whether SI(k+1) dies after also perturbing m_{k-1} by a
     cocycle.
 
     For k >= 5 this is linear: the page-2 class must lie in the image of
     [{m_3}, -] from HH^{k-1, 3-k}.  For k = 4 the correction enters
     quadratically; over a small enough finite field the cocycle classes are
-    enumerated, over Q only a finite candidate list is tried and failure is
-    reported as undecided.  Each case lists candidate classes {b_prev}, and
-    one loop lifts them.
+    enumerated (-[m_3] among them, so one lifts), over Q only a finite
+    candidate list is tried and failure is reported as undecided.  Each case
+    lists candidate classes {b_prev}, and one loop lifts them.
     """
     if s.k < 4:
         raise DomainError(f"page-3 test needs k >= 4, got k={s.k}")
-    if ctx is None:
-        ctx = HHContext(s.algebra)
     theta = theta_page2(s, ctx)
     space_prev = ctx.space(s.k - 1, 3 - s.k)
     top_space = ctx.space(s.k + 1, 2 - s.k)
@@ -113,7 +109,8 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
         candidates = [{}]
     elif s.k >= 5:
         mat = induced_bracket(ctx, universal_massey(s, ctx), s.k - 1, 3 - s.k)
-        x = solve(mat, {j: field.neg(c) for j, c in theta.coords.items()})
+        target = {j: field.neg(c) for j, c in theta.coords.items()}
+        (x,) = solve_columns_many(field, [mat.column(j) for j in range(mat.cols)], [target])
         if x is None:
             # target outside the image, so appending it raises the rank by one
             rank = rref(mat).rank
@@ -129,18 +126,14 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext = None) -> Page3Status:
             candidates = _iterate_coordinate_vectors(field, dim)
         else:
             candidates = [{}] + rref(induced_bracket(ctx, universal_massey(s, ctx), 3, -1)).kernel()
-    tried = 0
     for coords in candidates:
-        tried += 1
         b_prev = space_prev.class_from_coords(coords).representative
         b_top = top_space.is_coboundary(_page3_equation_rhs(s, b_prev))
         if b_top is not None:
             return Page3Status("vanishes", b_prev=b_prev, b_top=b_top)
-    if enumerate_all:
-        certificate = {"kind": "enumeration", "classes_checked": tried, "dim": dim}
-        return Page3Status("nonzero", certificate=certificate)
-    if theta.is_zero() or s.k >= 5:
-        # the one candidate solves the class equation, so it must lift
+    if theta.is_zero() or s.k >= 5 or enumerate_all:
+        # the one candidate solves the class equation, or the enumeration
+        # reached -[m_3], whose lift m_3 + b = 0 has Sq(0) = 0: it must lift
         raise DomainError("page-3 class solve succeeded but the lift failed")
     return Page3Status(
         "undecided",
@@ -157,13 +150,11 @@ def _iterate_coordinate_vectors(field, dim):
         yield {j: c for j, c in enumerate(reversed(digits)) if c}
 
 
-def obstruction_report(s: AInfStructure, ctx: HHContext = None) -> ObstructionReport:
+def obstruction_report(s: AInfStructure, ctx: HHContext) -> ObstructionReport:
     """Pages 1-3 of the obstruction at k, computed once per structure and
     then kept on it; its classes belong to the ``HHContext`` of the first
     call."""
     if s._report is None:
-        if ctx is None:
-            ctx = HHContext(s.algebra)
         cocycle = obstruction_cocycle(s)
         theta = theta_page2(s, ctx)
         page3 = theta_page3_check(s, ctx) if s.k >= 4 else None
@@ -202,7 +193,7 @@ def allowed_depths(k: int):
     return [l for l in range(k, lo - 1, -1)]
 
 
-def extend_once(s: AInfStructure, l: int, ctx: HHContext = None) -> ExtensionResult:
+def extend_once(s: AInfStructure, l: int, ctx: HHContext) -> ExtensionResult:
     """One extension step at depth l in {k, k-1, k-2}; the result agrees
     with s on m_2..m_l and has m_{k+1} = 0."""
     k = s.k

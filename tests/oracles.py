@@ -3,9 +3,9 @@
 They redo each computation the direct way: row reduction is Gauss-Jordan
 elimination that scans every row for each pivot column, where ``rref``
 eliminates forward with sparsest-row pivots and back-substitutes; a solve
-reduces the augmented matrix [m | b] from scratch (``solve_columns_many``
-too, which eliminates forward and back-substitutes the pivot rows of its
-columns); the cohomology basis solves every coboundary in the cocycle basis
+reduces the augmented matrix [m | b] from scratch, where
+``solve_columns_many`` eliminates forward and back-substitutes the pivot
+rows of its columns; the cohomology basis solves every coboundary in the cocycle basis
 separately; sparse accumulation sums with plain Python arithmetic; the
 Gerstenhaber bracket is the brace form f{g} - (-1)^{|f||g|} g{f}, each
 brace built from compositions, where ``bracket`` walks the terms of [f, -]
@@ -114,21 +114,18 @@ def reference_solve(m, b):
 
 def reference_solve_columns(field, columns, rhs):
     """``solve_columns_many`` on the one right-hand side ``rhs`` by full
-    reduced row-echelon form: the augmented matrix, its columns sorted by
-    (nonzeros, index) and the right-hand side last, is reduced by
-    ``reference_rref`` over ``field`` (exactly, also over Q), and the
-    solution is read off the last column.  Returns ``x`` or ``None`` if the
-    system is inconsistent."""
+    reduced row-echelon form: the augmented matrix, its columns in the order
+    given and the right-hand side last, is reduced by ``reference_rref``
+    over ``field`` (exactly, also over Q), and the solution is read off the
+    last column.  Returns ``x`` or ``None`` if the system is inconsistent."""
     cols = list(columns)
     row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + [rhs] for r in col))}
-    order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
-    n = len(order)
-    entries = {(row_id[r], k): c
-               for k, col in enumerate([cols[j] for j in order] + [rhs]) for r, c in col.items()}
+    n = len(cols)
+    entries = {(row_id[r], k): c for k, col in enumerate(cols + [rhs]) for r, c in col.items()}
     _, pivots, rows = reference_rref(SparseMatrix(field, len(row_id), n + 1, entries))
     if pivots and pivots[-1] == n:
         return None
-    return {order[k]: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
+    return {k: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
 
 
 def reference_kernel(m):

@@ -86,14 +86,14 @@ def test_universal_massey_guards(trunc_f2):
     ctx = HHContext(trunc_f2)
     s3 = AInfStructure(trunc_f2, 3)
     with pytest.raises(DomainError):
-        universal_massey(s3)
+        universal_massey(s3, ctx)
     rng = random.Random(8)
     for _ in range(10):
         m3 = random_cochain(rng, trunc_f2, 3, -1, density=2)
         if not hoch_d(m3).is_zero():
             s = AInfStructure(trunc_f2, 4, {3: m3})
             with pytest.raises(ValidationError):
-                universal_massey(s)
+                universal_massey(s, ctx)
             break
 
 

@@ -359,6 +359,20 @@ def test_collapse_check_command(tmp_path):
     assert rep["results"]["e3_vanishes_on_window"] is True
 
 
+def test_collapse_check_without_a_bijective_cup(tmp_path):
+    """Where cup with the Massey class is not bijective on the window, the
+    E3 question is not asked: exit 0, no E3 verdict and no E3 dimensions."""
+    code, rep = run_cli(
+        ["--in", str(FIXTURES / "tower_f2_a5_valid.json"), "collapse-check",
+         "--window", "0:2,0:2"],
+        tmp_path,
+    )
+    assert code == 0
+    assert rep["results"]["cup_bijective_on_window"] is False
+    assert rep["results"]["e3_vanishes_on_window"] is None
+    assert "e3_dims" not in rep["results"]
+
+
 def test_section8_cli_char2(tmp_path):
     code, rep = run_cli(["section8", "--char", "2", "--max-poly-degree", "2"], tmp_path)
     assert code == 0
@@ -383,6 +397,25 @@ def test_obstruct_page3_undecided_over_q(tmp_path):
     assert code == 3
     assert rep["results"]["status"] == "undecided"
     assert "kernel" in rep["results"]["reason"]
+
+
+@pytest.mark.parametrize("command", [["obstruct", "--page", "3"], ["extend", "--to", "6"]],
+                         ids=["obstruct", "extend"])
+def test_page3_nonzero_writes_the_rank_certificate(tmp_path, monkeypatch, command):
+    """A k >= 5 page-3 solve that finds nothing is reported as "nonzero"
+    with exit 2 and a rank certificate.  No fixture reaches that branch, so
+    the solve of the A_5 page-3 fixture is made to find nothing."""
+    import hochcalc.obstruction as obstruction
+
+    monkeypatch.setattr(obstruction, "solve_columns_many",
+                        lambda field, columns, rhss: [None] * len(rhss))
+    code, rep = run_cli(["--in", str(FIXTURES / "tsl_f3_a5_page3.json")] + command, tmp_path)
+    assert code == 2
+    results = rep["results"]
+    assert results["status" if command[0] == "obstruct" else "page3_status"] == "nonzero"
+    cert = results["certificate"]
+    assert cert["kind"] == "rank"
+    assert cert["rank_with_target"] == cert["rank_image"] + 1
 
 
 def test_threads_flag_is_scheduling_independent(tmp_path):

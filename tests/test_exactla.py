@@ -24,7 +24,6 @@ from hochcalc.exactla import (
     _residue,
     field_from_json,
     rref,
-    solve,
     solve_columns_many,
     vec_combine,
 )
@@ -130,39 +129,41 @@ def test_kernel_rank_one():
     Q = Rationals()
     m = from_dense(Q, [[1, 2], [2, 4]])
     (v,) = rref(m).kernel()
-    # proportional to (-2, 1)
-    assert v[1] * (-2) == v[0] * 1 * -2 or True
+    assert v == {0: -2, 1: 1}
     assert m.apply(v) == {}
+
+
+def _solve(m, b):
+    """``m x = b`` by ``solve_columns_many`` on the columns of ``m`` in their
+    natural order."""
+    return solve_columns_many(m.field, [m.column(j) for j in range(m.cols)], [b])[0]
 
 
 def test_solve_identity_and_inconsistent():
     Q = Rationals()
     ident = from_dense(Q, [[1, 0], [0, 1]])
     b = {0: Q.from_int(7)}
-    assert solve(ident, b) == b
+    assert _solve(ident, b) == b
     zero = SparseMatrix(Q, 2, 2)
-    assert solve(zero, b) is None
+    assert _solve(zero, b) is None
 
 
 def test_solve_free_variable_zeroed_f3():
     F = PrimeField(3)
     m = from_dense(F, [[1, 1], [0, 0]])
-    x = solve(m, {0: 2})
+    x = _solve(m, {0: 2})
     assert x == {0: 2}
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5)], ids=repr)
 def test_matrix_and_rhs_scalars_are_normalized(field):
-    """A caller's scalar p + 1 is kept as 1, in a matrix, in its echelon
-    rows and on the right-hand side of a solve; a multiple of p is dropped."""
+    """A caller's scalar p + 1 is kept as 1, in a matrix and in its echelon
+    rows; a multiple of p is dropped."""
     p = field.char
     m = SparseMatrix(field, 1, 2, {(0, 0): 1, (0, 1): p + 1})
     assert m == SparseMatrix(field, 1, 2, {(0, 0): 1, (0, 1): 1})
     assert rref(m).rows == [{0: 1, 1: 1}]
     assert SparseMatrix(field, 1, 1, {(0, 0): p}).entries == {}
-    ident = SparseMatrix(field, 1, 1, {(0, 0): 1})
-    assert solve(ident, {0: p + 1}) == {0: 1}
-    assert solve(ident, {0: p}) == {}
 
 
 def _random_nonzero(rng, field):
@@ -192,7 +193,7 @@ def test_rank_nullity_and_solutions(seed, field):
     # a consistent rhs: image of a random vector
     x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(cols) if rng.random() < 0.5}
     b = m.apply(x0)
-    x = solve(m, b)
+    x = _solve(m, b)
     assert x is not None
     assert m.apply(x) == b
 
@@ -213,7 +214,7 @@ def test_solve_columns_matches_solve(seed, field):
     b2 = dict(b)
     fresh = SparseMatrix(field, rows + 1, cols, {(i, j): c for (i, j), c in m.entries.items()})
     b2[rows] = field.one()
-    assert solve(fresh, b2) is None
+    assert reference_solve(fresh, b2) is None
     assert solve_columns_many(field, [fresh.column(j) for j in range(cols)], [b2]) == [None]
 
 
@@ -231,19 +232,9 @@ def test_solve_in_a_basis():
     matrix whose columns are the basis vectors."""
     Q = Rationals()
     basis = [{0: Q.one(), 1: Q.one()}, {1: Q.one()}]
-    m = SparseMatrix.from_columns(Q, basis, 2)
-    assert solve(m, {0: Q.from_int(2), 1: Q.from_int(5)}) == {0: Q.from_int(2), 1: Q.from_int(3)}
-    assert solve(SparseMatrix.from_columns(Q, [basis[1]], 2), {0: Q.one()}) is None
-
-
-def test_solve_rejects_rhs_out_of_range():
-    Q = Rationals()
-    # past the end, negative, and past the zero rows of a rank-1 matrix
-    for dense, row in ([[1, 0]], 1), ([[1, 0]], -1), ([[1, 1], [2, 2], [0, 0]], 3):
-        m = from_dense(Q, dense)
-        assert solve(m, {len(dense) - 1: Q.zero()}) == {}
-        with pytest.raises(ConfigurationError):
-            solve(m, {row: Q.one()})
+    want = {0: Q.from_int(2), 1: Q.from_int(3)}
+    assert solve_columns_many(Q, basis, [{0: Q.from_int(2), 1: Q.from_int(5)}]) == [want]
+    assert solve_columns_many(Q, [basis[1]], [{0: Q.one()}]) == [None]
 
 
 def _index_cases(field):
@@ -266,7 +257,7 @@ def _index_cases(field):
 def test_factorization_matches_reference(field):
     """The forward elimination with back substitution returns the rank, the
     pivots and the pivot rows of the Gauss-Jordan ``reference_rref``, and the
-    kernel read off it.  ``solve`` answers several right-hand sides,
+    kernel read off it.  ``solve_columns_many`` answers several right-hand sides,
     consistent and inconsistent, exactly as a Gauss-Jordan reduction of
     [m | b] does."""
     rng = random.Random(f"echelon/{field!r}")
@@ -286,7 +277,7 @@ def test_factorization_matches_reference(field):
         for _ in range(4):
             b = _random_rhs(rng, m)
             want = reference_solve(m, b)
-            assert solve(m, b) == want
+            assert _solve(m, b) == want
             if want is None:
                 inconsistent += 1
             else:
@@ -324,7 +315,7 @@ def test_rref_invariant_under_row_permutations(field):
         assert ech.kernel() == pech.kernel()
         for _ in range(3):
             b = _random_rhs(rng, m)
-            assert solve(m, b) == solve(pm, {perm[i]: c for i, c in b.items()})
+            assert _solve(m, b) == _solve(pm, {perm[i]: c for i, c in b.items()})
 
 
 def _witness_system(rng, field):
@@ -357,29 +348,29 @@ def _witness_system(rng, field):
 @pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=repr)
 def test_solve_columns_matches_reference_rref(field):
     """The forward elimination with sparsest-row pivots and back
-    substitution returns the same ``x`` as full RREF of the sorted
-    augmented matrix, in ``reference_rref`` and in ``solve``.  It differs from
-    ``solve(m, b)`` on the unsorted matrix by the kernel vector that its
-    free coordinates fix."""
+    substitution returns the same ``x`` as full RREF of the augmented
+    matrix, its columns in the order given, in ``reference_rref``.  With the
+    columns sorted by (nonzeros, index), as the witness search passes them,
+    ``x`` moves by the kernel vector that its free coordinates fix."""
     rng = random.Random(f"forward/{field!r}")
     one, zero = field.one(), field.zero()
     found = inconsistent = 0
     for _ in range(200):
         rows, columns, b = _witness_system(rng, field)
-        (got,) = solve_columns_many(field, columns, [b])
-        assert got == reference_solve_columns(field, columns, b)
-        order = sorted(range(len(columns)), key=lambda j: (len(columns[j]), j))
-        want = solve(SparseMatrix.from_columns(field, [columns[j] for j in order], rows), b)
         m = SparseMatrix.from_columns(field, columns, rows)
-        ech = rref(m)
-        plain = solve(m, b)
-        assert (want is None) == (got is None) == (plain is None)
+        (got,) = solve_columns_many(field, columns, [b])
+        assert got == reference_solve_columns(field, columns, b) == reference_solve(m, b)
+        order = sorted(range(len(columns)), key=lambda j: (len(columns[j]), j))
+        (moved,) = solve_columns_many(field, [columns[j] for j in order], [b])
+        assert (moved is None) == (got is None)
         if got is None:
             inconsistent += 1
             continue
         found += 1
-        assert got == {order[k]: c for k, c in want.items()}
-        diff = vec_combine(field, [(one, got), (field.neg(one), plain)])
+        moved = {order[k]: c for k, c in moved.items()}
+        assert m.apply(moved) == m.apply(got)
+        ech = rref(m)
+        diff = vec_combine(field, [(one, moved), (field.neg(one), got)])
         free = [j for j in range(m.cols) if j not in ech.pivots]
         assert diff == vec_combine(field, [(diff.get(j, zero), v) for j, v in zip(free, ech.kernel())])
     assert found > 50 and inconsistent > 30
@@ -705,8 +696,8 @@ def test_solve_columns_over_q_agrees_with_exact_elimination():
         # keys that are not integers, as in the witness search
         columns = [{("r", i): c for i, c in m.column(j).items()} for j in range(m.cols)]
         (x,) = solve_columns_many(m.field, columns, [{("r", i): c for i, c in b.items()}])
-        want = solve(m, b)
-        assert (x is None) == (want is None)
+        want = reference_solve(m, b)
+        assert x == want
         if x is None:
             missing += 1
             continue

@@ -6,7 +6,7 @@ import pytest
 from hochcalc.ainf import AInfStructure, is_valid, perturb, stasheff_residual
 from hochcalc.cochain import bracket, brace, cochain_from_coords, hoch_d
 from hochcalc.cohomology import HHContext, induced_sq
-from hochcalc.errors import ConfigurationError, UnsupportedDepthError
+from hochcalc.errors import ConfigurationError, DomainError, UnsupportedDepthError
 from hochcalc.exactla import vec_combine
 from hochcalc.identities import random_cochain
 from hochcalc.obstruction import (
@@ -97,15 +97,16 @@ def test_allowed_depths_bounds():
 
 
 def test_extend_once_depth_guard(tower_f2):
+    ctx = HHContext(tower_f2)
     s = AInfStructure(tower_f2, 4)
     with pytest.raises(UnsupportedDepthError, match="obstruction-theory range"):
-        extend_once(s, 2)  # below the theory bound (k + 2) // 2 = 3 for k = 4
+        extend_once(s, 2, ctx)  # below the theory bound (k + 2) // 2 = 3 for k = 4
     s6 = AInfStructure(tower_f2, 6)
     with pytest.raises(UnsupportedDepthError, match="obstruction-theory range"):
-        extend_once(s6, 3)  # below the theory bound 4 = k - 2 for k = 6
+        extend_once(s6, 3, ctx)  # below the theory bound 4 = k - 2 for k = 6
     s7 = AInfStructure(tower_f2, 7)
     with pytest.raises(UnsupportedDepthError, match="below the implemented range"):
-        extend_once(s7, 4)  # within the theory bound 4, below k - 2 = 5
+        extend_once(s7, 4, ctx)  # within the theory bound 4, below k - 2 = 5
 
 
 def test_extend_once_depth_k_needs_vanishing_cochain(tower_f2):
@@ -176,15 +177,16 @@ def _corrupt_coboundary_solves(monkeypatch, rng):
     its answer with one coordinate moved by 1."""
     import hochcalc.cohomology as cohomology
 
-    real = cohomology.solve
+    real = cohomology.solve_columns_many
 
-    def corrupted(m, b):
-        y = real(m, b)
-        if y is None or not m.cols:
-            return y
-        return m.field.add_into(dict(y), [(rng.randrange(m.cols), m.field.one())])
+    def corrupted(field, columns, rhss):
+        ys = real(field, columns, rhss)
+        if not columns:
+            return ys
+        moved = [(rng.randrange(len(columns)), field.one())]
+        return [y if y is None else field.add_into(dict(y), moved) for y in ys]
 
-    monkeypatch.setattr(cohomology, "solve", corrupted)
+    monkeypatch.setattr(cohomology, "solve_columns_many", corrupted)
 
 
 @pytest.mark.parametrize("code, theta_zero", [(0b1, True), (0b101, False)])
@@ -199,6 +201,20 @@ def test_page3_vanishes_rechecks_a_corrupted_witness(trunc_f2, monkeypatch, code
     assert theta_page3_check(s, ctx).kind == "vanishes"
     _corrupt_coboundary_solves(monkeypatch, random.Random(code))
     with pytest.raises(ConfigurationError):
+        theta_page3_check(s, ctx)
+
+
+def test_page3_enumeration_that_lifts_nothing_is_an_internal_error(trunc_f2, monkeypatch):
+    """The k = 4 enumeration over F_p reaches -[m_3], which always lifts, so
+    an enumeration that lifts no class raises instead of reporting
+    "nonzero"."""
+    from hochcalc.cohomology import HHSpace
+
+    ctx = HHContext(trunc_f2)
+    s = AInfStructure(trunc_f2, 4, {3: cocycle_from_code(ctx.space(3, -1), 0b101)})
+    assert not theta_page2(s, ctx).is_zero()
+    monkeypatch.setattr(HHSpace, "is_coboundary", lambda space, z: None)
+    with pytest.raises(DomainError, match="lift failed"):
         theta_page3_check(s, ctx)
 
 
@@ -350,8 +366,9 @@ def test_k5_page3_rank_certificate(tower_f2, trunc_f3, monkeypatch):
     s = perturb(s5, 4, ctx.space(4, -2).hh_reps[1])
     assert is_valid(s) == [] and not theta_page2(s, ctx).is_zero()
     solves = []
-    real = obstruction.solve
-    monkeypatch.setattr(obstruction, "solve", lambda m, b: solves.append(b) or real(m, b))
+    real = obstruction.solve_columns_many
+    monkeypatch.setattr(obstruction, "solve_columns_many",
+                        lambda field, cols, rhss: solves.append(rhss) or real(field, cols, rhss))
     assert theta_page3_check(s, ctx).kind == "vanishes"
     assert len(solves) == 1
     out = extend_once(s, 3, ctx)
@@ -411,7 +428,7 @@ def test_extend_to_runs_page3_once_per_structure(trunc_f2, monkeypatch):
     for code in range(1, 2**sp.dim):
         seen = []
 
-        def spy(s, ctx=None):
+        def spy(s, ctx):
             seen.append(s)
             return real(s, ctx)
 
