@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import ConfigurationError, InputError
@@ -138,8 +139,11 @@ class Field:
     def __eq__(self, other):
         return type(self) is type(other) and self.char == getattr(other, "char", None)
 
+    # computed once: the cache of laurent._expansion hashes its field per lookup
+    _hash = cached_property(lambda self: hash((type(self).__name__, self.char)))
+
     def __hash__(self):
-        return hash((type(self).__name__, self.char))
+        return self._hash
 
 
 class Rationals(Field):

@@ -283,49 +283,12 @@ class PolyCochain(LinearCochain):
         """Add [m2, f] into ``acc``, flat coordinates ``{(key, exponents): c}``
         in arity + 1 parameters, for the cochain f of that shape whose table
         entries are ``entries``, with the signs of the finite case (see
-        :mod:`hochcalc.cochain`).  m2 is constant, so an m2 o_j f term moves
-        the exponents of an entry, and an f o_i m2 term replaces s_i by
-        s_i + s_{i+1} + k0."""
+        :mod:`hochcalc.cochain`): the pairs of every term of an entry, read
+        off the move list of its key (:func:`_d_moves`)."""
         field = alg.field
-        mul, add_into = field.mul, field.add_into
-        R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
-        odd_f = end_degree % 2 == 1
-        by_first, by_second, by_product = _m2_lookups(alg)
-        for (rf, bf, of), terms in entries:
-            const = _exponent_num(alg, arity, end_degree, bf, of) // w
-            r_out = (sum(rf) + const) % R
-            pairs = []
-            hits = by_first.get((of, r_out))
-            if hits:
-                moved = [(e + (0,), x) for e, x in terms.items()]
-                for r2, b2, o, c in hits:
-                    key = (rf + (r2,), bf + (b2,), o)
-                    pairs += [((key, e), mul(c, x)) for e, x in moved]
-            hits = by_second.get((of, r_out))
-            if hits:
-                moved = [((0,) + e, x) for e, x in terms.items()]
-                for r1, b1, o, c, signed in hits:
-                    key, c = ((r1,) + rf, (b1,) + bf, o), signed if odd_f else c
-                    pairs += [((key, e), mul(c, x)) for e, x in moved]
-            negate = not odd_f
-            for i in range(arity):
-                hits = by_product.get((bf[i], rf[i]))
-                if hits:
-                    # the substituted entry, signed and scaled, once per (k0, factor)
-                    substituted: dict = {}
-                    for r1, r2, b1, b2, c, minus_c, k0 in hits:
-                        c = minus_c if negate else c
-                        subs = substituted.get((k0, c))
-                        if subs is None:
-                            subs = substituted[k0, c] = [
-                                (e[:i] + a + e[i + 1:], mul(mul(c, m), x))
-                                for e, x in terms.items()
-                                for a, m in _expansion(field, e[i], k0, 2)
-                            ]
-                        key = (rf[:i] + (r1, r2) + rf[i + 1:], bf[:i] + (b1, b2) + bf[i + 1:], of)
-                        pairs += [((key, e), x) for e, x in subs]
-                negate ^= (degrees[bf[i]] + rf[i] * w) % 2 == 0
-            add_into(acc, pairs)
+        for key, terms in entries:
+            field.add_into(acc, _d_pairs(field, _d_moves(alg, arity, end_degree, key),
+                                         list(terms.items())))
         return acc
 
     def compose_at(self, g: "PolyCochain", i: int) -> "PolyCochain":
@@ -382,6 +345,46 @@ def _exponent_num(alg: TwistedLaurent, arity: int, end_degree: int, bas, out) ->
     return sum(degrees[b] for b in bas) - degrees[out] + arity + end_degree - 1
 
 
+def _d_moves(alg: TwistedLaurent, arity: int, end_degree: int, key):
+    """The move list of [m2, -] on an entry of a cochain of that shape at
+    ``key``: ``(ends, starts, slots)``.  m2 is constant, so an m2 o_j f
+    target ``(key, c)`` of ``ends`` (j = 1) or ``starts`` (j = 2) appends or
+    prepends a zero exponent, and an f o_i m2 target ``(key, c, k0)`` of
+    ``slots``, listed per slot as ``(i, targets, their k0s)``, replaces s_i
+    by s_i + s_{i+1} + k0; each c is signed."""
+    rf, bf, of = key
+    R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
+    odd_f = end_degree % 2 == 1
+    by_first, by_second, by_product = _m2_lookups(alg)
+    r_out = (sum(rf) + _exponent_num(alg, arity, end_degree, bf, of) // w) % R
+    ends = [((rf + (r2,), bf + (b2,), o), c) for r2, b2, o, c in by_first.get((of, r_out), ())]
+    starts = [(((r1,) + rf, (b1,) + bf, o), signed if odd_f else c)
+              for r1, b1, o, c, signed in by_second.get((of, r_out), ())]
+    slots, negate = [], not odd_f
+    for i in range(arity):
+        targets = [((rf[:i] + (r1, r2) + rf[i + 1:], bf[:i] + (b1, b2) + bf[i + 1:], of),
+                    minus_c if negate else c, k0)
+                   for r1, r2, b1, b2, c, minus_c, k0 in by_product.get((bf[i], rf[i]), ())]
+        slots.append((i, targets, {k0 for _, _, k0 in targets}))
+        negate ^= (degrees[bf[i]] + rf[i] * w) % 2 == 0
+    return ends, starts, slots
+
+
+def _d_pairs(field: Field, moves, terms) -> list:
+    """The pairs ``((key, exponents), c)`` of [m2, f] on one entry of f, its
+    ``terms`` a list of ``(exponents, c)``, read off the entry's ``moves``
+    (:func:`_d_moves`).  Each expansion is fetched once per (exponent, k0)."""
+    mul = field.mul
+    ends, starts, slots = moves
+    pairs = [((key, e + (0,)), mul(c, x)) for key, c in ends for e, x in terms]
+    pairs += [((key, (0,) + e), mul(c, x)) for key, c in starts for e, x in terms]
+    for i, targets, k0s in slots:
+        expanded = {k0: [(e[:i] + a + e[i + 1:], mul(m, x)) for e, x in terms
+                         for a, m in _expansion(field, e[i], k0, 2)] for k0 in k0s}
+        pairs += [((key, e), mul(c, x)) for key, c, k0 in targets for e, x in expanded[k0]]
+    return pairs
+
+
 def _m2_lookups(alg: TwistedLaurent):
     """The entries ``((r1, r2), (b1, b2), o) -> c`` of the constant m2 by
     first factor, ``(b1, r1) -> [(r2, b2, o, c)]``, by second factor,
@@ -414,7 +417,7 @@ def _expansion(field: Field, e: int, k0: int, q: int):
     multinomial e! / (a_1! ... a_q! k!) k0^k with k = e - sum(a), mapped
     into the field, zeros dropped.  Entries are reduced, so e < p over F_p,
     and every a_j <= e: the expansion needs no s^p = s reduction.  The one
-    expansion of :meth:`Poly.subst_affine` and :meth:`PolyCochain.d_walk`."""
+    expansion of :meth:`Poly.subst_affine` and :func:`_d_pairs`."""
     terms = []
     for a in _monomials(q, e, 0):
         k = e - sum(a)
@@ -549,6 +552,18 @@ def _coordinates(z: PolyCochain) -> dict:
     return {(ckey, exps): c for ckey, terms in z.table.items() for exps, c in terms.items()}
 
 
+def _witness_columns(alg: TwistedLaurent, arity: int, end_degree: int, key, monos, rows: dict):
+    """The coboundary column of the unknown at ``key`` with each monomial of
+    ``monos`` and coefficient 1, all read off one move list: a dict from row
+    to coefficient, where ``rows`` maps each (key, exponents) to its row and
+    gives a new one the next."""
+    field, one = alg.field, alg.field.one()
+    moves = _d_moves(alg, arity, end_degree, key)
+    return [field.add_into({}, [(rows.setdefault(k, len(rows)), c)
+                                for k, c in _d_pairs(field, moves, [(mono, one)])])
+            for mono in monos]
+
+
 def find_witness(lhs: PolyCochain, rhs: PolyCochain, d_search: int):
     """Exact b with lhs - rhs = hoch_d(b), searched inside the residue-split
     class with polynomial total degree <= d_search.
@@ -589,22 +604,20 @@ def find_witnesses(pairs, d_search: int):
         field = alg.field
         arity_b, deg_b = arity - 1, end_degree + 1
         wvecs = _weight_vectors(alg)
-        tcoords = [_coordinates(z) for _, z in group]
-        weights = [{_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
+        # one row per (key, exponents), for the targets and every column
+        rows: dict = {}
+        tcoords = [{rows.setdefault(k, len(rows)): c for k, c in _coordinates(z).items()}
+                   for _, z in group]
+        weights = [{_key_weight(wvecs, ckey) for ckey in z.table} for _, z in group]
         columns, unknowns = [], []
         monos = _monomials(arity_b, d_search, field.char)
-        shared = {}
         for key in _witness_basis_keys(alg, arity_b, deg_b):
             weight = _key_weight(wvecs, key)
-            if not any(weight in ws for ws in weights):
-                continue
-            for mono in monos:
-                col = PolyCochain.d_walk(alg, arity_b, deg_b, ((key, {mono: field.one()}),), {})
-                if col:
-                    # equal keys of different columns are kept as one object,
-                    # which keeps the peak RSS of a large search down
-                    columns.append({shared.setdefault(k, k): c for k, c in col.items()})
-                    unknowns.append((key, mono, weight))
+            if any(weight in ws for ws in weights):
+                for mono, col in zip(monos, _witness_columns(alg, arity_b, deg_b, key, monos, rows)):
+                    if col:
+                        columns.append(col)
+                        unknowns.append((key, mono, weight))
         order = sorted(range(len(columns)), key=lambda j: (len(columns[j]), j))
         columns, unknowns = [columns[j] for j in order], [unknowns[j] for j in order]
         for (t, z), ws, x in zip(group, weights, solve_columns_many(field, columns, tcoords)):

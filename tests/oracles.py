@@ -16,7 +16,10 @@ a full cocycle solves for a normalized cocycle homologous to it, where
 ``HHContext.class_of`` carries the full class through a comparison matrix;
 the affine substitution into a polynomial multiplies out the powers of the
 affine form, where ``Poly.subst_affine`` reads a cached multinomial table;
-and the field Q keeps every scalar a ``Fraction``.
+the witness search builds each coboundary column by its own walk of one
+entry of one monomial, keyed by (key, exponents), where ``find_witnesses``
+reads each key's move list once into integer rows; and the field Q keeps
+every scalar a ``Fraction``.
 
 It also keeps small helpers that only the tests use: the dimension of one
 HH space, the associativity predicate of the origin cell of page 2, the
@@ -28,11 +31,19 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
 
-from hochcalc.cochain import Cochain, brace, cochain_from_coords, coords_of_cochain
+from hochcalc.cochain import Cochain, brace, cochain_from_coords, coords_of_cochain, hoch_d
 from hochcalc.cohomology import CohomClass, hh_space
 from hochcalc.errors import DomainError
-from hochcalc.exactla import Rationals, SparseMatrix
-from hochcalc.laurent import Poly
+from hochcalc.exactla import Rationals, SparseMatrix, solve_columns_many
+from hochcalc.laurent import (
+    Poly,
+    PolyCochain,
+    _coordinates,
+    _key_weight,
+    _monomials,
+    _weight_vectors,
+    _witness_basis_keys,
+)
 
 RREF = namedtuple("RREF", "rank pivots rows")
 
@@ -295,6 +306,51 @@ def reference_subst_affine(poly, i, q, k0):
             for pe, pc in powers[exps[i]].terms.items()
         ), c)
     return Poly(field, nvars, acc)
+
+
+def reference_find_witnesses(pairs, d_search):
+    """``find_witnesses(pairs, d_search)`` with one single-term
+    ``PolyCochain.d_walk`` per (key, monomial) column, whose rows are the
+    (key, exponents) tuples themselves."""
+    out = [None] * len(pairs)
+    groups = {}
+    for t, (lhs, rhs) in enumerate(pairs):
+        z = lhs - rhs
+        if z.is_zero():
+            out[t] = z.zero_like(z.arity - 1, z.end_degree + 1), {"unknowns": 0}
+        elif not z.arity:
+            out[t] = None, {"unknowns": 0}
+        else:
+            groups.setdefault((z.algebra, z.arity, z.end_degree), []).append((t, z))
+    for (alg, arity, end_degree), group in groups.items():
+        field = alg.field
+        arity_b, deg_b = arity - 1, end_degree + 1
+        wvecs = _weight_vectors(alg)
+        tcoords = [_coordinates(z) for _, z in group]
+        weights = [{_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
+        columns, unknowns = [], []
+        for key in _witness_basis_keys(alg, arity_b, deg_b):
+            weight = _key_weight(wvecs, key)
+            if not any(weight in ws for ws in weights):
+                continue
+            for mono in _monomials(arity_b, d_search, field.char):
+                col = PolyCochain.d_walk(alg, arity_b, deg_b, ((key, {mono: field.one()}),), {})
+                if col:
+                    columns.append(col)
+                    unknowns.append((key, mono, weight))
+        order = sorted(range(len(columns)), key=lambda j: (len(columns[j]), j))
+        columns, unknowns = [columns[j] for j in order], [unknowns[j] for j in order]
+        for (t, z), ws, x in zip(group, weights, solve_columns_many(field, columns, tcoords)):
+            witness = None
+            if x is not None:
+                table = {}
+                for j, c in x.items():
+                    table.setdefault(unknowns[j][0], {})[unknowns[j][1]] = c
+                witness = PolyCochain(alg, arity_b, deg_b, table)
+                if not (hoch_d(witness) - z).is_zero():
+                    raise DomainError("witness verification failed")
+            out[t] = witness, {"unknowns": sum(u[2] in ws for u in unknowns), "generators": 0}
+    return out
 
 
 def hh_dim(a, p, q, normalized=True):

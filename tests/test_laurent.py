@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -27,7 +28,7 @@ from hochcalc.laurent import (
     skew_derivation_cochain,
 )
 from hochcalc import identities as idn
-from oracles import reference_bracket_hoch_d, reference_subst_affine
+from oracles import reference_bracket_hoch_d, reference_find_witnesses, reference_subst_affine
 from test_cochain import check_operands_unchanged
 
 
@@ -416,28 +417,88 @@ def test_section8_char2_report():
     assert digest == "8b05aa6deb2639720c1c4a4e830201b74463fec99c24a783f3637f840b6efe2c"
 
 
+def _row_keys(rows):
+    return {r: k for k, r in rows.items()}
+
+
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=repr)
 def test_witness_columns_match_bracket_form(monkeypatch, field):
     """Every coboundary column that the section8 searches build (d_search
-    2), a walk of one entry of one monomial with coefficient 1, is the
-    coordinate dict of the brace form [m2, b] of its unknown b."""
+    2), one per unknown key and monomial with coefficient 1, is, read back
+    through its integer rows, the coordinate dict of the brace form [m2, b]
+    of its unknown b."""
     columns = []
-    real = PolyCochain.d_walk
+    real = laurent._witness_columns
 
-    def keep(alg, arity, end_degree, entries, acc):
-        entries, fresh = list(entries), not acc
-        out = real(alg, arity, end_degree, entries, acc)
-        if fresh and len(entries) == 1:
-            ((key, terms),) = entries
-            if list(terms.values()) == [field.one()]:
-                columns.append((PolyCochain(alg, arity, end_degree, {key: dict(terms)}), dict(out)))
-        return out
+    def keep(alg, arity, end_degree, key, monos, rows):
+        cols = real(alg, arity, end_degree, key, monos, rows)
+        columns.extend((PolyCochain(alg, arity, end_degree, {key: {mono: field.one()}}), col, rows)
+                       for mono, col in zip(monos, cols))
+        return cols
 
-    monkeypatch.setattr(PolyCochain, "d_walk", staticmethod(keep))
+    monkeypatch.setattr(laurent, "_witness_columns", keep)
     section8_report(field.char, 2)
     assert len(columns) > 1000
-    for b, col in columns:
-        assert col == _coordinates(reference_bracket_hoch_d(b))
+    backs = {}  # one search's columns share its rows, which the spy keeps alive
+    for b, col, rows in columns:
+        if id(rows) not in backs:
+            backs[id(rows)] = _row_keys(rows)
+        back = backs[id(rows)]
+        assert {back[r]: c for r, c in col.items()} == _coordinates(reference_bracket_hoch_d(b))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=repr)
+def test_witness_columns_match_single_term_walks(field):
+    """The per-key columns, at arities 0-3, map degrees of both parities and
+    d_search 0-3, are the single-term ``d_walk`` outputs of their unknowns,
+    row for row, and give each distinct (key, exponents) one row."""
+    alg = sign_twisted_laurent(field)
+    one = field.one()
+    for arity, end_degree, d_search in iproduct(range(4), (-1, 0), range(4)):
+        monos, rows = _monomials(arity, d_search, field.char), {}
+        built = [(key, laurent._witness_columns(alg, arity, end_degree, key, monos, rows))
+                 for key in _witness_basis_keys(alg, arity, end_degree)]
+        back = _row_keys(rows)
+        assert len(back) == len(rows)
+        for key, cols in built:
+            assert len(cols) == len(monos)
+            for mono, col in zip(monos, cols):
+                walk = PolyCochain.d_walk(alg, arity, end_degree, ((key, {mono: one}),), {})
+                assert {back[r]: c for r, c in col.items()} == walk
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_find_witnesses_matches_per_column_search(monkeypatch, char):
+    """Every batch of the section8 report (d_search 2) gets the witnesses and
+    stats of the per-column search of ``reference_find_witnesses``."""
+    batches = []
+    real = laurent.find_witnesses
+
+    def keep(pairs, d_search):
+        pairs = list(pairs)
+        found = real(pairs, d_search)
+        batches.append((pairs, d_search, found))
+        return found
+
+    monkeypatch.setattr(laurent, "find_witnesses", keep)
+    section8_report(char, 2)
+    assert len(batches) >= 2
+    for pairs, d_search, found in batches:
+        assert found == reference_find_witnesses(pairs, d_search)
+
+
+def test_equal_fields_share_expansions():
+    """Equal fields hash equal, with a hash computed once, and read one
+    ``_expansion`` entry."""
+    for make in (Rationals, lambda: PrimeField(5)):
+        f, g = make(), make()
+        assert f == g and f is not g and hash(f) == hash(g) == hash(f)
+        assert "_hash" in vars(f)
+        laurent._expansion(f, 3, 1, 2)
+        hits = laurent._expansion.cache_info().hits
+        assert laurent._expansion(g, 3, 1, 2) is laurent._expansion(f, 3, 1, 2)
+        assert laurent._expansion.cache_info().hits == hits + 2
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(3)], ids=repr)
