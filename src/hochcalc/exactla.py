@@ -30,6 +30,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt
 
 from .errors import ConfigurationError, InputError
@@ -568,7 +569,10 @@ def solve_columns_many(field: Field, columns, rhss):
     solution whose free variables, in that column order, are all zero: a
     caller that wants sparse solutions passes its sparse columns first.  It
     depends neither on the pivot rows chosen, nor on the row keys (which
-    need only be hashable), nor on the other right-hand sides.
+    need only be hashable), nor on the other right-hand sides.  Each
+    elimination loads its own row dicts (:func:`_load_rows`), and the index
+    from row key to row lives only while they are loaded: nothing keyed by
+    the caller's rows survives into elimination.
 
     Over Q the elimination runs modulo ``MODULUS`` first, and a lift of each
     solution by rational reconstruction is kept if it passes the exact
@@ -580,15 +584,10 @@ def solve_columns_many(field: Field, columns, rhss):
     column, which takes a minor divisible by ``MODULUS``.
     """
     cols, rhss = list(columns), list(rhss)
-    # integer row ids, first seen over the columns from last to first: pivot
-    # ties go to rows of later columns, which on section8's witness searches
-    # (columns sorted by nonzeros) takes 5-10 % fewer field operations
-    seen = (r for col in cols[::-1] + rhss for r in col)
-    row_id = {r: n for n, r in enumerate(dict.fromkeys(seen))}
     xs = [None] * len(rhss)
     if field.char == 0:
         try:
-            xs = _solve_reduced(PrimeField(MODULUS), cols, rhss, row_id, _residue)
+            xs = _solve_reduced(PrimeField(MODULUS), cols, rhss, _residue)
         except ZeroDivisionError:
             pass
         xs = [None if x is None else {j: _rational_lift(v) for j, v in x.items()} for x in xs]
@@ -596,19 +595,19 @@ def solve_columns_many(field: Field, columns, rhss):
               else None for x, b in zip(xs, rhss)]
     todo = [k for k, x in enumerate(xs) if x is None]
     if todo:
-        for k, x in zip(todo, _solve_reduced(field, cols, [rhss[k] for k in todo], row_id)):
+        for k, x in zip(todo, _solve_reduced(field, cols, [rhss[k] for k in todo])):
             if x is not None and not _satisfies(field, cols, rhss[k], x):
                 raise ConfigurationError("solve_columns_many: solution failed its exact check")
             xs[k] = x
     return xs
 
 
-def _solve_reduced(field: Field, cols, rhss, row_id, load=None):
+def _solve_reduced(field: Field, cols, rhss, load=None):
     """Eliminate ``[cols[0] ... cols[-1] | rhss[0] ...]`` over ``field``
     once: per right-hand side, a sparse dict over the column indices, or
-    ``None`` if it is inconsistent over ``field``.
-    ``row_id`` maps each row key to its index in ``range(len(row_id))``;
-    ``load`` maps each scalar into ``field``.
+    ``None`` if it is inconsistent over ``field``.  ``load`` maps each
+    scalar into ``field``.  The row dicts come from :func:`_load_rows`, and
+    no index from the caller's row keys is alive during elimination.
 
     Right-hand side ``k`` is consistent iff its column ``n + k`` is no pivot
     and no pivot row of an earlier right-hand side has an entry there.  The
@@ -617,13 +616,7 @@ def _solve_reduced(field: Field, cols, rhss, row_id, load=None):
     :func:`_back_substitute`; each consistent solution is then read off
     them, the one it has alone."""
     n = len(cols)
-    rows = [{} for _ in row_id]
-    for k, col in enumerate(cols + rhss):
-        for r, c in col.items():
-            if load is not None:
-                c = load(c)
-            if not field.is_zero(c):
-                rows[row_id[r]][k] = c
+    rows = _load_rows(cols, rhss, load)
     pivots = _reduce(field, rows, n + len(rhss))
     rank = sum(1 for k in pivots if k < n)
     pivots = pivots[:rank]
@@ -637,6 +630,32 @@ def _solve_reduced(field: Field, cols, rhss, row_id, load=None):
         else:
             out.append({k: row[col] for k, row in zip(pivots, top) if col in row})
     return out
+
+
+def _load_rows(cols, rhss, load):
+    """The rows of ``[cols | rhss]``, in one pass, as dicts from column
+    index to nonzero scalar (each mapped by ``load`` unless it is None).
+
+    Rows are numbered as first seen over the columns from last to first,
+    then over the right-hand sides.  The numbering only breaks pivot ties,
+    which then go to rows of later columns; on section8's witness searches
+    (columns sorted by nonzeros) that takes 5-10 % fewer field operations.
+    The index from row key to row dies on return.  The caller's scalars and
+    those ``load`` gives are normalized, so a zero is dropped by its truth."""
+    n = len(cols)
+    ids: dict = {}
+    rows = []
+    for k, col in chain(zip(range(n - 1, -1, -1), reversed(cols)), enumerate(rhss, n)):
+        for r, c in col.items():
+            i = ids.get(r)
+            if i is None:
+                i = ids[r] = len(rows)
+                rows.append({})
+            if load is not None:
+                c = load(c)
+            if c:
+                rows[i][k] = c
+    return rows
 
 
 def _satisfies(field: Field, cols, rhs: dict, x: dict) -> bool:

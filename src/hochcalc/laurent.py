@@ -618,6 +618,7 @@ def find_witnesses(pairs, d_search: int):
                     if col:
                         columns.append(col)
                         unknowns.append((key, mono, weight))
+        del rows  # solve_columns_many numbers its own rows: free this index first
         order = sorted(range(len(columns)), key=lambda j: (len(columns[j]), j))
         columns, unknowns = [columns[j] for j in order], [unknowns[j] for j in order]
         for (t, z), ws, x in zip(group, weights, solve_columns_many(field, columns, tcoords)):
