@@ -80,12 +80,6 @@ class GradedAlgebra:
     def degree_span(self):
         return min(self.degrees), max(self.degrees)
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         return f"GradedAlgebra({self.names}, dim={self.dim}, field={self.field!r})"
 

@@ -330,7 +330,7 @@ def parse_window(text):
 
 def cmd_e_page(docobj, args, report):
     from .cohomology import HHContext
-    from .spectral import d1_matrix, d2_map, page_report, render_grid
+    from .spectral import QuadraticMap, d1_matrix, d2_map, page_report, render_grid
 
     window = parse_window(args.window)
     ctx = HHContext(docobj.algebra)
@@ -360,7 +360,7 @@ def cmd_e_page(docobj, args, report):
                         rank = ctx.column(-t, normalized=False).echelon(s + 2).rank
                     elif args.page == 2:
                         m = d2_map(ctx, phi, s, t)
-                        if not hasattr(m, "entries"):
+                        if isinstance(m, QuadraticMap):
                             diffs[f"{s},{t}"] = {"kind": "quadratic"}
                             continue
                         rank = rref(m).rank

@@ -51,18 +51,20 @@ class CochainComplex:
             a = self.algebra
             one, d = a.field.one(), 1 - p - self.q
             basis, (_, index) = self.basis(p)[0], self.basis(p + 1)
-            entries = {}
-            for j, (t, k) in enumerate(basis):
+            columns = []
+            for t, k in basis:
+                column = {}
                 for pair, c in Cochain.d_walk(a, p, d, ((t, {k: one}),), {}).items():
                     i = index.get(pair)
                     if i is None:
                         raise DomainError(
                             f"cochain entry {pair} outside the enumerated basis", witness=pair
                         )
-                    entries[i, j] = c
+                    column[i] = c
+                columns.append(column)
             # every entry is in range and nonzero already
-            m = self._ds[p] = SparseMatrix(a.field, len(index), len(basis))
-            m.entries = entries
+            m = self._ds[p] = SparseMatrix(a.field, len(index))
+            m.columns = columns
         return self._ds[p]
 
     def echelon(self, p: int) -> Echelon:
@@ -112,11 +114,7 @@ class HHSpace:
         self.d_out = column.d(p)
         self.cocycles = column.echelon(p).kernel()
         self._d_in_echelon = column.echelon(p - 1)
-        pivot_columns = {j: {} for j in self._d_in_echelon.pivots}
-        for (i, j), c in self.d_in.entries.items():
-            if j in pivot_columns:
-                pivot_columns[j][i] = c
-        self.coboundaries = list(pivot_columns.values())
+        self.coboundaries = [self.d_in.columns[j] for j in self._d_in_echelon.pivots]
         self._slot = {max(v): j for j, v in enumerate(self.cocycles)}
         self._cob_coords = [self._cocycle_coords(b) for b in self.coboundaries]
         if None in self._cob_coords:
@@ -309,7 +307,7 @@ def _induced_map(ctx: HHContext, op, z: CohomClass, p: int, q: int, shift: int) 
     src = ctx.space(p, q)
     tgt = ctx.space(p + pz + shift, q + qz)
     cols = [tgt.class_of(op(z.representative, rep)).coords for rep in src.hh_reps]
-    return SparseMatrix.from_columns(ctx.algebra.field, cols, tgt.dim)
+    return SparseMatrix(ctx.algebra.field, tgt.dim, cols)
 
 
 def induced_sq(ctx: HHContext, z: CohomClass) -> CohomClass:

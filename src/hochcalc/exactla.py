@@ -5,7 +5,8 @@ or a ``fractions.Fraction``, never a float: parsing and inversion give an int
 when the value is integral, but arithmetic on a ``Fraction`` may keep an
 integral one, which compares, hashes and prints like the equal int.  Over a
 prime field a scalar is an int in ``[0, p)``.  A ``Field`` object supplies the
-arithmetic, so vectors and matrices stay lightweight dicts.
+arithmetic, so a vector stays a lightweight dict and a matrix is a list of
+them, its columns.
 
 Stored scalars are normalized: field operations return them so, and
 constructors reduce a caller's scalars with ``from_int``.  So zero is the one
@@ -17,7 +18,8 @@ the sparsest row with an entry there as pivot row, and
 :func:`_back_substitute` clears the entries above each pivot.  The pivot
 columns, the reduced row-echelon form and every basis and solution read off
 it are unique, so none of them depends on the rows chosen or on their order.
-A factorization (``rref``) is that echelon form, kept as its pivot rows.
+A factorization (``rref``) is that echelon form, kept as its pivot rows;
+it reads the rows of a :class:`SparseMatrix` off its columns once.
 The one solve, :func:`solve_columns_many`, eliminates the augmented matrix
 ``[columns | b ...]`` once, with the columns in the order its caller gives
 them (over Q modulo a prime first), reads its answers off the pivot rows,
@@ -350,62 +352,65 @@ def vec_eq(field: Field, u: dict, v: dict) -> bool:
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over a single field.
-
-    ``entries`` maps ``(row, col)`` to a nonzero scalar; zeros are never
-    stored.
+    """Immutable-by-convention sparse matrix over a single field, kept as
+    its columns, as every builder writes them: ``columns[j]`` maps a row
+    index to a nonzero scalar, zeros never stored, and ``cols`` is
+    ``len(columns)``.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "columns")
 
-    def __init__(self, field: Field, rows: int, cols: int, entries=None):
+    def __init__(self, field: Field, rows: int, columns=()):
         self.field = field
         self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (i, j), c in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
+        self.columns = []
+        for j, col in enumerate(columns):
+            out = {}
+            for i, c in col.items():
+                if not 0 <= i < rows:
                     raise ConfigurationError(f"entry ({i},{j}) out of range")
                 if not field.is_zero(c):
-                    self.entries[(i, j)] = field.from_int(c)
+                    out[i] = field.from_int(c)
+            self.columns.append(out)
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     @classmethod
     def from_rows(cls, field: Field, rows_list, cols: int) -> "SparseMatrix":
-        entries = {(i, j): c for i, row in enumerate(rows_list) for j, c in row.items()}
-        return cls(field, len(rows_list), cols, entries)
+        # the rows of the transpose, which checks and normalizes them
+        m = cls(field, len(rows_list))
+        m.columns = cls(field, cols, rows_list)._row_list()
+        return m
 
-    @classmethod
-    def from_columns(cls, field: Field, cols_list, rows: int) -> "SparseMatrix":
-        entries = {(i, j): c for j, col in enumerate(cols_list) for i, c in col.items()}
-        return cls(field, rows, len(cols_list), entries)
-
-    def column(self, j: int) -> dict:
-        return {i: c for (i, c2), c in self.entries.items() if c2 == j}
+    @property
+    def entries(self) -> dict:
+        """The ``{(row, col): c}`` view of the nonzeros, built per read; its
+        one reader is the count-mode tracer, ``bench/tracer.py``."""
+        return {(i, j): c for j, col in enumerate(self.columns) for i, c in col.items()}
 
     def _row_list(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), c in self.entries.items():
-            rows[i][j] = c
+        rows = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, c in col.items():
+                rows[i][j] = c
         return rows
 
     def apply(self, v: dict) -> dict:
         """Matrix times sparse column vector."""
-        mul = self.field.mul
-        return self.field.add_into(
-            {}, ((i, mul(c, v[j])) for (i, j), c in self.entries.items() if j in v)
-        )
+        return vec_combine(self.field, ((c, self.columns[j]) for j, c in v.items()))
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
             and self.field == other.field
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
+            and self.rows == other.rows
+            and self.columns == other.columns
         )
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        return f"SparseMatrix({self.rows}x{self.cols}, {sum(map(len, self.columns))} nonzero)"
 
 
 class Echelon(namedtuple("Echelon", "rank pivots rows field cols")):

@@ -532,10 +532,8 @@ def _weight_vectors(alg: TwistedLaurent):
             if j != i:
                 rows.append({i: one, j: minus_one})
     rows.append({base.unit: one})
-    mat = SparseMatrix(Q, len(rows), n,
-                       {(r, c): v for r, row in enumerate(rows) for c, v in row.items()})
     vecs = []
-    for v in rref(mat).kernel():
+    for v in rref(SparseMatrix.from_rows(Q, rows, n)).kernel():
         denom = lcm(*(c.denominator for c in v.values()))
         vecs.append(tuple(int(v.get(i, Q.zero()) * denom) for i in range(n)))
     alg._weights = vecs

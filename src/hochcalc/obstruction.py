@@ -110,7 +110,7 @@ def theta_page3_check(s: AInfStructure, ctx: HHContext) -> Page3Status:
     elif s.k >= 5:
         mat = induced_bracket(ctx, universal_massey(s, ctx), s.k - 1, 3 - s.k)
         target = {j: field.neg(c) for j, c in theta.coords.items()}
-        (x,) = solve_columns_many(field, [mat.column(j) for j in range(mat.cols)], [target])
+        (x,) = solve_columns_many(field, mat.columns, [target])
         if x is None:
             # target outside the image, so appending it raises the rank by one
             rank = rref(mat).rank

@@ -54,10 +54,8 @@ class QuadraticMap:
 def _sign_scale(m: SparseMatrix, negate: bool) -> SparseMatrix:
     if not negate:
         return m
-    field = m.field
-    return SparseMatrix(
-        m.field, m.rows, m.cols, {k: field.neg(c) for k, c in m.entries.items()}
-    )
+    neg = m.field.neg
+    return SparseMatrix(m.field, m.rows, [{i: neg(c) for i, c in col.items()} for col in m.columns])
 
 
 def e1_term(ctx: HHContext, s: int, t: int) -> PageCell:
@@ -130,7 +128,7 @@ def d2_map(ctx: HHContext, phi: AInfStructure, s: int, t: int):
             z = cochain_from_coords(ctx.algebra, 2, -t, full.basis, vec)
             w = bracket(m3, z)
             cols.append(ctx.class_of(w).coords)
-        m = SparseMatrix.from_columns(ctx.algebra.field, cols, tgt.dim)
+        m = SparseMatrix(ctx.algebra.field, tgt.dim, cols)
         return _sign_scale(m, t % 2 == 1)
     if (s, t) == (0, 1):
         return QuadraticMap(ctx, phi.map(3))
@@ -146,7 +144,7 @@ def _d2_into(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> SparseMatrix
         # over Q, and is Frobenius-linear over F_2)
         qm = d2_map(ctx, phi, 0, 1)
         cols = [qm.evaluate(rep).coords for rep in ctx.space(2, -1).hh_reps]
-        return SparseMatrix.from_columns(ctx.algebra.field, cols, ctx.space(4, -2).dim)
+        return SparseMatrix(ctx.algebra.field, ctx.space(4, -2).dim, cols)
     if s == 2:
         # out of (0, t-1): the class map of cocycles is onto, so the image is
         # that of the bracket on cohomology
@@ -181,7 +179,7 @@ def e3_term(ctx: HHContext, phi: AInfStructure, s: int, t: int) -> PageCell:
     dim = out_m.cols - rref(out_m).rank
     if s >= 2:
         into = _d2_into(ctx, phi, s, t)
-        if any(out_m.apply(into.column(j)) for j in range(into.cols)):
+        if any(out_m.apply(col) for col in into.columns):
             raise DomainError(f"d2 composite does not vanish into ({s},{t})")
         dim -= rref(into).rank
     return PageCell(3, s, t, "cocycle" if s == 0 else "vector", dim=dim)

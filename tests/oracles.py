@@ -78,7 +78,10 @@ def reference_rref(m):
     matrix, which compares equal to the first three items of the
     :class:`Echelon` of ``rref`` on the same matrix."""
     field = m.field
-    rows = m._row_list()
+    rows = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, c in col.items():
+            rows[i][j] = c
     pivots = []
     pivot_row = 0
     for col in range(m.cols):
@@ -112,11 +115,7 @@ def reference_rref(m):
 def reference_solve(m, b):
     """Particular solution of ``m x = b`` with free variables zero, by
     reducing the augmented matrix, or ``None`` if inconsistent."""
-    aug_entries = dict(m.entries)
-    for i, c in b.items():
-        if not m.field.is_zero(c):
-            aug_entries[(i, m.cols)] = c
-    aug = SparseMatrix(m.field, m.rows, m.cols + 1, aug_entries)
+    aug = SparseMatrix(m.field, m.rows, m.columns + [b])
     _, pivots, rows = reference_rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
@@ -132,8 +131,8 @@ def reference_solve_columns(field, columns, rhs):
     cols = list(columns)
     row_id = {r: n for n, r in enumerate(dict.fromkeys(r for col in cols + [rhs] for r in col))}
     n = len(cols)
-    entries = {(row_id[r], k): c for k, col in enumerate(cols + [rhs]) for r, c in col.items()}
-    _, pivots, rows = reference_rref(SparseMatrix(field, len(row_id), n + 1, entries))
+    numbered = [{row_id[r]: c for r, c in col.items()} for col in cols + [rhs]]
+    _, pivots, rows = reference_rref(SparseMatrix(field, len(row_id), numbered))
     if pivots and pivots[-1] == n:
         return None
     return {k: rows[i][n] for i, k in enumerate(pivots) if n in rows[i]}
@@ -161,7 +160,7 @@ def reference_pivot_complement(space):
     field = space.algebra.field
     if not space.cocycles:
         return []
-    in_cocycles = SparseMatrix.from_columns(field, space.cocycles, len(space.basis))
+    in_cocycles = SparseMatrix(field, len(space.basis), space.cocycles)
     cob_in_k = []
     for b in space.coboundaries:
         coords = reference_solve(in_cocycles, b)
@@ -179,11 +178,8 @@ def reference_normalized_class(ctx, z):
     field, (p, q) = ctx.algebra.field, z.bidegree
     full, norm = ctx.full_space(p, q), ctx.space(p, q)
     k = full.d_in.cols
-    entries = dict(full.d_in.entries)
-    for j, vec in enumerate(norm.cocycles):
-        for i, c in vec.items():
-            entries[full.index[norm.basis[i]], k + j] = c
-    m = SparseMatrix(field, len(full.basis), k + len(norm.cocycles), entries)
+    moved = [{full.index[norm.basis[i]]: c for i, c in vec.items()} for vec in norm.cocycles]
+    m = SparseMatrix(field, len(full.basis), full.d_in.columns + moved)
     x = reference_solve(m, coords_of_cochain(z, full.basis, full.index))
     if x is None:
         raise DomainError("not a cocycle")
@@ -380,13 +376,10 @@ def additivity_defect(qm, z1, z2):
 
 def from_dense(field, data):
     """The ``SparseMatrix`` with the given rows, lists of scalars or ints."""
-    rows = len(data)
-    cols = len(data[0]) if rows else 0
-    entries = {}
-    for i, row in enumerate(data):
-        for j, c in enumerate(row):
-            entries[(i, j)] = field.from_int(c) if isinstance(c, int) else c
-    return SparseMatrix(field, rows, cols, entries)
+    cols = len(data[0]) if data else 0
+    columns = [{i: field.from_int(row[j]) if isinstance(row[j], int) else row[j]
+                for i, row in enumerate(data)} for j in range(cols)]
+    return SparseMatrix(field, len(data), columns)
 
 
 def identity_cochain(a):

@@ -98,7 +98,7 @@ def test_rref_proportional_rows():
 
 def test_rref_zero_matrix():
     Q = Rationals()
-    ech = rref(SparseMatrix(Q, 3, 5))
+    ech = rref(SparseMatrix(Q, 3, [{}] * 5))
     assert ech.rank == 0 and ech.pivots == [] and ech.rows == []
 
 
@@ -120,7 +120,7 @@ def test_kernel_identity_and_zero():
     Q = Rationals()
     ident = from_dense(Q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert rref(ident).kernel() == []
-    zero = SparseMatrix(Q, 1, 3)
+    zero = SparseMatrix(Q, 1, [{}] * 3)
     basis = rref(zero).kernel()
     assert [sorted(v.items()) for v in basis] == [[(0, 1)], [(1, 1)], [(2, 1)]]
 
@@ -136,7 +136,7 @@ def test_kernel_rank_one():
 def _solve(m, b):
     """``m x = b`` by ``solve_columns_many`` on the columns of ``m`` in their
     natural order."""
-    return solve_columns_many(m.field, [m.column(j) for j in range(m.cols)], [b])[0]
+    return solve_columns_many(m.field, m.columns, [b])[0]
 
 
 def test_solve_identity_and_inconsistent():
@@ -144,7 +144,7 @@ def test_solve_identity_and_inconsistent():
     ident = from_dense(Q, [[1, 0], [0, 1]])
     b = {0: Q.from_int(7)}
     assert _solve(ident, b) == b
-    zero = SparseMatrix(Q, 2, 2)
+    zero = SparseMatrix(Q, 2, [{}, {}])
     assert _solve(zero, b) is None
 
 
@@ -160,10 +160,39 @@ def test_matrix_and_rhs_scalars_are_normalized(field):
     """A caller's scalar p + 1 is kept as 1, in a matrix and in its echelon
     rows; a multiple of p is dropped."""
     p = field.char
-    m = SparseMatrix(field, 1, 2, {(0, 0): 1, (0, 1): p + 1})
-    assert m == SparseMatrix(field, 1, 2, {(0, 0): 1, (0, 1): 1})
+    m = SparseMatrix(field, 1, [{0: 1}, {0: p + 1}])
+    assert m == SparseMatrix(field, 1, [{0: 1}, {0: 1}])
     assert rref(m).rows == [{0: 1, 1: 1}]
-    assert SparseMatrix(field, 1, 1, {(0, 0): p}).entries == {}
+    assert SparseMatrix(field, 1, [{0: p}]).columns == [{}]
+    assert SparseMatrix.from_rows(field, [{0: p, 1: 2 * p - 1}], 2).columns == [{}, {0: p - 1}]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f: SparseMatrix(f, 2, [{}, {2: 1}]),
+        lambda f: SparseMatrix(f, 2, [{-1: 1}]),
+        lambda f: SparseMatrix(f, 0, [{0: 1}]),
+        lambda f: SparseMatrix.from_rows(f, [{}, {3: 1}], 3),
+        lambda f: SparseMatrix.from_rows(f, [{-1: 1}], 3),
+        lambda f: SparseMatrix.from_rows(f, [{0: 1}], 0),
+    ],
+)
+def test_matrix_entries_out_of_range_are_refused(build):
+    """A row index outside ``[0, rows)``, or a column index outside
+    ``[0, cols)`` in a row, is a ``ConfigurationError``, never stored."""
+    with pytest.raises(ConfigurationError):
+        build(PrimeField(3))
+
+
+def test_entries_is_the_row_col_view_of_the_columns():
+    F = PrimeField(5)
+    m = from_dense(F, [[0, 2, 0], [1, 0, 4]])
+    assert m.columns == [{1: 1}, {0: 2}, {1: 4}] and (m.rows, m.cols) == (2, 3)
+    assert m.entries == {(1, 0): 1, (0, 1): 2, (1, 2): 4}
+    assert m == SparseMatrix.from_rows(F, [{1: 2}, {0: 1, 2: 4}], 3)
+    assert m != SparseMatrix(F, 3, m.columns) and m != SparseMatrix(Rationals(), 2, m.columns)
+    assert SparseMatrix(F, 4, []).entries == {} and SparseMatrix(F, 4, []).cols == 0
 
 
 def _random_nonzero(rng, field):
@@ -173,10 +202,11 @@ def _random_nonzero(rng, field):
 
 
 def _random_matrix(rng, field, rows, cols, density):
-    entries = {}
+    columns = [{} for _ in range(cols)]
     for _ in range(density):
-        entries[(rng.randrange(rows), rng.randrange(cols))] = _random_nonzero(rng, field)
-    return SparseMatrix(field, rows, cols, entries)
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        columns[j][i] = _random_nonzero(rng, field)
+    return SparseMatrix(field, rows, columns)
 
 
 @given(st.integers(0, 10**6), st.sampled_from(FIELDS))
@@ -204,7 +234,7 @@ def test_solve_columns_matches_solve(seed, field):
     rng = random.Random(seed)
     rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
     m = _random_matrix(rng, field, rows, cols, rng.randrange(0, 9))
-    columns = [m.column(j) for j in range(cols)]
+    columns = m.columns
     x0 = {j: field.from_int(rng.randrange(1, 4)) for j in range(cols) if rng.random() < 0.5}
     b = m.apply(x0)
     (x,) = solve_columns_many(field, columns, [b])
@@ -212,17 +242,18 @@ def test_solve_columns_matches_solve(seed, field):
     assert m.apply(x) == b
     # infeasible systems are rejected by both
     b2 = dict(b)
-    fresh = SparseMatrix(field, rows + 1, cols, {(i, j): c for (i, j), c in m.entries.items()})
+    fresh = SparseMatrix(field, rows + 1, m.columns)
     b2[rows] = field.one()
     assert reference_solve(fresh, b2) is None
-    assert solve_columns_many(field, [fresh.column(j) for j in range(cols)], [b2]) == [None]
+    assert solve_columns_many(field, fresh.columns, [b2]) == [None]
 
 
 def test_insertion_order_independence():
     Q = Rationals()
-    entries = {(0, 0): Q.one(), (1, 1): Q.from_int(2), (0, 1): Q.from_int(3)}
-    m1 = SparseMatrix(Q, 2, 2, dict(entries))
-    m2 = SparseMatrix(Q, 2, 2, dict(reversed(list(entries.items()))))
+    columns = [{0: Q.one()}, {1: Q.from_int(2), 0: Q.from_int(3)}]
+    m1 = SparseMatrix(Q, 2, columns)
+    m2 = SparseMatrix(Q, 2, [dict(reversed(list(col.items()))) for col in columns])
+    assert m1 == m2 and list(m1.columns[1]) != list(m2.columns[1])
     assert rref(m1) == rref(m2)
     assert rref(m1).kernel() == rref(m2).kernel()
 
@@ -241,9 +272,9 @@ def _index_cases(field):
     """Shapes that exercise the column index of ``rref``: empty matrices,
     single rows and columns, and swaps of a pivot row into the place of a
     row with overlapping support."""
-    yield SparseMatrix(field, 0, 4)
-    yield SparseMatrix(field, 4, 0)
-    yield SparseMatrix(field, 0, 0)
+    yield SparseMatrix(field, 0, [{}] * 4)
+    yield SparseMatrix(field, 4, [])
+    yield SparseMatrix(field, 0, [])
     yield from_dense(field, [[0, 2, 0, 1]])
     yield from_dense(field, [[0], [3], [1]])
     # row 0 shares columns 1, 2 with row 2, which holds the first pivot
@@ -308,7 +339,7 @@ def test_rref_invariant_under_row_permutations(field):
         m = _random_matrix(rng, field, rows, cols, rng.randrange(0, rows * cols + 1))
         perm = list(range(rows))
         rng.shuffle(perm)
-        pm = SparseMatrix(field, rows, cols, {(perm[i], j): c for (i, j), c in m.entries.items()})
+        pm = SparseMatrix(field, rows, [{perm[i]: c for i, c in col.items()} for col in m.columns])
         ech, pech = rref(m), rref(pm)
         assert (ech.rank, ech.pivots, ech.rows) == (pech.rank, pech.pivots, pech.rows)
         assert (ech.rank, ech.pivots, ech.rows) == reference_rref(m)
@@ -328,13 +359,13 @@ def _witness_system(rng, field):
     else:
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         m = _random_matrix(rng, field, rows, cols, rng.randrange(0, rows * cols + 1))
-    columns = [m.column(j) for j in range(cols)]
+    columns = list(m.columns)
     for _ in range(rng.randrange(3)):
         columns.insert(rng.randrange(len(columns) + 1), dict(rng.choice(columns)))
     if rng.random() < 0.3:
         columns.insert(rng.randrange(len(columns) + 1), {})
     if rng.random() < 0.5:
-        whole = SparseMatrix.from_columns(field, columns, rows)
+        whole = SparseMatrix(field, rows, columns)
         b = whole.apply({j: _random_nonzero(rng, field) for j in range(whole.cols)
                          if rng.random() < 0.5})
     else:
@@ -357,7 +388,7 @@ def test_solve_columns_matches_reference_rref(field):
     found = inconsistent = 0
     for _ in range(200):
         rows, columns, b = _witness_system(rng, field)
-        m = SparseMatrix.from_columns(field, columns, rows)
+        m = SparseMatrix(field, rows, columns)
         (got,) = solve_columns_many(field, columns, [b])
         assert got == reference_solve_columns(field, columns, b) == reference_solve(m, b)
         order = sorted(range(len(columns)), key=lambda j: (len(columns[j]), j))
@@ -407,7 +438,7 @@ def test_solve_columns_many_matches_reference_rref(field):
     seen = {"inconsistent first": 0, "empty": 0, "zero column": 0}
     for _ in range(150):
         rows, columns, _ = _witness_system(rng, field)
-        whole = SparseMatrix.from_columns(field, columns, rows)
+        whole = SparseMatrix(field, rows, columns)
         rhss = []
         for _ in range(rng.randrange(1, 6)):
             kind = rng.random()
@@ -674,11 +705,11 @@ def test_dims_probes_share_one_exact_elimination(exact_eliminations):
 
 def _random_q_system(rng, rows, cols):
     Q = Rationals()
-    entries = {}
+    columns = [{} for _ in range(cols)]
     for _ in range(rng.randrange(rows * cols + 1)):
         i, j = rng.randrange(rows), rng.randrange(cols)
-        entries[(i, j)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 7]))
-    m = SparseMatrix(Q, rows, cols, entries)
+        columns[j][i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 7]))
+    m = SparseMatrix(Q, rows, columns)
     if rng.random() < 0.5:
         x0 = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for j in range(cols)}
         b = m.apply(x0)
@@ -694,7 +725,7 @@ def test_solve_columns_over_q_agrees_with_exact_elimination():
     for _ in range(300):
         m, b = _random_q_system(rng, rng.randrange(1, 9), rng.randrange(1, 9))
         # keys that are not integers, as in the witness search
-        columns = [{("r", i): c for i, c in m.column(j).items()} for j in range(m.cols)]
+        columns = [{("r", i): c for i, c in col.items()} for col in m.columns]
         (x,) = solve_columns_many(m.field, columns, [{("r", i): c for i, c in b.items()}])
         want = reference_solve(m, b)
         assert x == want
