@@ -185,15 +185,13 @@ def emit_document(docobj: InputDocument) -> dict:
         },
     }
     if docobj.structure:
-        k, maps = docobj.structure
-        out["structure"] = {
-            "k": k,
-            "maps": {
-                f"m{n}": cochain_json(f)
-                for n, f in sorted(maps.items())
-            },
-        }
+        out["structure"] = _structure_json(*docobj.structure)
     return out
+
+
+def _structure_json(k: int, maps: dict) -> dict:
+    """The ``structure`` block of a document: k and the map tables m3..mk."""
+    return {"k": k, "maps": {f"m{n}": cochain_json(f) for n, f in sorted(maps.items())}}
 
 
 def scalar_json(field, c):
@@ -428,10 +426,7 @@ def cmd_extend(docobj, args, report):
     ]
     if result.ok:
         out = result.structure
-        report["results"]["structure"] = {
-            "k": out.k,
-            "maps": {f"m{n}": cochain_json(f) for n, f in sorted(out.maps.items())},
-        }
+        report["results"]["structure"] = _structure_json(out.k, out.maps)
         report["results"]["revalidated"] = not is_valid(out)
         return 0
     rep = result.report

@@ -14,12 +14,19 @@ where degrees are suspended degrees and |g| is the degree of g as a map.
 Braces expand as sums of iterated compositions over strictly increasing
 insertion positions; all further signs arise from this single convention.
 
+Linear algebra sees a cochain in one flat format, the coordinates
+``{(key, sub): c}`` of its table ``{key: {sub: c}}``: a tuple and an
+output basis index for a ``Cochain``, a component key and a monomial for
+a ``PolyCochain``.  ``LinearCochain.coordinates`` reads them off a
+table, :func:`_table` groups them back into one, and :func:`_indexed`
+numbers them by an enumerated basis.
+
 The bidegree of an arity-p cochain of map degree d is (p, q) with
 q = 1 - p - d; the Hochschild differential [m2, -] moves (p, q) to
 (p+1, q).  One walk, ``_walk``, adds the terms of the Gerstenhaber bracket
-[m, f] = m{f} - (-1)^{|m||f|} f{m} entry by entry of f into coordinates
-keyed by (tuple, output), reading m's terms off lookups by the input at
-each slot and by output.  With u the inputs of m and v those of f, they
+[m, f] = m{f} - (-1)^{|m||f|} f{m} entry by entry of f into flat
+coordinates, reading m's terms off lookups by the input at each slot and
+by output.  With u the inputs of m and v those of f, they
 carry the signs
 
     m o_j f:   (-1)^{|f| (|u_1| + ... + |u_{j-1}|)},
@@ -74,6 +81,11 @@ class LinearCochain:
 
     def is_zero(self) -> bool:
         return not self.table
+
+    def coordinates(self):
+        """The flat coordinates ``((key, sub), c)`` of the table, entry by
+        entry in table order."""
+        return (((key, sub), c) for key, entry in self.table.items() for sub, c in entry.items())
 
     def _check_compatible(self, other):
         if self.algebra is not other.algebra:
@@ -250,7 +262,8 @@ def bracket(f, g):
         raise ConfigurationError("cochains over different algebras")
     if isinstance(g, Cochain):
         out = Cochain(f.algebra, f.arity + g.arity - 1, f.end_degree + g.end_degree)
-        return _grouped(out, _walk(_term_lookups(f), g.end_degree, g.table.items(), {}))
+        out.table = _table(_walk(_term_lookups(f), g.end_degree, g.table.items(), {}))
+        return out
     field = f.algebra.field
     c = field.neg(field.one()) if (f.end_degree * g.end_degree) % 2 == 0 else None
     return brace(f, [g])._accumulate(brace(g, [f]), c)
@@ -278,15 +291,31 @@ def hoch_d(f):
     """Hochschild differential [m2, f] of a ``Cochain`` or ``PolyCochain``:
     the class's ``d_walk`` over all entries of f, grouped into a table."""
     out = f.zero_like(f.arity + 1, f.end_degree - 1)
-    return _grouped(out, f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items(), {}))
+    out.table = _table(f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items(), {}))
+    return out
 
 
-def _grouped(out, coords: dict):
-    """``out`` with a walk's coordinates ``{(key, sub): c}`` in its table."""
-    table = out.table
+def _table(coords: dict) -> dict:
+    """The table ``{key: {sub: c}}`` of the flat coordinates ``coords``, with
+    no scalar checked: a walk's are normalized already, and a constructor
+    given the table normalizes any other."""
+    table = {}
     for (key, sub), c in coords.items():
         table.setdefault(key, {})[sub] = c
-    return out
+    return table
+
+
+def _indexed(pairs, index: dict) -> dict:
+    """The flat coordinates ``(pair, c)`` of ``pairs`` as ``{index[pair]: c}``;
+    raises ``DomainError`` on a pair outside the enumerated basis of
+    ``index`` (e.g. an entry on the unit against a normalized basis)."""
+    try:
+        return {index[pair]: c for pair, c in pairs}
+    except KeyError as exc:
+        pair = exc.args[0]
+        raise DomainError(
+            f"cochain entry {pair} outside the enumerated basis", witness=pair
+        ) from None
 
 
 def _term_lookups(m: Cochain):
@@ -473,12 +502,8 @@ def q_support(a: GradedAlgebra, p: int):
 
 
 def cochain_from_coords(a: GradedAlgebra, p: int, q: int, basis, coords: dict) -> Cochain:
-    by_tuple: dict = {}
-    for idx, c in coords.items():
-        t, k = basis[idx]
-        by_tuple.setdefault(t, []).append((k, c))
-    table = {t: a.field.add_into({}, pairs) for t, pairs in by_tuple.items()}
-    return Cochain(a, p, 1 - p - q, table)
+    """The (p, q) cochain with coordinates ``{n: c}`` in an enumerated basis."""
+    return Cochain(a, p, 1 - p - q, _table({basis[n]: c for n, c in coords.items()}))
 
 
 def coords_of_cochain(z: Cochain, basis, index=None) -> dict:
@@ -489,14 +514,4 @@ def coords_of_cochain(z: Cochain, basis, index=None) -> dict:
     """
     if index is None:
         index = {pair: n for n, pair in enumerate(basis)}
-    coords = {}
-    for t, vec in z.table.items():
-        for k, c in vec.items():
-            n = index.get((t, k))
-            if n is None:
-                raise DomainError(
-                    f"cochain entry {(t, k)} outside the enumerated basis",
-                    witness=(t, k),
-                )
-            coords[n] = c
-    return coords
+    return _indexed(z.coordinates(), index)

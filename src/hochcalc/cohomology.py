@@ -11,6 +11,7 @@ from __future__ import annotations
 from .algebra import GradedAlgebra
 from .cochain import (
     Cochain,
+    _indexed,
     bracket,
     cochain_basis,
     cochain_from_coords,
@@ -51,17 +52,8 @@ class CochainComplex:
             a = self.algebra
             one, d = a.field.one(), 1 - p - self.q
             basis, (_, index) = self.basis(p)[0], self.basis(p + 1)
-            columns = []
-            for t, k in basis:
-                column = {}
-                for pair, c in Cochain.d_walk(a, p, d, ((t, {k: one}),), {}).items():
-                    i = index.get(pair)
-                    if i is None:
-                        raise DomainError(
-                            f"cochain entry {pair} outside the enumerated basis", witness=pair
-                        )
-                    column[i] = c
-                columns.append(column)
+            columns = [_indexed(Cochain.d_walk(a, p, d, ((t, {k: one}),), {}).items(), index)
+                       for t, k in basis]
             # every entry is in range and nonzero already
             m = self._ds[p] = SparseMatrix(a.field, len(index))
             m.columns = columns

@@ -398,7 +398,10 @@ class SparseMatrix:
         return rows
 
     def apply(self, v: dict) -> dict:
-        """Matrix times sparse column vector."""
+        """Matrix times sparse column vector; a key outside [0, cols) is refused."""
+        for j in v:
+            if not 0 <= j < self.cols:
+                raise ConfigurationError(f"vector key {j} outside [0, {self.cols})")
         return vec_combine(self.field, ((c, self.columns[j]) for j, c in v.items()))
 
     def __eq__(self, other):

@@ -21,7 +21,7 @@ from itertools import product as iproduct
 from math import factorial, lcm, prod
 
 from .algebra import GradedAlgebra, dual_numbers, require_valid
-from .cochain import LinearCochain, _add_at, brace, bracket, cup, hoch_d, sq
+from .cochain import LinearCochain, _add_at, _table, brace, bracket, cup, hoch_d, sq
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -545,11 +545,6 @@ def _key_weight(wvecs, key):
     return tuple(w[out] - sum(w[b] for b in bas) for w in wvecs)
 
 
-def _coordinates(z: PolyCochain) -> dict:
-    """The coefficients of ``z``, keyed by (component key, monomial)."""
-    return {(ckey, exps): c for ckey, terms in z.table.items() for exps, c in terms.items()}
-
-
 def _witness_columns(alg: TwistedLaurent, arity: int, end_degree: int, key, monos, rows: dict):
     """The coboundary column of the unknown at ``key`` with each monomial of
     ``monos`` and coefficient 1, all read off one move list: a dict from row
@@ -604,7 +599,7 @@ def find_witnesses(pairs, d_search: int):
         wvecs = _weight_vectors(alg)
         # one row per (key, exponents), for the targets and every column
         rows: dict = {}
-        tcoords = [{rows.setdefault(k, len(rows)): c for k, c in _coordinates(z).items()}
+        tcoords = [{rows.setdefault(k, len(rows)): c for k, c in z.coordinates()}
                    for _, z in group]
         weights = [{_key_weight(wvecs, ckey) for ckey in z.table} for _, z in group]
         columns, unknowns = [], []
@@ -622,9 +617,7 @@ def find_witnesses(pairs, d_search: int):
         for (t, z), ws, x in zip(group, weights, solve_columns_many(field, columns, tcoords)):
             witness = None
             if x is not None:
-                table = {}
-                for j, c in x.items():
-                    table.setdefault(unknowns[j][0], {})[unknowns[j][1]] = c
+                table = _table({unknowns[j][:2]: c for j, c in x.items()})
                 witness = PolyCochain(alg, arity_b, deg_b, table)
                 if not (hoch_d(witness) - z).is_zero():
                     raise DomainError("witness verification failed")

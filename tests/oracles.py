@@ -38,7 +38,6 @@ from hochcalc.exactla import Rationals, SparseMatrix, solve_columns_many
 from hochcalc.laurent import (
     Poly,
     PolyCochain,
-    _coordinates,
     _key_weight,
     _monomials,
     _weight_vectors,
@@ -322,7 +321,7 @@ def reference_find_witnesses(pairs, d_search):
         field = alg.field
         arity_b, deg_b = arity - 1, end_degree + 1
         wvecs = _weight_vectors(alg)
-        tcoords = [_coordinates(z) for _, z in group]
+        tcoords = [dict(z.coordinates()) for _, z in group]
         weights = [{_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
         columns, unknowns = [], []
         for key in _witness_basis_keys(alg, arity_b, deg_b):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import hochcalc.cochain as cochain
 import hochcalc.cohomology as cohomology
 
 from hochcalc.algebra import GradedAlgebra, dual_numbers, square_zero_tower, truncated_skew_laurent
@@ -553,3 +554,40 @@ def test_assembled_key_outside_the_basis_raises(ext_q):
     column._bases[1] = CochainComplex(ext_q, 0, False).basis(1)
     with pytest.raises(DomainError, match="outside the enumerated basis"):
         column.d(1)
+    assert 1 not in column._ds  # no matrix is kept from a failed assembly
+
+
+def test_coordinates_round_trip_on_fixtures():
+    """On the fixture algebras, in both pipelines, every HH representative
+    and every cocycle basis vector at p <= 3 goes to its basis coordinates
+    and back to itself, and its table regroups from its flat coordinates."""
+    for a in fixture_algebras():
+        for normalized in (True, False):
+            ctx = HHContext(a)
+            for p in range(4):
+                for q in q_support(a, p):
+                    sp = ctx._space(p, q, normalized)
+                    reps = list(zip(sp.hh_reps, sp.hh_vectors)) + [
+                        (cochain_from_coords(a, p, q, sp.basis, v), v) for v in sp.cocycles
+                    ]
+                    for z, v in reps:
+                        coords = coords_of_cochain(z, sp.basis, sp.index)
+                        assert coords == v == coords_of_cochain(z, sp.basis)
+                        assert cochain_from_coords(a, p, q, sp.basis, coords) == z
+                        assert cochain._table(dict(z.coordinates())) == z.table
+
+
+def test_coordinates_of_a_cochain_on_the_unit_raise(ext_q):
+    """A cochain with an entry on the unit has no coordinates in the
+    normalized basis: the error names that entry as its witness."""
+    p, q = 1, 0
+    full, (norm_basis, norm_index) = (CochainComplex(ext_q, q, n).basis(p) for n in (False, True))
+    one = ext_q.field.one()
+    on_unit = [pair for pair in full[0] if ext_q.unit in pair[0]]
+    assert on_unit and norm_basis
+    for t, k in on_unit:
+        z = Cochain(ext_q, p, 1 - p - q, {norm_basis[0][0]: {norm_basis[0][1]: one}, t: {k: one}})
+        assert coords_of_cochain(z, *full) == {full[1][norm_basis[0]]: one, full[1][t, k]: one}
+        with pytest.raises(DomainError, match="outside the enumerated basis") as err:
+            coords_of_cochain(z, norm_basis, norm_index)
+        assert err.value.witness == (t, k)

@@ -195,6 +195,17 @@ def test_entries_is_the_row_col_view_of_the_columns():
     assert SparseMatrix(F, 4, []).entries == {} and SparseMatrix(F, 4, []).cols == 0
 
 
+@pytest.mark.parametrize("key", [-1, 3])
+def test_apply_refuses_keys_outside_the_columns(key):
+    """``apply`` reads ``columns[j]`` for each key j of the vector: -1
+    would read the last column and ``cols`` has none, so both are refused."""
+    F = PrimeField(5)
+    m = from_dense(F, [[0, 2, 0], [1, 0, 4]])
+    assert m.apply({0: 1, 1: 1}) == {0: 2, 1: 1} and m.apply({0: 1, 2: 1}) == {}
+    with pytest.raises(ConfigurationError, match=f"vector key {key} outside"):
+        m.apply({0: 1, key: 1})
+
+
 def _random_nonzero(rng, field):
     if field.char == 0:
         return field.from_int(rng.choice([-2, -1, 1, 2, 3]))

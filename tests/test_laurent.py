@@ -5,6 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
+import hochcalc.cochain as cochain
 import hochcalc.laurent as laurent
 from hochcalc.algebra import dual_numbers
 from hochcalc.cochain import brace, bracket, cup, hoch_d, sq
@@ -14,7 +15,6 @@ from hochcalc.laurent import (
     Poly,
     PolyCochain,
     TwistedLaurent,
-    _coordinates,
     _monomials,
     _witness_basis_keys,
     binomial_half_cochain,
@@ -444,7 +444,8 @@ def test_witness_columns_match_bracket_form(monkeypatch, field):
         if id(rows) not in backs:
             backs[id(rows)] = _row_keys(rows)
         back = backs[id(rows)]
-        assert {back[r]: c for r, c in col.items()} == _coordinates(reference_bracket_hoch_d(b))
+        want = dict(reference_bracket_hoch_d(b).coordinates())
+        assert {back[r]: c for r, c in col.items()} == want
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(3), PrimeField(5)],
@@ -557,3 +558,23 @@ def test_poly_cochain_rejects_malformed_entries():
     ]:
         with pytest.raises(ConfigurationError):
             PolyCochain(alg, arity, end_degree, table)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_section8_monomials_regroup_from_their_coordinates(monkeypatch, char):
+    """Every display monomial the section8 report builds is the
+    ``PolyCochain`` of the table regrouped from its flat coordinates."""
+    monomials = []
+    real = laurent.display_monomial
+
+    def keep(*args):
+        monomials.append(real(*args))
+        return monomials[-1]
+
+    monkeypatch.setattr(laurent, "display_monomial", keep)
+    section8_report(char, 0)
+    assert len(monomials) >= 8
+    for z in monomials:
+        coords = dict(z.coordinates())
+        assert len(coords) == sum(map(len, z.table.values()))
+        assert PolyCochain(z.algebra, z.arity, z.end_degree, cochain._table(coords)) == z
