@@ -24,13 +24,12 @@ _EXPORTS = {
         "shifted_m2",
         "sq",
     ),
-    "cohomology": ("CochainComplex", "CohomClass", "HHContext", "HHSpace", "hh_space"),
+    "cohomology": ("CochainComplex", "CohomClass", "HHContext", "HHSpace"),
     "exactla": ("Field", "PrimeField", "Rationals", "SparseMatrix", "rref"),
     "laurent": (
         "PolyCochain",
         "TwistedLaurent",
         "display_monomial",
-        "find_witness",
         "section8_report",
         "sign_twisted_laurent",
     ),

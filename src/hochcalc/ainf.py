@@ -51,7 +51,7 @@ class AInfStructure:
             raise DomainError(f"m_{n} is not part of an A_{self.k} structure")
         got = self.maps.get(n)
         if got is None:
-            return Cochain.zero(self.algebra, n, -1)
+            return Cochain(self.algebra, n, -1)
         return got
 
     def with_k(self, k: int) -> "AInfStructure":
@@ -70,7 +70,7 @@ def stasheff_residual(s: AInfStructure, n: int) -> Cochain:
         raise DomainError(
             f"SI({n}) needs maps up to m_{n-1}, but the structure stops at m_{s.k}"
         )
-    total = Cochain.zero(s.algebra, n, -2)
+    total = Cochain(s.algebra, n, -2)
     for p in range(2, n):
         q = n + 1 - p
         if q < 2 or q > n - 1:

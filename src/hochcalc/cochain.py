@@ -158,10 +158,6 @@ class Cochain(LinearCochain):
                 if clean:
                     self.table[tuple(t)] = clean
 
-    @classmethod
-    def zero(cls, algebra, arity, end_degree):
-        return cls(algebra, arity, end_degree)
-
     def is_normalized(self) -> bool:
         """True if the cochain vanishes whenever an input is the unit."""
         u = self.algebra.unit
@@ -188,11 +184,11 @@ class Cochain(LinearCochain):
         return dict(self.table.get(tuple(tuple_indices), {}))
 
     @staticmethod
-    def d_walk(a: GradedAlgebra, arity: int, end_degree: int, entries, acc: dict) -> dict:
+    def d_walk(a: GradedAlgebra, arity: int, end_degree: int, entries) -> dict:
         """:func:`_walk` of m2, with the signature of ``PolyCochain.d_walk``."""
         if a._m2_lookups is None:
             a._m2_lookups = _term_lookups(shifted_m2(a))
-        return _walk(a._m2_lookups, end_degree, entries, acc)
+        return _walk(a._m2_lookups, end_degree, entries)
 
     def compose_at(self, g: "Cochain", i: int) -> "Cochain":
         """Operadic composition at slot i (1-based)."""
@@ -262,7 +258,7 @@ def bracket(f, g):
         raise ConfigurationError("cochains over different algebras")
     if isinstance(g, Cochain):
         out = Cochain(f.algebra, f.arity + g.arity - 1, f.end_degree + g.end_degree)
-        out.table = _table(_walk(_term_lookups(f), g.end_degree, g.table.items(), {}))
+        out.table = _table(_walk(_term_lookups(f), g.end_degree, g.table.items()))
         return out
     field = f.algebra.field
     c = field.neg(field.one()) if (f.end_degree * g.end_degree) % 2 == 0 else None
@@ -291,7 +287,7 @@ def hoch_d(f):
     """Hochschild differential [m2, f] of a ``Cochain`` or ``PolyCochain``:
     the class's ``d_walk`` over all entries of f, grouped into a table."""
     out = f.zero_like(f.arity + 1, f.end_degree - 1)
-    out.table = _table(f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items(), {}))
+    out.table = _table(f.d_walk(f.algebra, f.arity, f.end_degree, f.table.items()))
     return out
 
 
@@ -340,12 +336,12 @@ def _term_lookups(m: Cochain):
     return field, odd_m, by_input, by_output, odd if odd_m else [False] * a.dim
 
 
-def _walk(lookups, end_degree: int, entries, acc: dict) -> dict:
-    """Add [m, f] into ``acc``, flat coordinates ``{(tuple, output): c}``,
-    for m of ``lookups`` and f of map degree ``end_degree`` with table
-    entries ``entries``; term by term as in the module docstring."""
+def _walk(lookups, end_degree: int, entries) -> dict:
+    """[m, f] in flat coordinates ``{(tuple, output): c}``, for m of
+    ``lookups`` and f of map degree ``end_degree`` with table entries
+    ``entries``; term by term as in the module docstring."""
     field, odd_m, by_input, by_output, flips = lookups
-    one, add_into = field.one(), field.add_into
+    one, add_into, acc = field.one(), field.add_into, {}
     odd_f = end_degree % 2 == 1
     start = not (odd_m and odd_f)
     for t, vec in entries:

@@ -52,7 +52,7 @@ class CochainComplex:
             a = self.algebra
             one, d = a.field.one(), 1 - p - self.q
             basis, (_, index) = self.basis(p)[0], self.basis(p + 1)
-            columns = [_indexed(Cochain.d_walk(a, p, d, ((t, {k: one}),), {}).items(), index)
+            columns = [_indexed(Cochain.d_walk(a, p, d, ((t, {k: one}),)).items(), index)
                        for t, k in basis]
             # every entry is in range and nonzero already
             m = self._ds[p] = SparseMatrix(a.field, len(index))
@@ -274,10 +274,6 @@ class HHContext:
     def is_coboundary(self, z: Cochain):
         p, q = z.bidegree
         return self.space(p, q).is_coboundary(z)
-
-
-def hh_space(a: GradedAlgebra, p: int, q: int, normalized: bool = True) -> HHSpace:
-    return CochainComplex(a, q, normalized).space(p)
 
 
 # -- induced maps on cohomology ------------------------------------------------

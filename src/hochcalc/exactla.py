@@ -347,10 +347,6 @@ def vec_combine(field: Field, terms) -> dict:
     return out
 
 
-def vec_eq(field: Field, u: dict, v: dict) -> bool:
-    return not field.add_into(dict(u), v.items(), field.neg(field.one()))
-
-
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over a single field, kept as
     its columns, as every builder writes them: ``columns[j]`` maps a row

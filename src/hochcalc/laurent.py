@@ -34,7 +34,6 @@ from .exactla import (
     SparseMatrix,
     rref,
     solve_columns_many,
-    vec_eq,
 )
 
 
@@ -126,20 +125,17 @@ MAX_SIGMA_ORDER = 64
 
 
 class TwistedLaurent:
-    """B[x^{+-1}; sigma] for a finite-dimensional graded base B and a
-    degree-0 algebra automorphism sigma of finite order."""
+    """B[x^{+-1}; sigma] with |x| = 1, for a finite-dimensional graded base B
+    and a degree-0 algebra automorphism sigma of finite order."""
 
-    def __init__(self, base: GradedAlgebra, sigma, weight: int = 1):
+    def __init__(self, base: GradedAlgebra, sigma):
         """``sigma`` maps basis index -> sparse vector over basis indices."""
         require_valid(base)
         self.base = base
-        self.field = base.field
-        self.weight = weight
-        if weight < 1:
-            raise UnsupportedAlgebraError("x must have positive degree")
-        field = base.field
-        n = base.dim
-        self.sigma = {i: {j: field.from_int(c) for j, c in sigma.get(i, {}).items()}
+        self.field = field = base.field
+        from_int, n = field.from_int, base.dim
+        # normalized like every constructor's input: from_int, zeros dropped
+        self.sigma = {i: field.add_into({}, ((j, from_int(c)) for j, c in sigma.get(i, {}).items()))
                       for i in range(n)}
         for i in range(n):
             for j, c in self.sigma[i].items():
@@ -152,7 +148,7 @@ class TwistedLaurent:
                 lhs = self._apply_sigma(base.product(i, j))
                 rhs = base.multiply(self._apply_sigma({i: field.one()}),
                                     self._apply_sigma({j: field.one()}))
-                if not vec_eq(field, lhs, rhs):
+                if lhs != rhs:
                     raise UnsupportedAlgebraError("sigma is not multiplicative")
         # order of sigma
         powers = [{i: {i: field.one()} for i in range(n)}]
@@ -161,7 +157,7 @@ class TwistedLaurent:
         for k in range(1, MAX_SIGMA_ORDER + 1):
             cur = {i: self._apply_sigma(cur[i]) for i in range(n)}
             powers.append(cur)
-            if all(vec_eq(field, cur[i], {i: field.one()}) for i in range(n)):
+            if all(cur[i] == {i: field.one()} for i in range(n)):
                 order = k
                 break
         if order is None:
@@ -185,7 +181,7 @@ class TwistedLaurent:
         return self._sigma_powers[n % self.sigma_order]
 
     def element_degree(self, b: int, n: int) -> int:
-        return self.base.degrees[b] + n * self.weight
+        return self.base.degrees[b] + n
 
     def multiplication_cochain(self) -> "PolyCochain":
         """The shifted multiplication as a residue-split cochain."""
@@ -198,7 +194,7 @@ class TwistedLaurent:
             sig = self.sigma_power(r1)
             for r2 in range(R):
                 for b1 in range(self.base.dim):
-                    flip = (self.base.degrees[b1] + r1 * self.weight) % 2 == 1
+                    flip = (self.base.degrees[b1] + r1) % 2 == 1
                     for b2 in range(self.base.dim):
                         acc: dict = {}
                         for c, coef in sig[b2].items():
@@ -211,10 +207,7 @@ class TwistedLaurent:
         return m2
 
     def __repr__(self):
-        return (
-            f"TwistedLaurent(base dim {self.base.dim}, |x|={self.weight}, "
-            f"order={self.sigma_order})"
-        )
+        return f"TwistedLaurent(base dim {self.base.dim}, order={self.sigma_order})"
 
 
 class PolyCochain(LinearCochain):
@@ -225,7 +218,6 @@ class PolyCochain(LinearCochain):
     to the terms ``{exponents: c}`` of a polynomial in the arity many
     parameters s_j, reduced by s^p = s over F_p, with no zero coefficient
     and no empty entry; the output x-exponent is forced by homogeneity.
-    Keys whose forced exponent is not an integer are rejected.
     """
 
     __slots__ = ()
@@ -241,16 +233,7 @@ class PolyCochain(LinearCochain):
                     raise ConfigurationError("an entry is a dict {exponents: c}")
                 terms = _reduced_terms(algebra.field, arity, terms)
                 if terms:
-                    self._exponent_const(bas, out)  # raises if not integral
                     self.table[(tuple(res), tuple(bas), out)] = terms
-
-    def _exponent_const(self, bas, out) -> int:
-        """c with output exponent m = sum(n_j) * 1 + c; integrality is the
-        degree constraint for weight > 1."""
-        num = _exponent_num(self.algebra, self.arity, self.end_degree, bas, out)
-        if num % self.algebra.weight != 0:
-            raise ConfigurationError("component violates degree homogeneity")
-        return num // self.algebra.weight
 
     def multiplication(self):
         return self.algebra.multiplication_cochain()
@@ -270,7 +253,7 @@ class PolyCochain(LinearCochain):
         svals = [field.from_int((n - (n % R)) // R) for _, n in inputs]
         total = sum(n for _, n in inputs)
         return field.add_into({}, (
-            ((o, total + self._exponent_const(bas, o)),
+            ((o, total + _exponent_const(alg, self.arity, self.end_degree, bas, o)),
              Poly._raw(field, self.arity, terms).evaluate(svals))
             for (r, bb, o), terms in self.table.items()
             if r == res and bb == bas
@@ -279,13 +262,13 @@ class PolyCochain(LinearCochain):
     # -- composition -------------------------------------------------------------
 
     @staticmethod
-    def d_walk(alg: TwistedLaurent, arity: int, end_degree: int, entries, acc: dict) -> dict:
-        """Add [m2, f] into ``acc``, flat coordinates ``{(key, exponents): c}``
-        in arity + 1 parameters, for the cochain f of that shape whose table
-        entries are ``entries``, with the signs of the finite case (see
+    def d_walk(alg: TwistedLaurent, arity: int, end_degree: int, entries) -> dict:
+        """[m2, f] in flat coordinates ``{(key, exponents): c}`` in arity + 1
+        parameters, for the cochain f of that shape whose table entries are
+        ``entries``, with the signs of the finite case (see
         :mod:`hochcalc.cochain`): the pairs of every term of an entry, read
         off the move list of its key (:func:`_d_moves`)."""
-        field = alg.field
+        field, acc = alg.field, {}
         for key, terms in entries:
             field.add_into(acc, _d_pairs(field, _d_moves(alg, arity, end_degree, key),
                                          list(terms.items())))
@@ -308,7 +291,7 @@ class PolyCochain(LinearCochain):
         head, tail = (0,) * (i - 1), (0,) * (p - i)
         g_items = []
         for (rg, bg, og), terms_g in g.table.items():
-            c = g._exponent_const(bg, og)
+            c = _exponent_const(alg, q, g.end_degree, bg, og)
             r_m = (sum(rg) + c) % R
             k0 = (sum(rg) + c - r_m) // R
             # g's variables sit at slots i..i+q-1 of the composite
@@ -320,7 +303,7 @@ class PolyCochain(LinearCochain):
             slot_res = rf[i - 1]
             slot_bas = bf[i - 1]
             prefix_deg = sum(
-                alg.base.degrees[bf[j]] + rf[j] * alg.weight + 1 for j in range(i - 1)
+                alg.base.degrees[bf[j]] + rf[j] + 1 for j in range(i - 1)
             )
             negate = (g.end_degree * prefix_deg) % 2 == 1
             # each entry of f is substituted once per k0
@@ -338,9 +321,9 @@ class PolyCochain(LinearCochain):
         return out
 
 
-def _exponent_num(alg: TwistedLaurent, arity: int, end_degree: int, bas, out) -> int:
-    """w c, where m = sum(n_j) + c is the output exponent of a key of that
-    shape and w = |x|; the key is homogeneous iff w divides it."""
+def _exponent_const(alg: TwistedLaurent, arity: int, end_degree: int, bas, out) -> int:
+    """c, where m = sum(n_j) + c is the output exponent of a key of that
+    shape."""
     degrees = alg.base.degrees
     return sum(degrees[b] for b in bas) - degrees[out] + arity + end_degree - 1
 
@@ -353,10 +336,10 @@ def _d_moves(alg: TwistedLaurent, arity: int, end_degree: int, key):
     ``slots``, listed per slot as ``(i, targets, their k0s)``, replaces s_i
     by s_i + s_{i+1} + k0; each c is signed."""
     rf, bf, of = key
-    R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
+    R, degrees = alg.residue_modulus, alg.base.degrees
     odd_f = end_degree % 2 == 1
     by_first, by_second, by_product = _m2_lookups(alg)
-    r_out = (sum(rf) + _exponent_num(alg, arity, end_degree, bf, of) // w) % R
+    r_out = (sum(rf) + _exponent_const(alg, arity, end_degree, bf, of)) % R
     ends = [((rf + (r2,), bf + (b2,), o), c) for r2, b2, o, c in by_first.get((of, r_out), ())]
     starts = [(((r1,) + rf, (b1,) + bf, o), signed if odd_f else c)
               for r1, b1, o, c, signed in by_second.get((of, r_out), ())]
@@ -366,7 +349,7 @@ def _d_moves(alg: TwistedLaurent, arity: int, end_degree: int, key):
                     minus_c if negate else c, k0)
                    for r1, r2, b1, b2, c, minus_c, k0 in by_product.get((bf[i], rf[i]), ())]
         slots.append((i, targets, {k0 for _, _, k0 in targets}))
-        negate ^= (degrees[bf[i]] + rf[i] * w) % 2 == 0
+        negate ^= (degrees[bf[i]] + rf[i]) % 2 == 0
     return ends, starts, slots
 
 
@@ -394,17 +377,17 @@ def _m2_lookups(alg: TwistedLaurent):
     the algebra."""
     if alg._m2_lookups is None:
         neg = alg.field.neg
-        R, w, degrees = alg.residue_modulus, alg.weight, alg.base.degrees
+        R, degrees = alg.residue_modulus, alg.base.degrees
         by_first: dict = {}
         by_second: dict = {}
         by_product: dict = {}
         m2 = alg.multiplication_cochain()
         for ((r1, r2), (b1, b2), o), terms in m2.table.items():
             (c,) = terms.values()
-            signed = neg(c) if (degrees[b1] + r1 * w) % 2 == 0 else c
+            signed = neg(c) if (degrees[b1] + r1) % 2 == 0 else c
             by_first.setdefault((b1, r1), []).append((r2, b2, o, c))
             by_second.setdefault((b2, r2), []).append((r1, b1, o, c, signed))
-            k0, r = divmod(r1 + r2 + m2._exponent_const((b1, b2), o), R)
+            k0, r = divmod(r1 + r2 + _exponent_const(alg, 2, -1, (b1, b2), o), R)
             by_product.setdefault((o, r), []).append((r1, r2, b1, b2, c, neg(c), k0))
         alg._m2_lookups = (by_first, by_second, by_product)
     return alg._m2_lookups
@@ -430,25 +413,22 @@ def _expansion(field: Field, e: int, k0: int, q: int):
 # -- distinguished cochains ------------------------------------------------------
 
 
-def constant_cochain(alg: TwistedLaurent, b: int, m: int, coeff=None) -> PolyCochain:
-    """Arity-0 cochain with value (coeff) * s(b x^m)."""
-    field = alg.field
-    if coeff is None:
-        coeff = field.one()
+def constant_cochain(alg: TwistedLaurent, b: int, m: int) -> PolyCochain:
+    """Arity-0 cochain with value s(b x^m)."""
     d = alg.element_degree(b, m) + 1
-    return PolyCochain(alg, 0, d, {((), (), b): {(): coeff}})
+    return PolyCochain(alg, 0, d, {((), (), b): {(): alg.field.one()}})
 
 
 def euler_cochain(alg: TwistedLaurent) -> PolyCochain:
     """The Euler derivation: diagonal with coefficient 1 - |s(b x^n)| =
-    -(deg b + n w); linear in the exponent."""
+    -(deg b + n); linear in the exponent."""
     field = alg.field
     R = alg.residue_modulus
     comps = {}
     for r in range(R):
         for b in range(alg.base.dim):
-            const = field.from_int(-(alg.base.degrees[b] + r * alg.weight))
-            slope = field.from_int(-alg.weight * R)
+            const = field.from_int(-(alg.base.degrees[b] + r))
+            slope = field.from_int(-R)
             comps[((r,), (b,), b)] = {(0,): const, (1,): slope}
     return PolyCochain(alg, 1, 0, comps)
 
@@ -459,16 +439,15 @@ def binomial_half_cochain(alg: TwistedLaurent) -> PolyCochain:
     as well; a primitive for the cup square of the Euler derivation."""
     field = alg.field
     R = alg.residue_modulus
-    w = alg.weight
     comps = {}
     for r in range(R):
         for b in range(alg.base.dim):
-            d0 = alg.base.degrees[b] + r * w
-            # |x| = d0 + R w s; expand |x|(|x|-1)/2 with integer coefficients
-            # (R is even, so R w (2 d0 - 1) / 2 and (R w)^2 / 2 are integers)
+            d0 = alg.base.degrees[b] + r
+            # |x| = d0 + R s; expand |x|(|x|-1)/2 with integer coefficients
+            # (R is even, so R (2 d0 - 1) / 2 and R^2 / 2 are integers)
             c0 = d0 * (d0 - 1) // 2
-            c1 = (R * w) * (2 * d0 - 1) // 2
-            c2 = (R * w) * (R * w) // 2
+            c1 = R * (2 * d0 - 1) // 2
+            c2 = R * R // 2
             comps[((r,), (b,), b)] = {
                 (0,): field.from_int(c0),
                 (1,): field.from_int(c1),
@@ -480,17 +459,12 @@ def binomial_half_cochain(alg: TwistedLaurent) -> PolyCochain:
 # -- one-sided witness search ------------------------------------------------------
 
 
-def _witness_basis_keys(alg: TwistedLaurent, arity: int, end_degree: int):
-    """All legal component keys at the given shape."""
+def _witness_basis_keys(alg: TwistedLaurent, arity: int):
+    """All component keys of the given arity."""
     R = alg.residue_modulus
     dim = alg.base.dim
-    keys = []
-    for res in iproduct(range(R), repeat=arity):
-        for bas in iproduct(range(dim), repeat=arity):
-            for out in range(dim):
-                if _exponent_num(alg, arity, end_degree, bas, out) % alg.weight == 0:
-                    keys.append((res, bas, out))
-    return keys
+    return [(res, bas, out) for res in iproduct(range(R), repeat=arity)
+            for bas in iproduct(range(dim), repeat=arity) for out in range(dim)]
 
 
 def _monomials(nvars: int, max_total: int, char: int):
@@ -557,21 +531,13 @@ def _witness_columns(alg: TwistedLaurent, arity: int, end_degree: int, key, mono
             for mono in monos]
 
 
-def find_witness(lhs: PolyCochain, rhs: PolyCochain, d_search: int):
-    """Exact b with lhs - rhs = hoch_d(b), searched inside the residue-split
-    class with polynomial total degree <= d_search.
-
-    A found witness proves the cohomology identity; absence only means the
-    identity is not certified inside this class at this degree.
-    Returns (witness or None, stats dict), by :func:`find_witnesses`.
-    """
-    return find_witnesses([(lhs, rhs)], d_search)[0]
-
-
 def find_witnesses(pairs, d_search: int):
-    """:func:`find_witness` for each ``(lhs, rhs)`` of ``pairs``: a list with
-    ``(witness or None, stats)`` per pair.  A found witness is verified
-    exactly; absence is one-sided.
+    """For each ``(lhs, rhs)`` of ``pairs``, an exact b with
+    lhs - rhs = hoch_d(b), searched inside the residue-split class with
+    polynomial total degree <= d_search: a list with ``(witness or None,
+    stats)`` per pair.  A found witness is verified exactly and proves the
+    cohomology identity; absence is one-sided, and only means the identity
+    is not certified inside this class at this degree.
 
     The differences of one algebra and shape share one elimination, of the
     coboundary columns whose weight is one of theirs, with a right-hand side
@@ -604,7 +570,7 @@ def find_witnesses(pairs, d_search: int):
         weights = [{_key_weight(wvecs, ckey) for ckey in z.table} for _, z in group]
         columns, unknowns = [], []
         monos = _monomials(arity_b, d_search, field.char)
-        for key in _witness_basis_keys(alg, arity_b, deg_b):
+        for key in _witness_basis_keys(alg, arity_b):
             weight = _key_weight(wvecs, key)
             if any(weight in ws for ws in weights):
                 for mono, col in zip(monos, _witness_columns(alg, arity_b, deg_b, key, monos, rows)):
@@ -630,14 +596,14 @@ def find_witnesses(pairs, d_search: int):
 
 def sign_twisted_laurent(field: Field) -> TwistedLaurent:
     """k<e, x^{+-1}>/(e^2, xe + ex): dual numbers twisted by e -> -e, |x| = 1."""
-    base = dual_numbers(field, eps_degree=0)
+    base = dual_numbers(field)
     eps = base.index["e"]
     unit = base.unit
     sigma = {
         unit: {unit: field.one()},
         eps: {eps: field.neg(field.one())},
     }
-    return TwistedLaurent(base, sigma, weight=1)
+    return TwistedLaurent(base, sigma)
 
 
 def skew_derivation_cochain(alg: TwistedLaurent) -> PolyCochain:
@@ -739,7 +705,7 @@ def section8_report(characteristic: int, d_search: int = 3):
     beta = binomial_half_cochain(alg)
     dd = cup(delta, delta)
     explicit = (dd + hoch_d(beta)).is_zero()
-    w, stats = find_witness(dd, PolyCochain(alg, 2, -1), d_search)
+    w, stats = find_witnesses([(dd, PolyCochain(alg, 2, -1))], d_search)[0]
     _report_entry(checks, "d", "Euler class cup square vanishes with witness",
                   "PASS" if (explicit and w is not None) else "FAIL",
                   explicit_primitive=explicit, witness_found=w is not None,

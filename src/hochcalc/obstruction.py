@@ -187,9 +187,14 @@ class ExtensionResult:
         self.steps = steps or []
 
 
+def _theory_bound(k: int) -> int:
+    """ceil((k+1)/2), the least depth obstruction theory covers at k."""
+    return (k + 2) // 2
+
+
 def allowed_depths(k: int):
     """Depths l with max(ceil((k+1)/2), k-2) <= l <= k, deepest last."""
-    lo = max((k + 1 + 1) // 2, k - 2)
+    lo = max(_theory_bound(k), k - 2)
     return [l for l in range(k, lo - 1, -1)]
 
 
@@ -197,7 +202,7 @@ def extend_once(s: AInfStructure, l: int, ctx: HHContext) -> ExtensionResult:
     """One extension step at depth l in {k, k-1, k-2}; the result agrees
     with s on m_2..m_l and has m_{k+1} = 0."""
     k = s.k
-    lo = (k + 2) // 2
+    lo = _theory_bound(k)
     if not (lo <= l <= k):
         raise UnsupportedDepthError(
             f"depth {l} outside the obstruction-theory range [{lo}, {k}] for k={k}"

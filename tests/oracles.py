@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from hochcalc.cochain import Cochain, brace, cochain_from_coords, coords_of_cochain, hoch_d
-from hochcalc.cohomology import CohomClass, hh_space
+from hochcalc.cohomology import CochainComplex, CohomClass
 from hochcalc.errors import DomainError
 from hochcalc.exactla import Rationals, SparseMatrix, solve_columns_many
 from hochcalc.laurent import (
@@ -324,12 +324,12 @@ def reference_find_witnesses(pairs, d_search):
         tcoords = [dict(z.coordinates()) for _, z in group]
         weights = [{_key_weight(wvecs, ckey) for (ckey, _) in tc} for tc in tcoords]
         columns, unknowns = [], []
-        for key in _witness_basis_keys(alg, arity_b, deg_b):
+        for key in _witness_basis_keys(alg, arity_b):
             weight = _key_weight(wvecs, key)
             if not any(weight in ws for ws in weights):
                 continue
             for mono in _monomials(arity_b, d_search, field.char):
-                col = PolyCochain.d_walk(alg, arity_b, deg_b, ((key, {mono: field.one()}),), {})
+                col = PolyCochain.d_walk(alg, arity_b, deg_b, ((key, {mono: field.one()}),))
                 if col:
                     columns.append(col)
                     unknowns.append((key, mono, weight))
@@ -350,7 +350,7 @@ def reference_find_witnesses(pairs, d_search):
 
 def hh_dim(a, p, q, normalized=True):
     """dim HH^{p,q}(a), from the normalized or the full bar complex."""
-    return hh_space(a, p, q, normalized).dim
+    return CochainComplex(a, q, normalized).space(p).dim
 
 
 def multiplication_predicate(a, m):

@@ -74,7 +74,7 @@ def test_si_needs_all_maps(trunc_f2):
 
 
 def test_map_shape_checked(trunc_f2):
-    bad = Cochain.zero(trunc_f2, 3, 0)
+    bad = Cochain(trunc_f2, 3, 0)
     from hochcalc.identities import random_cochain as rc
 
     bad = rc(random.Random(1), trunc_f2, 3, 0)
@@ -115,7 +115,7 @@ def test_perturb_bookkeeping(trunc_f2):
     rng = random.Random(10)
     m3 = random_cocycle(rng, ctx.space(3, -1))
     s = AInfStructure(trunc_f2, 4, {3: m3})
-    assert perturb(s, 3, Cochain.zero(trunc_f2, 3, -1)).maps == s.maps
+    assert perturb(s, 3, Cochain(trunc_f2, 3, -1)).maps == s.maps
     with pytest.raises(DomainError):
         perturb(s, 3, random_cochain(rng, trunc_f2, 4, -2))
     # perturbing m_k leaves SI(n) for n <= k unchanged

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hochcalc.algebra import (
@@ -51,6 +53,28 @@ def test_associativity_violation_reported(QQ):
     assert "associativity" in kinds
     bad = next(r for r in report if r["kind"] == "associativity")
     assert set(bad["triple"]) <= {"1", "u", "v"}
+
+
+@pytest.mark.parametrize("av, violations", [(1, []), (2, [["a", "b", "a"]])])
+def test_associativity_compares_integral_fractions_with_ints(QQ, av, violations):
+    """(ab)a = (w/2)a = {t: Fraction(1, 1)} and a(ba) = av = {t: av}: the
+    integral Fraction equals the int 1, so only a v = 2t is a violation."""
+    a = GradedAlgebra(
+        QQ,
+        [(name, 0) for name in ("1", "a", "b", "v", "w", "t")],
+        "1",
+        {
+            ("a", "b"): {"w": Fraction(1, 2)},
+            ("w", "a"): {"t": 2},
+            ("b", "a"): {"v": 1},
+            ("a", "v"): {"t": av},
+        },
+    )
+    (ab_a,) = a.multiply(a.product(1, 2), {1: 1}).values()
+    assert type(ab_a) is Fraction and ab_a == 1
+    report = validate_algebra(a)
+    assert [r["triple"] for r in report if r["kind"] == "associativity"] == violations
+    assert len(report) == len(violations)
 
 
 def test_exterior_line_valid(QQ):

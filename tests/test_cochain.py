@@ -126,7 +126,7 @@ def test_cup_identity_cochain(dual_q):
 
 
 def test_cup_with_zero(ext_q):
-    z = Cochain.zero(ext_q, 1, 0)
+    z = Cochain(ext_q, 1, 0)
     d = euler_delta(ext_q)
     assert cup(d, z).is_zero() and cup(z, d).is_zero()
 
@@ -213,7 +213,7 @@ def test_bracket_of_multiplication_with_itself(dual_q, ext_q):
 
 
 def test_sq_of_zero_cochain(ext_q):
-    assert sq(Cochain.zero(ext_q, 2, 1)).is_zero()
+    assert sq(Cochain(ext_q, 2, 1)).is_zero()
 
 
 @pytest.mark.parametrize("make", [

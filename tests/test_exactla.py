@@ -711,7 +711,7 @@ def test_dims_probes_share_one_exact_elimination(exact_eliminations):
     exact_eliminations.clear()  # the rref of the weight grading is no witness search
     assert [w for w, _ in laurent.find_witnesses(pairs, 2)] == [None, None, None]
     assert len(exact_eliminations) == 1
-    assert [laurent.find_witness(lhs, rhs, 2)[0] for lhs, rhs in pairs] == [None, None, None]
+    assert [laurent.find_witnesses([pair], 2)[0][0] for pair in pairs] == [None, None, None]
     assert len(exact_eliminations) == 1 + 3
 
 def _random_q_system(rng, rows, cols):

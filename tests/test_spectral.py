@@ -15,7 +15,7 @@ from hochcalc.cochain import (
     shifted_m2,
 )
 from hochcalc.cli import build_structure, parse_input
-from hochcalc.cohomology import HHContext, hh_space, induced_sq
+from hochcalc.cohomology import CochainComplex, HHContext, induced_sq
 from hochcalc.errors import DomainError, NotProvidedError, UndefinedCellError
 from hochcalc.exactla import PrimeField, SparseMatrix, rref
 from hochcalc.identities import random_cochain
@@ -137,7 +137,7 @@ def test_d1_is_the_signed_full_differential(doc):
             if not (s >= 1 or t > s):
                 continue
             m = d1_matrix(ctx, s, t)
-            d = hh_space(a, s + 2, -t, normalized=False).d_out
+            d = CochainComplex(a, -t, normalized=False).d(s + 2)
             negate = (t - s) % 2 == 1
             assert (m.rows, m.cols) == (d.rows, d.cols)
             assert m.columns == [
